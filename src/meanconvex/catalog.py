@@ -140,7 +140,7 @@ _BOX_2_8 = Interval(2.0, 8.0, closed_lo=True, closed_hi=True)
 
 
 def builtin_claims() -> list[CatalogEntry]:
-    """The audited claim catalog (50 entries)."""
+    """The audited claim catalog (52 entries)."""
     E = CatalogEntry
     fs = builtin_functions()
     entries = [
@@ -328,79 +328,69 @@ def _positivity_violation(f: PointFunction, box) -> Optional[float]:
     return None
 
 
-def _audit_class(entry, plan, tol) -> AuditFinding:
+# Each _audit_* returns (outcome, detail, min_margin, samples, skipped).
+
+def _audit_class(entry, plan, tol):
     spec, f, box = entry.payload["spec"], entry.payload["f"], entry.payload.get("box")
     if spec.val_mean is not MeanKind.ARITHMETIC:
         x_bad = _positivity_violation(f, box)
         if x_bad is not None:
-            return AuditFinding(
-                entry.key, entry.kind, entry.expected, "domain-violation",
-                entry.expected == "domain-violation",
-                f"{f.name}({x_bad:.6g}) <= 0 but the value mean needs f > 0")
+            return ("domain-violation",
+                    f"{f.name}({x_bad:.6g}) <= 0 but the value mean needs f > 0",
+                    None, 0, 0)
     verdict = verify_class(spec, f, plan, tol, box)
-    outcome = "holds" if verdict.holds else "refuted"
     w = verdict.witness
     detail = (f"min relative margin {verdict.min_margin:.3e}" if verdict.holds
               else f"violated at x={w.x:.6g}, y={w.y:.6g}, t={w.t:.6g}")
-    return AuditFinding(entry.key, entry.kind, entry.expected, outcome,
-                        outcome == entry.expected, detail, verdict.min_margin,
-                        verdict.samples_tested, verdict.skipped)
+    return ("holds" if verdict.holds else "refuted", detail, verdict.min_margin,
+            verdict.samples_tested, verdict.skipped)
 
 
-def _audit_extended(entry, plan, tol) -> AuditFinding:
+def _audit_extended(entry, plan, tol):
     p = entry.payload
     verdict = verify_extended_class(p["class_tag"], p["arg_mean"], p["f"],
                                     plan, tol, s=p["s"], box=p.get("box"))
-    outcome = "holds" if verdict.holds else "refuted"
-    return AuditFinding(entry.key, entry.kind, entry.expected, outcome,
-                        outcome == entry.expected,
-                        f"min relative margin {verdict.min_margin:.3e}",
-                        verdict.min_margin, verdict.samples_tested,
-                        verdict.skipped)
+    return ("holds" if verdict.holds else "refuted",
+            f"min relative margin {verdict.min_margin:.3e}",
+            verdict.min_margin, verdict.samples_tested, verdict.skipped)
 
 
-def _audit_theorem(entry, plan, tol) -> AuditFinding:
+def _audit_theorem(entry, plan, tol):
     p = entry.payload
     report = verify_theorem(p["tid"], p["h"], p["f"], p["sense"], plan, tol,
                             box=p.get("box"))
-    outcome = "holds" if report.holds else "refuted"
     if report.holds:
         detail = f"min relative margin {report.min_margin:.3e}"
     else:
         w = report.witnesses[0]
         detail = f"violated at ({w.x:.6g}, {w.y:.6g}, {w.z:.6g})"
-    return AuditFinding(entry.key, entry.kind, entry.expected, outcome,
-                        outcome == entry.expected, detail, report.min_margin,
-                        report.triples_tested, report.skipped)
+    return ("holds" if report.holds else "refuted", detail, report.min_margin,
+            report.triples_tested, report.skipped)
 
 
-def _audit_equality(entry, plan, tol) -> AuditFinding:
+def _audit_equality(entry, plan, tol):
     resid, n = equality_max_residual(entry.payload["family"], plan)
-    outcome = "equality" if resid <= tol else "not-equality"
-    return AuditFinding(entry.key, entry.kind, entry.expected, outcome,
-                        outcome == entry.expected,
-                        f"max relative residual {resid:.3e}", resid, n)
+    return ("equality" if resid <= tol else "not-equality",
+            f"max relative residual {resid:.3e}", resid, n, 0)
 
 
-def _audit_chain(entry, plan, tol) -> AuditFinding:
+def _audit_chain(entry, plan, tol):
     p = entry.payload
+    suspect = entry.expected == "suspect"
     report = chained_check(p["corollary"], p["h"], p["f"], plan, tol,
-                           box=p.get("box"),
-                           enforce_hypotheses=entry.expected != "suspect")
-    margins = "; ".join(f"{lk.name}: {lk.min_margin:.3e}" for lk in report.links)
-    samples = min(lk.samples for lk in report.links)
-    skipped = max(lk.skipped for lk in report.links)
-    worst = min(lk.min_margin for lk in report.links)
-    if entry.expected == "suspect":
-        return AuditFinding(entry.key, entry.kind, entry.expected, "measured",
-                            True, margins, worst, samples, skipped)
-    outcome = "holds" if report.holds else "refuted"
-    return AuditFinding(entry.key, entry.kind, entry.expected, outcome,
-                        outcome == entry.expected, margins, worst, samples,
-                        skipped)
+                           box=p.get("box"), enforce_hypotheses=not suspect)
+    if suspect:
+        outcome = "measured"
+    else:
+        outcome = "holds" if report.holds else "refuted"
+    return (outcome,
+            "; ".join(f"{lk.name}: {lk.min_margin:.3e}" for lk in report.links),
+            min(lk.min_margin for lk in report.links),
+            min(lk.samples for lk in report.links),
+            max(lk.skipped for lk in report.links))
 
 
-def _audit_hlawka(entry, plan, tol) -> AuditFinding:
+def _audit_hlawka(entry, plan, tol):
     rng = np.random.default_rng(plan.seed)
     n = max(plan.n_random, 10_000)
     if entry.payload["mode"] == "random":
@@ -408,22 +398,18 @@ def _audit_hlawka(entry, plan, tol) -> AuditFinding:
         margins = hlawka_margins(x, y, z)
         scale = np.maximum(1.0, np.abs(x) + np.abs(y) + np.abs(z))
         worst = float(np.min(margins / scale))
-        outcome = "holds" if worst >= -1e-12 else "refuted"
-        return AuditFinding(entry.key, entry.kind, entry.expected, outcome,
-                            outcome == entry.expected,
-                            f"min relative margin {worst:.3e}", worst, n)
+        return ("holds" if worst >= -1e-12 else "refuted",
+                f"min relative margin {worst:.3e}", worst, n, 0)
     x, y, z = rng.uniform(0.0, 100.0, size=(3, n))
     sign = np.where(rng.random(n) < 0.5, 1.0, -1.0)
     margins = hlawka_margins(sign * x, sign * y, sign * z)
     scale = np.maximum(1.0, np.abs(x) + np.abs(y) + np.abs(z))
     resid = float(np.max(np.abs(margins) / scale))
-    outcome = "equality" if resid <= 1e-12 else "not-equality"
-    return AuditFinding(entry.key, entry.kind, entry.expected, outcome,
-                        outcome == entry.expected,
-                        f"max relative residual {resid:.3e}", resid, n)
+    return ("equality" if resid <= 1e-12 else "not-equality",
+            f"max relative residual {resid:.3e}", resid, n, 0)
 
 
-def _audit_probe(entry, plan, tol) -> AuditFinding:
+def _audit_probe(entry, plan, tol):
     p = entry.payload
     parts, samples = [], 0
     for sense in ("convex", "concave"):
@@ -431,8 +417,7 @@ def _audit_probe(entry, plan, tol) -> AuditFinding:
                                 box=p.get("box"))
         parts.append(f"{sense}: min margin {report.min_margin:.3e}")
         samples = report.triples_tested
-    return AuditFinding(entry.key, entry.kind, entry.expected, "measured",
-                        True, "; ".join(parts), None, samples)
+    return "measured", "; ".join(parts), None, samples, 0
 
 
 _DISPATCH = {
@@ -453,9 +438,9 @@ def run_audit(plan: SamplePlan | None = None,
     findings = []
     for entry in builtin_claims():
         try:
-            findings.append(_DISPATCH[entry.kind](entry, plan, tol))
+            outcome, *rest = _DISPATCH[entry.kind](entry, plan, tol)
         except MeanConvexError as exc:
-            findings.append(AuditFinding(
-                entry.key, entry.kind, entry.expected, "error", False,
-                f"{type(exc).__name__}: {exc}"))
+            outcome, rest = "error", [f"{type(exc).__name__}: {exc}", None, 0, 0]
+        findings.append(AuditFinding(entry.key, entry.kind, entry.expected, outcome,
+                                     outcome in (entry.expected, "measured"), *rest))
     return findings

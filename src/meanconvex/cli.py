@@ -91,6 +91,27 @@ def _witness_dict(w) -> dict:
     return {"x": w.x, "y": w.y, "z": w.z, "t": w.t, "lhs": w.lhs, "rhs": w.rhs}
 
 
+def _write_report(args, target: str, f, h, sense: str, sizes: dict, verdict: str,
+                  min_margin: float, witnesses: list[dict], skipped: int,
+                  samples: int) -> None:
+    """Write the --json report and --csv witness rows of a verify or search run."""
+    payload = {
+        "schema_version": 1,
+        "config": {"command": args.command, "target": target, "fn": f.name,
+                   "weight": h.name, "sense": sense, "lo": args.lo, "hi": args.hi,
+                   **sizes, "seed": _resolve_seed(args), "tol": args.tol},
+        "verdict": verdict,
+        "min_margin": min_margin,
+        "witnesses": witnesses,
+        "skipped": skipped,
+        "samples": samples,
+    }
+    if args.json:
+        _write_json(args.json, payload)
+    if args.csv:
+        _write_csv(args.csv, witnesses)
+
+
 # --------------------------------------------------------------------------
 
 def _add_sampling_args(p: argparse.ArgumentParser) -> None:
@@ -162,47 +183,22 @@ def _cmd_verify(args) -> int:
         tid = TheoremId(args.theorem)
         sense = args.sense or BASE_SENSE[tid]
         report = verify_theorem(tid, h, f, sense, plan, args.tol, box)
-        sense_used = sense
-        verdict = report.status
-        min_margin = report.min_margin
-        witnesses = [_witness_dict(w) for w in report.witnesses]
-        samples, skipped = report.triples_tested, report.skipped
-        target = f"theorem {tid.value}"
+        target, samples = f"theorem {tid.value}", report.triples_tested
+        found = report.witnesses
     else:
-        sense_used = args.sense or "convex"
-        spec = ConvexitySpec(_MEAN_KINDS[args.arg], _MEAN_KINDS[args.val],
-                             h, sense_used)
+        sense = args.sense or "convex"
+        spec = ConvexitySpec(_MEAN_KINDS[args.arg], _MEAN_KINDS[args.val], h, sense)
         report = verify_class(spec, f, plan, args.tol, box)
-        verdict = report.status
-        min_margin = report.min_margin
-        witnesses = [_witness_dict(report.witness)] if report.witness else []
-        samples, skipped = report.samples_tested, report.skipped
-        target = f"class {spec.label}"
+        target, samples = f"class {spec.label}", report.samples_tested
+        found = [report.witness] if report.witness else []
     elapsed = time.perf_counter() - t0
-    payload = {
-        "schema_version": 1,
-        "config": {
-            "command": "verify",
-            "target": target,
-            "fn": f.name,
-            "weight": h.name,
-            "sense": sense_used,
-            "lo": args.lo, "hi": args.hi,
-            "grid": args.grid, "grid_t": args.grid_t, "random": args.random,
-            "seed": _resolve_seed(args), "tol": args.tol,
-        },
-        "verdict": verdict,
-        "min_margin": min_margin,
-        "witnesses": witnesses,
-        "skipped": skipped,
-        "samples": samples,
-    }
-    if args.json:
-        _write_json(args.json, payload)
-    if args.csv:
-        _write_csv(args.csv, witnesses)
+    verdict, min_margin = report.status, report.min_margin
+    witnesses = [_witness_dict(w) for w in found]
+    _write_report(args, target, f, h, sense,
+                  {"grid": args.grid, "grid_t": args.grid_t, "random": args.random},
+                  verdict, min_margin, witnesses, report.skipped, samples)
     print(f"{target} [{h.name}] on {f.name}: {verdict} "
-          f"(min margin {min_margin:.3e}, {samples} samples, {skipped} skipped)")
+          f"(min margin {min_margin:.3e}, {samples} samples, {report.skipped} skipped)")
     for w in witnesses:
         t_part = "" if w["t"] is None else f", t={w['t']:.6g}"
         z_part = "" if w["z"] is None else f", z={w['z']:.6g}"
@@ -295,22 +291,8 @@ def _cmd_search(args) -> int:
     wl, wr = popoviciu_sides(tid, h, f, *best)
     witness = {"x": best[0], "y": best[1], "z": best[2], "t": None,
                "lhs": wl, "rhs": wr}
-    payload = {
-        "schema_version": 1,
-        "config": {"command": "search", "target": f"theorem {tid.value}",
-                   "fn": f.name, "weight": h.name, "sense": sense,
-                   "lo": args.lo, "hi": args.hi, "budget": args.budget,
-                   "seed": _resolve_seed(args), "tol": args.tol},
-        "verdict": "refuted",
-        "min_margin": float(margin_of(*best)),
-        "witnesses": [witness],
-        "skipped": 0,
-        "samples": used,
-    }
-    if args.json:
-        _write_json(args.json, payload)
-    if args.csv:
-        _write_csv(args.csv, [witness])
+    _write_report(args, f"theorem {tid.value}", f, h, sense, {"budget": args.budget},
+                  "refuted", float(margin_of(*best)), [witness], 0, used)
     print(f"violation of theorem {tid.value} ({sense}) on {f.name}: "
           f"x={best[0]:.17g}, y={best[1]:.17g}, z={best[2]:.17g}, "
           f"lhs={wl:.17g}, rhs={wr:.17g} ({used} evaluations)")

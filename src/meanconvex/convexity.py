@@ -3,7 +3,11 @@
 The defining inequality compares f at a two-point argument mean against a
 weighted value-mean combination of f(x), f(y). Weight placements differ per
 (argument mean, value mean) pair and are taken verbatim from the printed
-case equations; see _VALUE_SIDES.
+case equations: three value-mean shapes, with h(t) and h(1 - t) swapped under
+a harmonic argument mean; see _VALUE_MEANS.
+
+Every verdict in the package compares its sides through one kernel,
+_compare: relative margin, usable-sample rule, witness indices.
 """
 
 from __future__ import annotations
@@ -25,6 +29,27 @@ MIN_USABLE_FRACTION = 0.5
 
 # Default box used to bound sampling when a function's domain is unbounded.
 DEFAULT_BOX = (-10.0, 10.0)
+
+
+def _compare(lhs, rhs, valid, forward: bool = True, tol: Optional[float] = None,
+             what: Optional[str] = None):
+    """Relative margin of the claim lhs <= rhs (lhs >= rhs when not forward),
+    and with tol the indices, in sample order, of the samples violating it by
+    more than tol (else None).
+
+    The margin is (rhs - lhs) / max(1, |lhs|, |rhs|), and +inf where a sample
+    is not usable. Naming the claim with `what` makes this a verdict: it
+    raises DomainError when fewer than MIN_USABLE_FRACTION of the samples
+    are usable.
+    """
+    if what is not None:
+        n_valid = int(np.count_nonzero(valid))
+        if n_valid < MIN_USABLE_FRACTION * valid.size:
+            raise DomainError(f"only {n_valid}/{valid.size} samples usable for {what}")
+    lhs, rhs = np.where(valid, lhs, 0.0), np.where(valid, rhs, 0.0)
+    margin = np.where(valid, (rhs - lhs) if forward else (lhs - rhs), np.inf)
+    rel = margin / rel_scale(lhs, rhs)
+    return rel, None if tol is None else (rel < -tol).nonzero()[0]
 
 
 @dataclass(frozen=True)
@@ -103,18 +128,13 @@ def _arg_mean_arrays(kind: MeanKind, x, y, t):
     return x * y / (t * x + (1.0 - t) * y)
 
 
-# rhs of the defining inequality per (arg, val) pair; arguments are
-# (h(t), h(1-t), f(x), f(y)). Placements transcribed case by case.
-_VALUE_SIDES = {
-    (MeanKind.ARITHMETIC, MeanKind.ARITHMETIC): lambda ht, h1t, fx, fy: ht * fx + h1t * fy,
-    (MeanKind.ARITHMETIC, MeanKind.GEOMETRIC): lambda ht, h1t, fx, fy: fx**ht * fy**h1t,
-    (MeanKind.ARITHMETIC, MeanKind.HARMONIC): lambda ht, h1t, fx, fy: fx * fy / (h1t * fx + ht * fy),
-    (MeanKind.GEOMETRIC, MeanKind.ARITHMETIC): lambda ht, h1t, fx, fy: ht * fx + h1t * fy,
-    (MeanKind.GEOMETRIC, MeanKind.GEOMETRIC): lambda ht, h1t, fx, fy: fx**ht * fy**h1t,
-    (MeanKind.GEOMETRIC, MeanKind.HARMONIC): lambda ht, h1t, fx, fy: fx * fy / (h1t * fx + ht * fy),
-    (MeanKind.HARMONIC, MeanKind.ARITHMETIC): lambda ht, h1t, fx, fy: h1t * fx + ht * fy,
-    (MeanKind.HARMONIC, MeanKind.GEOMETRIC): lambda ht, h1t, fx, fy: fx**h1t * fy**ht,
-    (MeanKind.HARMONIC, MeanKind.HARMONIC): lambda ht, h1t, fx, fy: fx * fy / (ht * fx + h1t * fy),
+# rhs of the defining inequality per value mean, with weight wx on f(x) and
+# wy on f(y). The printed case equations place (wx, wy) = (h(t), h(1-t)) for
+# the arithmetic and geometric argument means and swap them for the harmonic.
+_VALUE_MEANS = {
+    MeanKind.ARITHMETIC: lambda wx, wy, fx, fy: wx * fx + wy * fy,
+    MeanKind.GEOMETRIC: lambda wx, wy, fx, fy: fx**wx * fy**wy,
+    MeanKind.HARMONIC: lambda wx, wy, fx, fy: fx * fy / (wy * fx + wx * fy),
 }
 
 
@@ -125,8 +145,9 @@ def _gap_arrays(spec: ConvexitySpec, f: PointFunction, x, y, t):
         ht = np.asarray(spec.h(t), dtype=float)
         h1t = np.asarray(spec.h(1.0 - t), dtype=float)
         lhs = np.asarray(f(m), dtype=float)
-        rhs = _VALUE_SIDES[(spec.arg_mean, spec.val_mean)](
-            ht, h1t, np.asarray(f(x), dtype=float), np.asarray(f(y), dtype=float))
+        wx, wy = (h1t, ht) if spec.arg_mean is MeanKind.HARMONIC else (ht, h1t)
+        rhs = _VALUE_MEANS[spec.val_mean](
+            wx, wy, np.asarray(f(x), dtype=float), np.asarray(f(y), dtype=float))
     m, lhs, rhs = np.atleast_1d(m), np.atleast_1d(lhs), np.atleast_1d(rhs)
     with np.errstate(invalid="ignore"):
         in_domain = f.domain.contains_array(m) & np.isfinite(m)
@@ -161,20 +182,15 @@ def verify_class(spec: ConvexitySpec, f: PointFunction,
     dom = f.sampling_domain(box)
     x, y, t = plan.pairs_with_t(dom)
     lhs, rhs, valid = _gap_arrays(spec, f, x, y, t)
-    n_total = x.size
+    rel, bad = _compare(lhs, rhs, valid, spec.sense == "convex", tol,
+                        f"{spec.label} on {f.name}")
     n_valid = int(valid.sum())
-    if n_valid < MIN_USABLE_FRACTION * n_total:
-        raise DomainError(
-            f"only {n_valid}/{n_total} samples usable for {spec.label} on {f.name}")
-    margin = np.where(valid, (rhs - lhs) if spec.sense == "convex" else (lhs - rhs), np.inf)
-    rel = margin / rel_scale(np.where(valid, lhs, 0.0), np.where(valid, rhs, 0.0))
-    violating = rel < -tol
-    skipped = n_total - n_valid
-    if violating.any():
-        i = int(np.argmax(violating))
+    w = None
+    if bad.size:
+        i = int(bad[0])
         w = Witness(float(x[i]), float(y[i]), float(t[i]), float(lhs[i]), float(rhs[i]), index=i)
-        return Verdict("refuted", n_valid, float(np.min(rel[valid])), w, skipped)
-    return Verdict("holds-on-samples", n_valid, float(np.min(rel[valid])), None, skipped)
+    return Verdict("refuted" if w else "holds-on-samples", n_valid,
+                   float(np.min(rel)), w, x.size - n_valid)
 
 
 _EXTENDED_WEIGHTS = {
@@ -230,15 +246,15 @@ def class_ordering_check(f: PointFunction, arg_mean: MeanKind, val_mean: MeanKin
     lhs_b, rhs_b, valid_b = _gap_arrays(base, f, x, y, t)
     lhs_l, rhs_l, valid_l = _gap_arrays(lifted, f, x, y, t)
     valid = valid_b & valid_l
-    base_holds = valid & (rhs_b - lhs_b >= -tol * rel_scale(lhs_b, rhs_b))
-    lifted_fails = base_holds & (rhs_l - lhs_l < -tol * rel_scale(lhs_l, rhs_l))
-    failures = int(lifted_fails.sum())
+    base_rel, _ = _compare(lhs_b, rhs_b, valid)
+    base_holds = valid & (base_rel >= -tol)
+    _, failures = _compare(lhs_l, rhs_l, base_holds, tol=tol)
     first = None
-    if failures:
-        i = int(np.argmax(lifted_fails))
+    if failures.size:
+        i = int(failures[0])
         first = Witness(float(x[i]), float(y[i]), float(t[i]),
                         float(lhs_l[i]), float(rhs_l[i]), index=i)
-    return OrderingReport(int(base_holds.sum()), failures, first)
+    return OrderingReport(int(base_holds.sum()), failures.size, first)
 
 
 @dataclass(frozen=True)

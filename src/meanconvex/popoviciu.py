@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .convexity import PointFunction, Witness
+from .convexity import PointFunction, Witness, _compare
 from .errors import DomainError, HypothesisMismatchError
 from .intervals import Interval
-from .sampling import SamplePlan, rel_scale
+from .sampling import SamplePlan
 from .weights import (DEFAULT_TOL, WeightFunction, classify_additivity,
                       classify_multiplicativity, identity_weight, weight_eval)
 
@@ -67,6 +67,37 @@ def _pair_and_central(tid: TheoremId, x, y, z):
             2.0 * x * y / (x + y), 3.0 * x * y * z / sxy)
 
 
+def _pair_side(tid: TheoremId, f: PointFunction, m1, m2, m3):
+    """Left side: f at the three pair means, combined per the theorem's form."""
+    form = _FORM[tid]
+    if form == "sum":
+        return f(m1) + f(m2) + f(m3)
+    if form == "product":
+        return np.log(f(m1)) + np.log(f(m2)) + np.log(f(m3))
+    return 1.0 / f(m1) + 1.0 / f(m2) + 1.0 / f(m3)
+
+
+def _point_side(tid: TheoremId, h32: float, h12: float, f: PointFunction, c, x, y, z):
+    """Right side: f at the central mean and at the three points."""
+    form = _FORM[tid]
+    if form == "sum":
+        return h32 * f(c) + h12 * (f(x) + f(y) + f(z))
+    if form == "product":
+        return h32 * np.log(f(c)) + h12 * (np.log(f(x)) + np.log(f(y)) + np.log(f(z)))
+    return h12 * (1.0 / f(x) + 1.0 / f(y) + 1.0 / f(z)) + h32 / f(c)
+
+
+def _theorem_sides(tid: TheoremId, h32: float, h12: float, f: PointFunction,
+                   x, y, z):
+    """(lhs, rhs, argument means) of the theorem in its comparison domain.
+
+    h32 = h(3/2) and h12 = h(1/2); product theorems give log-domain sides.
+    """
+    means = m1, m2, m3, c = _pair_and_central(tid, x, y, z)
+    return (_pair_side(tid, f, m1, m2, m3), _point_side(tid, h32, h12, f, c, x, y, z),
+            means)
+
+
 def _sides_arrays(tid: TheoremId, h: WeightFunction, f: PointFunction, x, y, z):
     """Vectorized (lhs, rhs, valid) in the theorem's comparison domain.
 
@@ -75,22 +106,9 @@ def _sides_arrays(tid: TheoremId, h: WeightFunction, f: PointFunction, x, y, z):
     h32 = weight_eval(h, 1.5)
     h12 = weight_eval(h, 0.5)
     with np.errstate(all="ignore"):
-        m1, m2, m3, c = _pair_and_central(tid, x, y, z)
-        fx, fy, fz = f(x), f(y), f(z)
-        fm1, fm2, fm3, fc = f(m1), f(m2), f(m3), f(c)
-        form = _FORM[tid]
-        if form == "sum":
-            lhs = fm1 + fm2 + fm3
-            rhs = h32 * fc + h12 * (fx + fy + fz)
-        elif form == "product":
-            lhs = np.log(fm1) + np.log(fm2) + np.log(fm3)
-            rhs = h32 * np.log(fc) + h12 * (np.log(fx) + np.log(fy) + np.log(fz))
-        else:
-            lhs = 1.0 / fm1 + 1.0 / fm2 + 1.0 / fm3
-            rhs = h12 * (1.0 / fx + 1.0 / fy + 1.0 / fz) + h32 / fc
-    valid = np.isfinite(lhs) & np.isfinite(rhs)
-    with np.errstate(invalid="ignore"):
-        for arg in (m1, m2, m3, c):
+        lhs, rhs, means = _theorem_sides(tid, h32, h12, f, x, y, z)
+        valid = np.isfinite(lhs) & np.isfinite(rhs)
+        for arg in means:
             valid &= np.isfinite(arg) & f.domain.contains_array(arg)
     return np.atleast_1d(lhs), np.atleast_1d(rhs), np.atleast_1d(valid)
 
@@ -155,29 +173,21 @@ def verify_theorem(tid: TheoremId, h: WeightFunction, f: PointFunction,
     dom = f.sampling_domain(box)
     x, y, z = plan.triples(dom)
     lhs, rhs, valid = _sides_arrays(tid, h, f, x, y, z)
-    n_total = x.size
-    n_valid = int(valid.sum())
-    if n_valid == 0:
-        raise DomainError(f"no usable triples for {tid.value} on {f.name}")
-    forward = sense == BASE_SENSE[tid]
-    margin = np.where(valid, (rhs - lhs) if forward else (lhs - rhs), np.inf)
-    rel = margin / rel_scale(np.where(valid, lhs, 0.0), np.where(valid, rhs, 0.0))
-    violating = valid & (rel < -tol)
+    rel, bad = _compare(lhs, rhs, valid, sense == BASE_SENSE[tid], tol,
+                        f"theorem {tid.value} on {f.name}")
     witnesses = []
-    for i in np.flatnonzero(violating)[:max_witnesses]:
+    for i in bad[:max_witnesses]:
         wl, wr = popoviciu_sides(tid, h, f, float(x[i]), float(y[i]), float(z[i]))
         witnesses.append(Witness(float(x[i]), float(y[i]), None, wl, wr,
                                  z=float(z[i]), index=int(i)))
     # residual on degenerate x = y = z triples
     diag = np.linspace(*dom.sampling_bounds(), 33)
     dl, dr, dv = _sides_arrays(tid, h, f, diag, diag, diag)
-    if dv.any():
-        resid = float(np.max(np.abs(dl[dv] - dr[dv]) / rel_scale(dl[dv], dr[dv])))
-    else:
-        resid = float("nan")
-    return PopoviciuReport(tid, h.name, f.name, sense, n_valid,
-                           float(np.min(rel[valid])), resid, witnesses,
-                           skipped=n_total - n_valid, h_class=h_class)
+    resid = float(np.abs(_compare(dl, dr, dv)[0][dv]).max()) if dv.any() else float("nan")
+    n_valid = int(valid.sum())
+    return PopoviciuReport(tid, h.name, f.name, sense, n_valid, float(np.min(rel)),
+                           resid, witnesses, skipped=x.size - n_valid,
+                           h_class=h_class)
 
 
 # ---------------------------------------------------------------------------
@@ -232,9 +242,7 @@ def theorem_margins(tid: TheoremId, h: WeightFunction, f: PointFunction,
     lhs, rhs, valid = _sides_arrays(tid, h, f, np.asarray(x, dtype=float),
                                     np.asarray(y, dtype=float),
                                     np.asarray(z, dtype=float))
-    forward = sense == BASE_SENSE[tid]
-    margin = np.where(valid, (rhs - lhs) if forward else (lhs - rhs), np.inf)
-    return margin / rel_scale(np.where(valid, lhs, 0.0), np.where(valid, rhs, 0.0))
+    return _compare(lhs, rhs, valid, sense == BASE_SENSE[tid])[0]
 
 
 def equality_max_residual(family: str, plan: SamplePlan | None = None,
@@ -249,10 +257,8 @@ def equality_max_residual(family: str, plan: SamplePlan | None = None,
     plan = plan or SamplePlan()
     x, y, z = plan.triples(f.sampling_domain(box))
     lhs, rhs, valid = _sides_arrays(tid, identity_weight(), f, x, y, z)
-    if not valid.any():
-        raise DomainError(f"no usable triples for family {family}")
-    resid = np.abs(lhs[valid] - rhs[valid]) / rel_scale(lhs[valid], rhs[valid])
-    return float(resid.max()), int(valid.sum())
+    rel, _ = _compare(lhs, rhs, valid, what=f"family {family}")
+    return float(np.abs(rel[valid]).max()), int(valid.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -283,175 +289,103 @@ class ChainedReport:
         return all(link.holds for link in self.links)
 
 
-def _sum_rhs(tid, h32, h12, f, x, y, z):
-    _, _, _, c = _pair_and_central(tid, x, y, z)
-    return h32 * f(c) + h12 * (f(x) + f(y) + f(z))
+# corollary -> (kind, f hypothesis, h hypothesis, parent theorem, prefix link,
+# suffix link). The middle link is the parent theorem's two sides. A prefix
+# (name, lhs(f, x, y, z)) ends at the parent's left side; a suffix
+# (name, rhs(f, x, y, z, h32, h12)) starts from its right side. Product-form
+# links compare logs.
+_CHAINS = {
+    "cor4.1": ("additive", "subadditive", "superadditive", TheoremId.AA,
+               ("f(x+y+z) <= sum of midpoint values",
+                lambda f, x, y, z: f(x + y + z)),
+               ("central term split to thirds",
+                lambda f, x, y, z, h32, h12: h32 * (f(x / 3) + f(y / 3) + f(z / 3))
+                + h12 * (f(x) + f(y) + f(z)))),
+    "cor4.2": ("additive", "superadditive", "superadditive", TheoremId.AA, None,
+               ("point sum collapsed to f(x+y+z)",
+                lambda f, x, y, z, h32, h12: h32 * f((x + y + z) / 3)
+                + h12 * f(x + y + z))),
+    "cor8.1": ("multiplicative", "submultiplicative", "superadditive", TheoremId.AG,
+               ("f of the midpoint product <= product of midpoint values",
+                lambda f, x, y, z: np.log(f((x + z) * (y + z) * (x + y) / 8.0))),
+               None),
+    "cor8.2": ("multiplicative", "supermultiplicative", "superadditive", TheoremId.AG,
+               None,
+               ("point product collapsed to f(xyz)",
+                lambda f, x, y, z, h32, h12: h32 * np.log(f((x + y + z) / 3.0))
+                + h12 * np.log(f(x * y * z)))),
+    "cor9.1": ("additive", "superadditive", "superadditive", TheoremId.AG,
+               ("half-point sums <= midpoint values",
+                lambda f, x, y, z: np.log((f(x / 2) + f(z / 2)) * (f(y / 2) + f(z / 2))
+                                          * (f(x / 2) + f(y / 2)))),
+               None),
+    "cor9.2": ("additive", "subadditive", "superadditive", TheoremId.AG, None,
+               ("central value split to thirds",
+                lambda f, x, y, z, h32, h12: h32 * np.log(f(x / 3) + f(y / 3) + f(z / 3))
+                + h12 * (np.log(f(x)) + np.log(f(y)) + np.log(f(z))))),
+    "cor16.1": ("additive", "superadditive", "superadditive", TheoremId.GA, None,
+                ("point sum collapsed to f(x+y+z)",
+                 lambda f, x, y, z, h32, h12: h32 * f(np.cbrt(x * y * z))
+                 + h12 * f(x + y + z))),
+    "cor16.2": ("additive", "subadditive", "superadditive", TheoremId.GA,
+                ("f of the summed pair means <= sum",
+                 lambda f, x, y, z: f(np.sqrt(x * z) + np.sqrt(y * z) + np.sqrt(x * y))),
+                None),
+    "cor20.1": ("multiplicative", "supermultiplicative", "superadditive", TheoremId.GG,
+                None,
+                ("point product collapsed to f(xyz)",
+                 lambda f, x, y, z, h32, h12: h32 * np.log(f(np.cbrt(x * y * z)))
+                 + h12 * np.log(f(x * y * z)))),
+    "cor20.2": ("multiplicative", "submultiplicative", "superadditive", TheoremId.GG,
+                ("f(xyz) <= product of pair-mean values",
+                 lambda f, x, y, z: np.log(f(x * y * z))),
+                ("central value split to cube roots",
+                 lambda f, x, y, z, h32, h12: h32 * (np.log(f(np.cbrt(x)))
+                                                     + np.log(f(np.cbrt(y)))
+                                                     + np.log(f(np.cbrt(z))))
+                 + h12 * (np.log(f(x)) + np.log(f(y)) + np.log(f(z))))),
+    "cor27.1": ("additive", "superadditive", "superadditive", TheoremId.HA,
+                ("doubled half-harmonic values <= pair-mean values",
+                 lambda f, x, y, z: 2.0 * (f(x * z / (x + z)) + f(y * z / (y + z))
+                                           + f(x * y / (x + y)))),
+                ("point sum collapsed to f(x+y+z)",
+                 lambda f, x, y, z, h32, h12: h32 * f(
+                     3.0 * x * y * z / (x * y + y * z + x * z)) + h12 * f(x + y + z))),
+    "cor27.2": ("additive", "subadditive", "superadditive", TheoremId.HA,
+                ("f of the summed pair means <= sum",
+                 lambda f, x, y, z: f(2 * x * z / (x + z) + 2 * y * z / (y + z)
+                                      + 2 * x * y / (x + y))),
+                ("tripled central value",
+                 lambda f, x, y, z, h32, h12: 3.0 * h32 * f(x * y * z / (x * y + y * z + x * z))
+                 + h12 * (f(x) + f(y) + f(z)))),
+    # as printed, the middle link compares a sum with a product; see _chain_sides
+    "HG-chain": ("additive", "superadditive", "superadditive", TheoremId.HG,
+                 ("doubled half-harmonic values <= pair-mean value sum",
+                  lambda f, x, y, z: 2.0 * (f(x * z / (x + z)) + f(y * z / (y + z))
+                                            + f(x * y / (x + y)))),
+                 None),
+}
 
 
-def _pair_value_sum(tid, f, x, y, z):
-    m1, m2, m3, _ = _pair_and_central(tid, x, y, z)
-    return f(m1) + f(m2) + f(m3)
-
-
-def _log_pair_product(tid, f, x, y, z):
-    m1, m2, m3, _ = _pair_and_central(tid, x, y, z)
-    return np.log(f(m1)) + np.log(f(m2)) + np.log(f(m3))
-
-
-def _log_product_rhs(tid, h32, h12, f, x, y, z):
-    _, _, _, c = _pair_and_central(tid, x, y, z)
-    return h32 * np.log(f(c)) + h12 * (np.log(f(x)) + np.log(f(y)) + np.log(f(z)))
-
-
-def _chain_links(corollary: str):
-    """Per-corollary list of (name, lhs_fn, rhs_fn) in comparison domain.
-
-    Each fn takes (h32, h12, f, x, y, z) arrays. The middle link is always
-    the parent theorem's two sides.
-    """
-    AA, AG, GA, GG, HA, HG = (TheoremId.AA, TheoremId.AG, TheoremId.GA,
-                              TheoremId.GG, TheoremId.HA, TheoremId.HG)
-    table = {
-        "cor4.1": ("additive", "subadditive", "superadditive", [
-            ("f(x+y+z) <= sum of midpoint values",
-             lambda h32, h12, f, x, y, z: f(x + y + z),
-             lambda h32, h12, f, x, y, z: _pair_value_sum(AA, f, x, y, z)),
-            ("theorem AA",
-             lambda h32, h12, f, x, y, z: _pair_value_sum(AA, f, x, y, z),
-             lambda h32, h12, f, x, y, z: _sum_rhs(AA, h32, h12, f, x, y, z)),
-            ("central term split to thirds",
-             lambda h32, h12, f, x, y, z: _sum_rhs(AA, h32, h12, f, x, y, z),
-             lambda h32, h12, f, x, y, z: h32 * (f(x / 3) + f(y / 3) + f(z / 3))
-             + h12 * (f(x) + f(y) + f(z))),
-        ]),
-        "cor4.2": ("additive", "superadditive", "superadditive", [
-            ("theorem AA",
-             lambda h32, h12, f, x, y, z: _pair_value_sum(AA, f, x, y, z),
-             lambda h32, h12, f, x, y, z: _sum_rhs(AA, h32, h12, f, x, y, z)),
-            ("point sum collapsed to f(x+y+z)",
-             lambda h32, h12, f, x, y, z: _sum_rhs(AA, h32, h12, f, x, y, z),
-             lambda h32, h12, f, x, y, z: h32 * f((x + y + z) / 3)
-             + h12 * f(x + y + z)),
-        ]),
-        "cor8.1": ("multiplicative", "submultiplicative", "superadditive", [
-            ("f of the midpoint product <= product of midpoint values",
-             lambda h32, h12, f, x, y, z: np.log(
-                 f((x + z) * (y + z) * (x + y) / 8.0)),
-             lambda h32, h12, f, x, y, z: _log_pair_product(AG, f, x, y, z)),
-            ("theorem AG",
-             lambda h32, h12, f, x, y, z: _log_pair_product(AG, f, x, y, z),
-             lambda h32, h12, f, x, y, z: _log_product_rhs(AG, h32, h12, f, x, y, z)),
-        ]),
-        "cor8.2": ("multiplicative", "supermultiplicative", "superadditive", [
-            ("theorem AG",
-             lambda h32, h12, f, x, y, z: _log_pair_product(AG, f, x, y, z),
-             lambda h32, h12, f, x, y, z: _log_product_rhs(AG, h32, h12, f, x, y, z)),
-            ("point product collapsed to f(xyz)",
-             lambda h32, h12, f, x, y, z: _log_product_rhs(AG, h32, h12, f, x, y, z),
-             lambda h32, h12, f, x, y, z: h32 * np.log(f((x + y + z) / 3.0))
-             + h12 * np.log(f(x * y * z))),
-        ]),
-        "cor9.1": ("additive", "superadditive", "superadditive", [
-            ("half-point sums <= midpoint values",
-             lambda h32, h12, f, x, y, z: np.log(
-                 (f(x / 2) + f(z / 2)) * (f(y / 2) + f(z / 2)) * (f(x / 2) + f(y / 2))),
-             lambda h32, h12, f, x, y, z: _log_pair_product(AG, f, x, y, z)),
-            ("theorem AG",
-             lambda h32, h12, f, x, y, z: _log_pair_product(AG, f, x, y, z),
-             lambda h32, h12, f, x, y, z: _log_product_rhs(AG, h32, h12, f, x, y, z)),
-        ]),
-        "cor9.2": ("additive", "subadditive", "superadditive", [
-            ("theorem AG",
-             lambda h32, h12, f, x, y, z: _log_pair_product(AG, f, x, y, z),
-             lambda h32, h12, f, x, y, z: _log_product_rhs(AG, h32, h12, f, x, y, z)),
-            ("central value split to thirds",
-             lambda h32, h12, f, x, y, z: _log_product_rhs(AG, h32, h12, f, x, y, z),
-             lambda h32, h12, f, x, y, z: h32 * np.log(f(x / 3) + f(y / 3) + f(z / 3))
-             + h12 * (np.log(f(x)) + np.log(f(y)) + np.log(f(z)))),
-        ]),
-        "cor16.1": ("additive", "superadditive", "superadditive", [
-            ("theorem GA",
-             lambda h32, h12, f, x, y, z: _pair_value_sum(GA, f, x, y, z),
-             lambda h32, h12, f, x, y, z: _sum_rhs(GA, h32, h12, f, x, y, z)),
-            ("point sum collapsed to f(x+y+z)",
-             lambda h32, h12, f, x, y, z: _sum_rhs(GA, h32, h12, f, x, y, z),
-             lambda h32, h12, f, x, y, z: h32 * f(np.cbrt(x * y * z))
-             + h12 * f(x + y + z)),
-        ]),
-        "cor16.2": ("additive", "subadditive", "superadditive", [
-            ("f of the summed pair means <= sum",
-             lambda h32, h12, f, x, y, z: f(
-                 np.sqrt(x * z) + np.sqrt(y * z) + np.sqrt(x * y)),
-             lambda h32, h12, f, x, y, z: _pair_value_sum(GA, f, x, y, z)),
-            ("theorem GA",
-             lambda h32, h12, f, x, y, z: _pair_value_sum(GA, f, x, y, z),
-             lambda h32, h12, f, x, y, z: _sum_rhs(GA, h32, h12, f, x, y, z)),
-        ]),
-        "cor20.1": ("multiplicative", "supermultiplicative", "superadditive", [
-            ("theorem GG",
-             lambda h32, h12, f, x, y, z: _log_pair_product(GG, f, x, y, z),
-             lambda h32, h12, f, x, y, z: _log_product_rhs(GG, h32, h12, f, x, y, z)),
-            ("point product collapsed to f(xyz)",
-             lambda h32, h12, f, x, y, z: _log_product_rhs(GG, h32, h12, f, x, y, z),
-             lambda h32, h12, f, x, y, z: h32 * np.log(f(np.cbrt(x * y * z)))
-             + h12 * np.log(f(x * y * z))),
-        ]),
-        "cor20.2": ("multiplicative", "submultiplicative", "superadditive", [
-            ("f(xyz) <= product of pair-mean values",
-             lambda h32, h12, f, x, y, z: np.log(f(x * y * z)),
-             lambda h32, h12, f, x, y, z: _log_pair_product(GG, f, x, y, z)),
-            ("theorem GG",
-             lambda h32, h12, f, x, y, z: _log_pair_product(GG, f, x, y, z),
-             lambda h32, h12, f, x, y, z: _log_product_rhs(GG, h32, h12, f, x, y, z)),
-            ("central value split to cube roots",
-             lambda h32, h12, f, x, y, z: _log_product_rhs(GG, h32, h12, f, x, y, z),
-             lambda h32, h12, f, x, y, z: h32 * (np.log(f(np.cbrt(x)))
-                                                 + np.log(f(np.cbrt(y)))
-                                                 + np.log(f(np.cbrt(z))))
-             + h12 * (np.log(f(x)) + np.log(f(y)) + np.log(f(z)))),
-        ]),
-        "cor27.1": ("additive", "superadditive", "superadditive", [
-            ("doubled half-harmonic values <= pair-mean values",
-             lambda h32, h12, f, x, y, z: 2.0 * (
-                 f(x * z / (x + z)) + f(y * z / (y + z)) + f(x * y / (x + y))),
-             lambda h32, h12, f, x, y, z: _pair_value_sum(HA, f, x, y, z)),
-            ("theorem HA",
-             lambda h32, h12, f, x, y, z: _pair_value_sum(HA, f, x, y, z),
-             lambda h32, h12, f, x, y, z: _sum_rhs(HA, h32, h12, f, x, y, z)),
-            ("point sum collapsed to f(x+y+z)",
-             lambda h32, h12, f, x, y, z: _sum_rhs(HA, h32, h12, f, x, y, z),
-             lambda h32, h12, f, x, y, z: h32 * f(
-                 3.0 * x * y * z / (x * y + y * z + x * z)) + h12 * f(x + y + z)),
-        ]),
-        "cor27.2": ("additive", "subadditive", "superadditive", [
-            ("f of the summed pair means <= sum",
-             lambda h32, h12, f, x, y, z: f(
-                 2 * x * z / (x + z) + 2 * y * z / (y + z) + 2 * x * y / (x + y)),
-             lambda h32, h12, f, x, y, z: _pair_value_sum(HA, f, x, y, z)),
-            ("theorem HA",
-             lambda h32, h12, f, x, y, z: _pair_value_sum(HA, f, x, y, z),
-             lambda h32, h12, f, x, y, z: _sum_rhs(HA, h32, h12, f, x, y, z)),
-            ("tripled central value",
-             lambda h32, h12, f, x, y, z: _sum_rhs(HA, h32, h12, f, x, y, z),
-             lambda h32, h12, f, x, y, z: 3.0 * h32 * f(
-                 x * y * z / (x * y + y * z + x * z))
-             + h12 * (f(x) + f(y) + f(z))),
-        ]),
-        "HG-chain": ("additive", "superadditive", "superadditive", [
-            ("doubled half-harmonic values <= pair-mean value sum",
-             lambda h32, h12, f, x, y, z: 2.0 * (
-                 f(x * z / (x + z)) + f(y * z / (y + z)) + f(x * y / (x + y))),
-             lambda h32, h12, f, x, y, z: _pair_value_sum(HG, f, x, y, z)),
-            ("pair-mean value sum <= theorem HG right side (as printed)",
-             lambda h32, h12, f, x, y, z: _pair_value_sum(HG, f, x, y, z),
-             lambda h32, h12, f, x, y, z: np.exp(
-                 _log_product_rhs(HG, h32, h12, f, x, y, z))),
-        ]),
-    }
-    if corollary not in table:
-        raise KeyError(f"unknown chained corollary {corollary!r}; "
-                       f"choose from {sorted(table)}")
-    return table[corollary]
+def _chain_sides(corollary: str, h32: float, h12: float, f: PointFunction, x, y, z):
+    """(name, lhs, rhs) of each link of a corollary, in comparison domain."""
+    _, _, _, parent, prefix, suffix = _CHAINS[corollary]
+    if corollary == "HG-chain":
+        # the plain sum of f at the harmonic pair means (theorem HA's left
+        # side) against theorem HG's right side as a product
+        m1, m2, m3, c = _pair_and_central(parent, x, y, z)
+        lhs = _pair_side(TheoremId.HA, f, m1, m2, m3)
+        rhs = np.exp(_point_side(parent, h32, h12, f, c, x, y, z))
+        middle = "pair-mean value sum <= theorem HG right side (as printed)"
+    else:
+        lhs, rhs, _ = _theorem_sides(parent, h32, h12, f, x, y, z)
+        middle = f"theorem {parent.value}"
+    links = [(middle, lhs, rhs)]
+    if prefix:
+        links.insert(0, (prefix[0], prefix[1](f, x, y, z), lhs))
+    if suffix:
+        links.append((suffix[0], rhs, suffix[1](f, x, y, z, h32, h12)))
+    return links
 
 
 def chained_check(corollary: str, h: WeightFunction, f: PointFunction,
@@ -464,8 +398,11 @@ def chained_check(corollary: str, h: WeightFunction, f: PointFunction,
     multiplicativity) classes of f and h contradict the corollary's stated
     hypotheses; pass enforce_hypotheses=False to run anyway (audit mode).
     """
+    if corollary not in _CHAINS:
+        raise KeyError(f"unknown chained corollary {corollary!r}; "
+                       f"choose from {sorted(_CHAINS)}")
     plan = plan or SamplePlan()
-    kind, f_hyp, h_hyp, links = _chain_links(corollary)
+    kind, f_hyp, h_hyp = _CHAINS[corollary][:3]
     dom = f.sampling_domain(box)
     classify = classify_additivity if kind == "additive" else classify_multiplicativity
     f_class = classify(f.fn, dom, plan, tol)
@@ -482,25 +419,22 @@ def chained_check(corollary: str, h: WeightFunction, f: PointFunction,
     h32 = weight_eval(h, 1.5)
     h12 = weight_eval(h, 0.5)
     x, y, z = plan.triples(dom)
+    with np.errstate(all="ignore"):
+        links = _chain_sides(corollary, h32, h12, f, x, y, z)
     results = []
-    for name, lhs_fn, rhs_fn in links:
-        with np.errstate(all="ignore"):
-            lhs = np.asarray(lhs_fn(h32, h12, f, x, y, z), dtype=float)
-            rhs = np.asarray(rhs_fn(h32, h12, f, x, y, z), dtype=float)
+    for name, lhs, rhs in links:
+        lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
         valid = np.isfinite(lhs) & np.isfinite(rhs)
-        if not valid.any():
-            raise DomainError(f"no usable triples for link {name!r}")
-        rel = np.where(valid, rhs - lhs, np.inf) / rel_scale(
-            np.where(valid, lhs, 0.0), np.where(valid, rhs, 0.0))
+        rel, bad = _compare(lhs, rhs, valid, tol=tol,
+                            what=f"link {name!r} of {corollary} on {f.name}")
         witness = None
-        bad = valid & (rel < -tol)
-        if bad.any():
-            i = int(np.argmax(bad))
+        if bad.size:
+            i = int(bad[0])
             witness = Witness(float(x[i]), float(y[i]), None,
                               float(lhs[i]), float(rhs[i]), z=float(z[i]), index=i)
-        results.append(LinkResult(name, float(np.min(rel[valid])),
-                                  int(valid.sum()), int(x.size - valid.sum()),
-                                  witness))
+        n_valid = int(valid.sum())
+        results.append(LinkResult(name, float(np.min(rel)), n_valid,
+                                  x.size - n_valid, witness))
     return ChainedReport(corollary, f_class.tag, h_class.tag, results)
 
 

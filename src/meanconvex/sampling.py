@@ -37,59 +37,36 @@ class SamplePlan:
     def with_seed(self, seed: int) -> "SamplePlan":
         return replace(self, seed=seed)
 
-    def _rng(self) -> np.random.Generator:
-        return np.random.default_rng(self.seed)
-
-    def _axis(self, domain: Interval) -> np.ndarray:
+    def _spatial(self, domain: Interval) -> tuple[np.ndarray, tuple[float, float]]:
         lo, hi = domain.sampling_bounds()
-        return np.linspace(lo, hi, self.grid_axis)
+        return np.linspace(lo, hi, self.grid_axis), (lo, hi)
 
     def t_grid(self) -> np.ndarray:
         return np.linspace(T_EPS, 1.0 - T_EPS, self.grid_t)
 
+    def _grid_then_random(self, *axes) -> tuple[np.ndarray, ...]:
+        """One column per (grid points, (lo, hi)) axis: the Cartesian grid of
+        the axes in C order, then n_random seeded uniform draws in [lo, hi),
+        taken from one generator a whole axis at a time."""
+        grids = np.meshgrid(*(points for points, _ in axes), indexing="ij")
+        u = np.random.default_rng(self.seed).random((len(axes), self.n_random))
+        return tuple(np.concatenate([g.ravel(), lo + (hi - lo) * row])
+                     for g, (_, (lo, hi)), row in zip(grids, axes, u))
+
     def pairs_with_t(self, domain: Interval) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Ordered (x, y, t) samples: grid_axis^2 * grid_t grid, then random."""
-        xs = self._axis(domain)
-        ts = self.t_grid()
-        gx, gy, gt = np.meshgrid(xs, xs, ts, indexing="ij")
-        x, y, t = gx.ravel(), gy.ravel(), gt.ravel()
-        if self.n_random:
-            rng = self._rng()
-            lo, hi = domain.sampling_bounds()
-            rx = rng.uniform(lo, hi, self.n_random)
-            ry = rng.uniform(lo, hi, self.n_random)
-            rt = rng.uniform(T_EPS, 1.0 - T_EPS, self.n_random)
-            x = np.concatenate([x, rx])
-            y = np.concatenate([y, ry])
-            t = np.concatenate([t, rt])
-        return x, y, t
+        xy = self._spatial(domain)
+        return self._grid_then_random(xy, xy, (self.t_grid(), (T_EPS, 1.0 - T_EPS)))
 
     def triples(self, domain: Interval) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Ordered (x, y, z) samples: grid_axis^3 grid, then random."""
-        xs = self._axis(domain)
-        gx, gy, gz = np.meshgrid(xs, xs, xs, indexing="ij")
-        x, y, z = gx.ravel(), gy.ravel(), gz.ravel()
-        if self.n_random:
-            rng = self._rng()
-            lo, hi = domain.sampling_bounds()
-            r = rng.uniform(lo, hi, (3, self.n_random))
-            x = np.concatenate([x, r[0]])
-            y = np.concatenate([y, r[1]])
-            z = np.concatenate([z, r[2]])
-        return x, y, z
+        xyz = self._spatial(domain)
+        return self._grid_then_random(xyz, xyz, xyz)
 
     def scalar_pairs(self, domain: Interval) -> tuple[np.ndarray, np.ndarray]:
         """Ordered (s, t) pairs for additivity/multiplicativity checks."""
-        xs = self._axis(domain)
-        gs, gt = np.meshgrid(xs, xs, indexing="ij")
-        s, t = gs.ravel(), gt.ravel()
-        if self.n_random:
-            rng = self._rng()
-            lo, hi = domain.sampling_bounds()
-            r = rng.uniform(lo, hi, (2, self.n_random))
-            s = np.concatenate([s, r[0]])
-            t = np.concatenate([t, r[1]])
-        return s, t
+        st = self._spatial(domain)
+        return self._grid_then_random(st, st)
 
 
 def rel_scale(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meanconvex import (BASE_SENSE, EQUALITY_FAMILIES, DomainError,
-                        HypothesisMismatchError, Interval, SamplePlan,
-                        TheoremId, chained_check, equality_max_residual,
-                        equality_residual, hlawka_check, hlawka_margins,
-                        identity_weight, popoviciu_sides, theorem_margins,
-                        two_point_reduction, verify_theorem)
+                        HypothesisMismatchError, Interval, PointFunction,
+                        SamplePlan, TheoremId, chained_check,
+                        equality_max_residual, equality_residual, hlawka_check,
+                        hlawka_margins, identity_weight, popoviciu_sides,
+                        theorem_margins, two_point_reduction, verify_theorem)
 from meanconvex.catalog import builtin_functions, make_function
 
 ID = identity_weight()
@@ -165,6 +165,29 @@ class TestChainedCheck:
                                 enforce_hypotheses=False)
             assert rep.corollary == name
             assert len(rep.links) >= 2
+
+
+class TestUsableFraction:
+    """A verdict needs at least half its samples usable. log(v - 9) is finite
+    only above 9, so theorem AG keeps 1 usable triple out of 1,229."""
+
+    SHIFTED = PointFunction("shifted", lambda v: v - 9.0, Interval(0.0, 10.0))
+    PLAN = SamplePlan(grid_axis=9, n_random=500)
+
+    def test_theorem_rejects_mostly_unusable_samples(self):
+        with pytest.raises(DomainError, match="only 1/1229 samples usable"):
+            verify_theorem(TheoremId.AG, ID, self.SHIFTED, plan=self.PLAN)
+
+    def test_chain_rejects_mostly_unusable_samples(self):
+        with pytest.raises(DomainError, match="samples usable"):
+            chained_check("cor8.2", ID, self.SHIFTED, self.PLAN,
+                          enforce_hypotheses=False)
+
+    def test_margins_stay_per_point(self):
+        x, y, z = self.PLAN.triples(self.SHIFTED.sampling_domain())
+        rel = theorem_margins(TheoremId.AG, ID, self.SHIFTED, x, y, z)
+        assert np.isfinite(rel).sum() == 1
+        assert np.isposinf(rel).sum() == rel.size - 1
 
 
 class TestHlawka:
