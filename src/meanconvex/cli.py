@@ -117,14 +117,17 @@ def _write_report(args, target: str, f, h, sense: str, sizes: dict, verdict: str
 def _add_sampling_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lo", type=float, help="sampling box lower edge")
     p.add_argument("--hi", type=float, help="sampling box upper edge")
-    p.add_argument("--grid", type=int, default=33, help="grid points per axis")
-    p.add_argument("--grid-t", type=int, default=17, help="grid points in t")
-    p.add_argument("--random", type=int, default=10_000,
-                   help="random samples after the grid")
     p.add_argument("--seed", type=int, default=None,
                    help="RNG seed (default: MEANCONVEX_SEED or 42)")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL,
                    help="relative tolerance")
+
+
+def _add_plan_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--grid", type=int, default=33, help="grid points per axis")
+    p.add_argument("--grid-t", type=int, default=17, help="grid points in t")
+    p.add_argument("--random", type=int, default=10_000,
+                   help="random samples after the grid")
 
 
 def _add_function_args(p: argparse.ArgumentParser) -> None:
@@ -244,13 +247,13 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    plan, box = _build_plan(args), _build_box(args)
+    box = _build_box(args)
     h, f = _build_weight(args), _build_fn(args)
     tid = TheoremId(args.theorem)
     sense = args.sense or BASE_SENSE[tid]
     dom = f.sampling_domain(box)
     lo, hi = dom.sampling_bounds()
-    rng = np.random.default_rng(plan.seed)
+    rng = np.random.default_rng(_resolve_seed(args))
     budget = args.budget
     margin_of = lambda x, y, z: theorem_margins(
         tid, h, f, np.array([x]), np.array([y]), np.array([z]), sense)[0]
@@ -274,19 +277,21 @@ def _cmd_search(args) -> int:
               f"{f.name} within {used} evaluations")
         return 1
     # coordinate-descent shrink: pull coordinates toward the domain's low
-    # edge while the violation persists
+    # edge while the violation persists. A pass depends only on best, so a
+    # pass that leaves best unchanged would repeat itself: stop there.
     while used < budget:
-        improved = False
+        start = list(best)
         for i in range(3):
             for step in (0.5, 0.8, 0.95):
+                if used >= budget:
+                    break
                 trial = list(best)
                 trial[i] = lo + step * (trial[i] - lo)
                 used += 1
                 if margin_of(*trial) < -args.tol:
                     best = trial
-                    improved = True
                     break
-        if not improved:
+        if best == start:
             break
     wl, wr = popoviciu_sides(tid, h, f, *best)
     witness = {"x": best[0], "y": best[1], "z": best[2], "t": None,
@@ -357,6 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_function_args(pv)
     _add_weight_args(pv)
     _add_sampling_args(pv)
+    _add_plan_args(pv)
     pv.add_argument("--json", help="write a JSON report here")
     pv.add_argument("--csv", help="write witness rows here")
     pv.set_defaults(handler=_cmd_verify)
@@ -372,7 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=[t.value for t in TheoremId])
     ps.add_argument("--sense", choices=["convex", "concave"], default=None)
     ps.add_argument("--budget", type=int, default=100_000,
-                    help="total side evaluations allowed")
+                    help="cap on side evaluations; the witness shrink also "
+                         "stops at the first pass that leaves it unchanged")
     _add_function_args(ps)
     _add_weight_args(ps)
     _add_sampling_args(ps)
@@ -393,6 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--b", type=float)
     pc.add_argument("--c", type=float)
     _add_sampling_args(pc)
+    _add_plan_args(pc)
     pc.set_defaults(handler=_cmd_classify)
 
     pm = sub.add_parser("means", help="weighted two-point means at one point")

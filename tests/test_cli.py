@@ -114,6 +114,16 @@ class TestSearchCommand:
         assert code == 1
         assert "no violation" in out
 
+    @pytest.mark.parametrize("flag", [["--grid", "5"], ["--grid-t", "3"],
+                                      ["--random", "7"]])
+    def test_plan_flags_are_usage_errors(self, capsys, flag):
+        # the scan draws from the seed alone, so plan sizes would be ignored
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--theorem", "GH", "--fn", "cosh", "--lo", "1",
+                  "--hi", "4", "--sense", "convex", "--budget", "8192", *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestClassifyCommand:
     def test_sampled(self, capsys):
