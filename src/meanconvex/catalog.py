@@ -110,15 +110,6 @@ class AuditFinding:
     skipped: int = 0
 
 
-def _f(name: str, domain: Optional[Interval] = None,
-       positive: Optional[bool] = None) -> PointFunction:
-    fn = builtin_functions()[name]
-    if domain is not None or positive is not None:
-        fn = PointFunction(fn.name, fn.fn, domain or fn.domain,
-                           fn.positive_on_domain if positive is None else positive)
-    return fn
-
-
 def _cls(arg, val, sense, f, h: Optional[WeightFunction] = None, box=None):
     return {"spec": ConvexitySpec(arg, val, h or identity_weight(), sense),
             "f": f, "box": box}

@@ -27,7 +27,7 @@ import time
 
 import numpy as np
 
-from .catalog import builtin_functions, make_function, run_audit
+from .catalog import _AUDIT_PLAN, builtin_functions, make_function, run_audit
 from .convexity import ConvexitySpec, verify_class
 from .errors import MeanConvexError
 from .intervals import Interval
@@ -125,7 +125,6 @@ def _add_sampling_args(p: argparse.ArgumentParser) -> None:
 
 def _add_plan_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--grid", type=int, default=33, help="grid points per axis")
-    p.add_argument("--grid-t", type=int, default=17, help="grid points in t")
     p.add_argument("--random", type=int, default=10_000,
                    help="random samples after the grid")
 
@@ -152,9 +151,9 @@ def _resolve_seed(args) -> int:
     return int(os.environ.get("MEANCONVEX_SEED", "42"))
 
 
-def _build_plan(args) -> SamplePlan:
-    return SamplePlan(grid_axis=args.grid, grid_t=args.grid_t,
-                      n_random=args.random, seed=_resolve_seed(args))
+def _build_plan(args, **sizes) -> SamplePlan:
+    return SamplePlan(grid_axis=args.grid, n_random=args.random,
+                      seed=_resolve_seed(args), **sizes)
 
 
 def _build_box(args):
@@ -179,7 +178,7 @@ def _build_fn(args):
 # --------------------------------------------------------------------------
 
 def _cmd_verify(args) -> int:
-    plan, box = _build_plan(args), _build_box(args)
+    plan, box = _build_plan(args, grid_t=args.grid_t), _build_box(args)
     h, f = _build_weight(args), _build_fn(args)
     t0 = time.perf_counter()
     if args.theorem:
@@ -212,10 +211,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    plan = None
-    if args.seed is not None or "MEANCONVEX_SEED" in os.environ:
-        plan = SamplePlan(grid_axis=13, grid_t=9, n_random=2000,
-                          seed=_resolve_seed(args))
+    plan = _AUDIT_PLAN.with_seed(_resolve_seed(args))
     t0 = time.perf_counter()
     findings = run_audit(plan, args.tol)
     elapsed = time.perf_counter() - t0
@@ -229,9 +225,7 @@ def _cmd_audit(args) -> int:
     if args.json:
         payload = {
             "schema_version": 1,
-            "config": {"command": "audit",
-                       "seed": plan.seed if plan else SamplePlan().seed,
-                       "tol": args.tol},
+            "config": {"command": "audit", "seed": plan.seed, "tol": args.tol},
             "entries": len(findings),
             "disagreements": disagreements,
             "findings": [
@@ -363,6 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_weight_args(pv)
     _add_sampling_args(pv)
     _add_plan_args(pv)
+    pv.add_argument("--grid-t", type=int, default=17, help="grid points in t")
     pv.add_argument("--json", help="write a JSON report here")
     pv.add_argument("--csv", help="write witness rows here")
     pv.set_defaults(handler=_cmd_verify)
@@ -420,10 +415,7 @@ def main(argv=None) -> int:
         parser.error("--val is required with --arg")
     try:
         return args.handler(args)
-    except MeanConvexError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except KeyError as exc:
+    except (MeanConvexError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -128,9 +128,17 @@ class TestSearchCommand:
 class TestClassifyCommand:
     def test_sampled(self, capsys):
         code, out, _ = run(capsys, "classify", "--fn", "sqrt",
-                           "--lo", "0.01", "--hi", "1", *FAST)
+                           "--lo", "0.01", "--hi", "1", "--grid", "7",
+                           "--random", "200")
         assert code == 0
         assert "subadditive" in out
+
+    def test_grid_t_is_a_usage_error(self, capsys):
+        # pairs are sampled without a t axis, so a t grid would be ignored
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--fn", "sqrt", "--grid-t", "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_analytic_power_table(self, capsys):
         code, out, _ = run(capsys, "classify", "--power-exponent", "2")

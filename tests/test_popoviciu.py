@@ -10,7 +10,9 @@ from meanconvex import (BASE_SENSE, EQUALITY_FAMILIES, DomainError,
                         SamplePlan, TheoremId, chained_check,
                         equality_max_residual, equality_residual, hlawka_check,
                         hlawka_margins, identity_weight, popoviciu_sides,
-                        theorem_margins, two_point_reduction, verify_theorem)
+                        power_weight, theorem_margins, two_point_reduction,
+                        verify_theorem)
+from meanconvex import popoviciu
 from meanconvex.catalog import builtin_functions, make_function
 
 ID = identity_weight()
@@ -47,6 +49,21 @@ class TestPopoviciuSides:
         with pytest.raises(DomainError):
             popoviciu_sides(TheoremId.GA, ID, FS["log"], 0.5, 2.0, 3.0)
 
+    @pytest.mark.parametrize("fn, point", [("log", (0.5, 3.0, 4.0)),
+                                           ("arcsin", (0.2, 0.5, 1.0)),
+                                           ("sqrt", (0.0, 1.0, 2.0))])
+    def test_point_outside_domain_rejected(self, fn, point):
+        # every argument mean stays inside the domain, so only the check of
+        # x, y and z themselves rejects these triples
+        with pytest.raises(DomainError):
+            popoviciu_sides(TheoremId.AA, ID, FS[fn], *point)
+
+    @pytest.mark.parametrize("v", [0.1, 1.0, 3.7, 10.0])
+    def test_diagonal_equality(self, v):
+        # x = y = z makes every mean v, so both sides are 3 f(v)
+        lhs, rhs = popoviciu_sides(TheoremId.AA, ID, FS["square"], v, v, v)
+        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs), abs(rhs))
+
     @pytest.mark.parametrize("tid", list(TheoremId))
     def test_permutation_symmetry(self, tid):
         base = popoviciu_sides(tid, ID, FS["square"], 1.3, 2.7, 4.1)
@@ -75,7 +92,6 @@ class TestVerifyTheorem:
         rep = verify_theorem(TheoremId.AA, ID, FS["square"], box=BOX)
         assert rep.holds
         assert rep.min_margin >= -1e-12
-        assert rep.max_abs_residual_at_equality <= 1e-12
 
     def test_flipped_refuted_with_replayable_witness(self):
         rep = verify_theorem(TheoremId.AA, ID, FS["square"], "concave",
@@ -86,6 +102,37 @@ class TestVerifyTheorem:
                                    w.x, w.y, w.z)
         assert (lhs, rhs) == (w.lhs, w.rhs)
         assert lhs < rhs  # the concave claim needed lhs >= rhs
+
+    @pytest.mark.parametrize("tid", list(TheoremId))
+    def test_witnesses_equal_scalar_sides(self, tid):
+        # witnesses come from the bulk arrays; they must be exactly what the
+        # one-point evaluation gives at the same triple
+        found = 0
+        for fn in ("cosh", "sqrt"):
+            for h in (ID, power_weight(2.0)):
+                for sense in ("convex", "concave"):
+                    for seed in (1, 7, 42):
+                        rep = verify_theorem(tid, h, FS[fn], sense,
+                                             SMALL.with_seed(seed), box=BOX)
+                        for w in rep.witnesses:
+                            assert (w.lhs, w.rhs) == popoviciu_sides(
+                                tid, h, FS[fn], w.x, w.y, w.z)
+                        found += len(rep.witnesses)
+        assert found > 0
+
+    def test_sides_evaluated_once(self, monkeypatch):
+        calls = []
+        sides = popoviciu._sides_arrays
+
+        def counting(*args):
+            calls.append(args[0])
+            return sides(*args)
+
+        monkeypatch.setattr(popoviciu, "_sides_arrays", counting)
+        rep = verify_theorem(TheoremId.AA, ID, FS["square"], "concave",
+                             plan=SMALL, box=BOX)
+        assert len(rep.witnesses) == 8
+        assert calls == [TheoremId.AA]
 
     def test_bad_sense_rejected(self):
         with pytest.raises(ValueError):
