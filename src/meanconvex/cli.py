@@ -29,7 +29,7 @@ import numpy as np
 
 from .catalog import _AUDIT_PLAN, builtin_functions, make_function, run_audit
 from .convexity import ConvexitySpec, verify_class
-from .errors import MeanConvexError
+from .errors import DomainError, MeanConvexError
 from .intervals import Interval
 from .means import MeanEvalContext, MeanKind, check_am_gm_hm, mean_classic, mean_eval
 from .popoviciu import (BASE_SENSE, TheoremId, popoviciu_sides,
@@ -37,9 +37,6 @@ from .popoviciu import (BASE_SENSE, TheoremId, popoviciu_sides,
 from .sampling import SamplePlan
 from .weights import (DEFAULT_TOL, WEIGHT_BUILDERS, classify_additivity,
                       classify_multiplicativity, power_weight_class)
-
-_MEAN_KINDS = {"A": MeanKind.ARITHMETIC, "G": MeanKind.GEOMETRIC,
-               "H": MeanKind.HARMONIC}
 
 
 # --------------------------------------------------------------------------
@@ -152,23 +149,34 @@ def _resolve_seed(args) -> int:
 
 
 def _build_plan(args, **sizes) -> SamplePlan:
-    return SamplePlan(grid_axis=args.grid, n_random=args.random,
-                      seed=_resolve_seed(args), **sizes)
+    try:
+        return SamplePlan(grid_axis=args.grid, n_random=args.random,
+                          seed=_resolve_seed(args), **sizes)
+    except ValueError as exc:
+        raise MeanConvexError(f"sample plan: {exc}") from None
 
 
-def _build_box(args):
-    if args.lo is None and args.hi is None:
-        return None
+def _build_box(args, f):
+    """The --lo/--hi box (None without either) and f's sampling domain in it."""
     lo = args.lo if args.lo is not None else -10.0
     hi = args.hi if args.hi is not None else 10.0
-    return Interval(lo, hi, closed_lo=True, closed_hi=True)
+    box = None
+    try:
+        if args.lo is not None or args.hi is not None:
+            box = Interval(lo, hi, closed_lo=True, closed_hi=True)
+        return box, f.sampling_domain(box)
+    except ValueError as exc:
+        raise DomainError(f"sampling box [{lo:g}, {hi:g}] on {f.name}: {exc}") from None
 
 
 def _build_weight(args):
     builder = WEIGHT_BUILDERS[args.weight]
     if args.weight_param is not None:
         return builder(args.weight_param)
-    return builder()
+    try:
+        return builder()
+    except TypeError:
+        raise MeanConvexError(f"--weight {args.weight} needs --weight-param") from None
 
 
 def _build_fn(args):
@@ -178,8 +186,8 @@ def _build_fn(args):
 # --------------------------------------------------------------------------
 
 def _cmd_verify(args) -> int:
-    plan, box = _build_plan(args, grid_t=args.grid_t), _build_box(args)
-    h, f = _build_weight(args), _build_fn(args)
+    plan, f = _build_plan(args, grid_t=args.grid_t), _build_fn(args)
+    h, (box, _) = _build_weight(args), _build_box(args, f)
     t0 = time.perf_counter()
     if args.theorem:
         tid = TheoremId(args.theorem)
@@ -189,7 +197,7 @@ def _cmd_verify(args) -> int:
         found = report.witnesses
     else:
         sense = args.sense or "convex"
-        spec = ConvexitySpec(_MEAN_KINDS[args.arg], _MEAN_KINDS[args.val], h, sense)
+        spec = ConvexitySpec(MeanKind(args.arg), MeanKind(args.val), h, sense)
         report = verify_class(spec, f, plan, args.tol, box)
         target, samples = f"class {spec.label}", report.samples_tested
         found = [report.witness] if report.witness else []
@@ -241,11 +249,10 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    box = _build_box(args)
     h, f = _build_weight(args), _build_fn(args)
+    _, dom = _build_box(args, f)
     tid = TheoremId(args.theorem)
     sense = args.sense or BASE_SENSE[tid]
-    dom = f.sampling_domain(box)
     lo, hi = dom.sampling_bounds()
     rng = np.random.default_rng(_resolve_seed(args))
     budget = args.budget
@@ -303,9 +310,8 @@ def _cmd_classify(args) -> int:
         cls = power_weight_class(args.power_exponent)
         print(f"x^{args.power_exponent:g} on (0, inf): {cls.tag} (analytic)")
         return 0
-    plan, box = _build_plan(args), _build_box(args)
-    f = _build_fn(args)
-    dom = f.sampling_domain(box)
+    plan, f = _build_plan(args), _build_fn(args)
+    _, dom = _build_box(args, f)
     classify = (classify_additivity if args.mode == "additive"
                 else classify_multiplicativity)
     cls = classify(f.fn, dom, plan, args.tol)
@@ -321,12 +327,10 @@ def _cmd_classify(args) -> int:
 
 def _cmd_means(args) -> int:
     h = _build_weight(args)
-    results = {}
-    for key, kind in _MEAN_KINDS.items():
-        ctx = MeanEvalContext(kind, h, args.t)
-        results[key] = mean_eval(ctx, args.x, args.y)
+    for kind in MeanKind:
+        value = mean_eval(MeanEvalContext(kind, h, args.t), args.x, args.y)
         print(f"{kind.value}-mean [{h.name}, t={args.t:g}]"
-              f"({args.x:g}, {args.y:g}) = {results[key]:.17g} "
+              f"({args.x:g}, {args.y:g}) = {value:.17g} "
               f"(classic {mean_classic(kind, args.x, args.y):.17g})")
     chain = check_am_gm_hm(h, args.t, args.x, args.y)
     state = "holds" if chain.holds else "violated"

@@ -271,29 +271,32 @@ class RefutationRecord:
     inequality: str  # the scalar inequality instantiated at y = x
 
 
-# (val_mean, h family, sense) -> probe case name
+# (val_mean, h name, sense) -> (probe case name, the defining inequality at y = x)
 _DIAGONAL_CASES = {
-    (MeanKind.ARITHMETIC, "reciprocal", "concave"): "A_1/t-concave",
-    (MeanKind.HARMONIC, "reciprocal", "convex"): "H_1/t-convex",
-    (MeanKind.ARITHMETIC, "constant", "concave"): "A_1-concave",
-    (MeanKind.HARMONIC, "constant", "convex"): "H_1-convex",
-    (MeanKind.GEOMETRIC, "reciprocal", "concave"): "G_1/t-concave",
-    (MeanKind.GEOMETRIC, "constant", "concave"): "G_1-concave",
+    (MeanKind.ARITHMETIC, "reciprocal", "concave"):
+        ("A_1/t-concave", "f(x) >= (1/(1-t) + 1/t) f(x)"),
+    (MeanKind.HARMONIC, "reciprocal", "convex"): ("H_1/t-convex", "f(x) <= t(1-t) f(x)"),
+    (MeanKind.ARITHMETIC, "constant:1", "concave"): ("A_1-concave", "f(x) >= 2 f(x)"),
+    (MeanKind.HARMONIC, "constant:1", "convex"): ("H_1-convex", "f(x) <= f(x)/2"),
+    (MeanKind.GEOMETRIC, "reciprocal", "concave"):
+        ("G_1/t-concave", "f(x) >= f(x)^(1/(1-t)+1/t)"),
+    (MeanKind.GEOMETRIC, "constant:1", "concave"): ("G_1-concave", "f(x) >= f(x)^2"),
 }
 
 
 def diagonal_refute(spec: ConvexitySpec, f: PointFunction, x: float,
                     t: float) -> RefutationRecord:
-    """Instantiate the defining inequality at y = x, reproducing the
-    non-existence contradictions for the reversed 1/t and constant classes.
+    """Instantiate the defining inequality at y = x through defining_gap,
+    reproducing the non-existence contradictions for the reversed 1/t and
+    constant-1 classes.
 
     The geometric cases additionally require f(x) > 1.
     """
-    key = (spec.val_mean, spec.h.family, spec.sense)
-    case = _DIAGONAL_CASES.get(key)
-    if case is None:
+    key = (spec.val_mean, spec.h.name, spec.sense)
+    if key not in _DIAGONAL_CASES:
         raise InapplicableSpecError(
             f"diagonal probe does not cover {spec.label}")
+    case, ineq = _DIAGONAL_CASES[key]
     if not 0.0 < t < 1.0:
         raise DomainError("probe requires t in (0, 1)")
     if not f.domain.contains(x):
@@ -301,32 +304,9 @@ def diagonal_refute(spec: ConvexitySpec, f: PointFunction, x: float,
     fx = float(f(x))
     if fx <= 0:
         raise DomainError("probe requires f(x) > 0")
-    if case == "A_1/t-concave":
-        rhs = (1.0 / (1.0 - t) + 1.0 / t) * fx
-        refuted = not fx >= rhs
-        ineq = f"f(x) >= (1/(1-t) + 1/t) f(x) = {rhs:.6g}"
-    elif case == "H_1/t-convex":
-        rhs = t * (1.0 - t) * fx
-        refuted = not fx <= rhs
-        ineq = f"f(x) <= t(1-t) f(x) = {rhs:.6g}"
-    elif case == "A_1-concave":
-        rhs = 2.0 * fx
-        refuted = not fx >= rhs
-        ineq = f"f(x) >= 2 f(x) = {rhs:.6g}"
-    elif case == "H_1-convex":
-        rhs = fx / 2.0
-        refuted = not fx <= rhs
-        ineq = f"f(x) <= f(x)/2 = {rhs:.6g}"
-    elif case == "G_1/t-concave":
-        if fx <= 1.0:
-            raise DomainError("geometric probe requires f(x) > 1")
-        rhs = fx ** (1.0 / (1.0 - t) + 1.0 / t)
-        refuted = not fx >= rhs
-        ineq = f"f(x) >= f(x)^(1/(1-t)+1/t) = {rhs:.6g}"
-    else:  # G_1-concave
-        if fx <= 1.0:
-            raise DomainError("geometric probe requires f(x) > 1")
-        rhs = fx * fx
-        refuted = not fx >= rhs
-        ineq = f"f(x) >= f(x)^2 = {rhs:.6g}"
-    return RefutationRecord(case, spec.arg_mean, x, t, fx, rhs, refuted, ineq)
+    if spec.val_mean is MeanKind.GEOMETRIC and fx <= 1.0:
+        raise DomainError("geometric probe requires f(x) > 1")
+    lhs, rhs = defining_gap(spec, f, x, x, t)
+    refuted = not (lhs <= rhs if spec.sense == "convex" else lhs >= rhs)
+    return RefutationRecord(case, spec.arg_mean, x, t, lhs, rhs, refuted,
+                            f"{ineq} = {rhs:.6g}")

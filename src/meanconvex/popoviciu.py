@@ -1,16 +1,15 @@
 """Three-point (Popoviciu-type) inequalities for the nine mean pairs.
 
-Each theorem id binds the exact printed left- and right-hand sides. Sum
-theorems (AA, GA, HA) compare sums of function values, product theorems
-(AG, GG, HG) compare products (evaluated and compared in log domain), and
-reciprocal theorems (AH, GH, HH) compare sums of reciprocals. The HH left
-side is implemented in the reciprocal-sum form of its derivation; the
-printed statement's plain-sum left side is dimensionally inconsistent with
-its own right side.
+A theorem id MN is fixed by its mean pair. The argument mean M gives the
+pair and central means; the value mean N says how f enters both sides:
+sums of f (N = A), products of f (N = G, evaluated and compared in log
+domain), or sums of 1/f (N = H). The HH left side is implemented in the
+reciprocal-sum form of its derivation; the printed statement's plain-sum
+left side is dimensionally inconsistent with its own right side.
 
 Direction convention: each theorem states its inequality for one "base"
-sense (convex for AA/AG/GA/GG/HA/HG, concave for AH/GH/HH); the opposite
-sense reverses the printed direction.
+sense (concave when N = H, else convex); the opposite sense reverses the
+printed direction.
 """
 
 from __future__ import annotations
@@ -41,18 +40,8 @@ class TheoremId(enum.Enum):
     HH = "HH"
 
 
-# form: how the sides combine; base_sense: the sense the printed "<=" binds to
-_FORM = {
-    TheoremId.AA: "sum", TheoremId.GA: "sum", TheoremId.HA: "sum",
-    TheoremId.AG: "product", TheoremId.GG: "product", TheoremId.HG: "product",
-    TheoremId.AH: "recip", TheoremId.GH: "recip", TheoremId.HH: "recip",
-}
-
-BASE_SENSE = {
-    TheoremId.AA: "convex", TheoremId.AG: "convex", TheoremId.AH: "concave",
-    TheoremId.GA: "convex", TheoremId.GG: "convex", TheoremId.GH: "concave",
-    TheoremId.HA: "convex", TheoremId.HG: "convex", TheoremId.HH: "concave",
-}
+# the sense the printed "<=" binds to
+BASE_SENSE = {tid: "concave" if tid.value[1] == "H" else "convex" for tid in TheoremId}
 
 
 def _pair_and_central(tid: TheoremId, x, y, z):
@@ -67,24 +56,26 @@ def _pair_and_central(tid: TheoremId, x, y, z):
             2.0 * x * y / (x + y), 3.0 * x * y * z / sxy)
 
 
+# How f enters a side, by the value mean: the term of an f-value fv at unit
+# weight and at weight w. Product theorems (G) compare log-domain sums. The
+# weight stays inside the term: w / fv and w * (1 / fv) differ in the last
+# digits.
+_VALUE_TERMS = {
+    "A": (lambda fv: fv, lambda w, fv: w * fv),
+    "G": (np.log, lambda w, fv: w * np.log(fv)),
+    "H": (lambda fv: 1.0 / fv, lambda w, fv: w / fv),
+}
+
+
 def _pair_side(tid: TheoremId, f: PointFunction, m1, m2, m3):
-    """Left side: f at the three pair means, combined per the theorem's form."""
-    form = _FORM[tid]
-    if form == "sum":
-        return f(m1) + f(m2) + f(m3)
-    if form == "product":
-        return np.log(f(m1)) + np.log(f(m2)) + np.log(f(m3))
-    return 1.0 / f(m1) + 1.0 / f(m2) + 1.0 / f(m3)
+    """Left side: unit-weight terms of f at the three pair means."""
+    term = _VALUE_TERMS[tid.value[1]][0]
+    return term(f(m1)) + term(f(m2)) + term(f(m3))
 
 
 def _point_side(tid: TheoremId, h32: float, h12: float, f: PointFunction, c, x, y, z):
-    """Right side: f at the central mean and at the three points."""
-    form = _FORM[tid]
-    if form == "sum":
-        return h32 * f(c) + h12 * (f(x) + f(y) + f(z))
-    if form == "product":
-        return h32 * np.log(f(c)) + h12 * (np.log(f(x)) + np.log(f(y)) + np.log(f(z)))
-    return h12 * (1.0 / f(x) + 1.0 / f(y) + 1.0 / f(z)) + h32 / f(c)
+    """Right side: the central term at weight h32 plus the point terms at h12."""
+    return _VALUE_TERMS[tid.value[1]][1](h32, f(c)) + h12 * _pair_side(tid, f, x, y, z)
 
 
 def _theorem_sides(tid: TheoremId, h32: float, h12: float, f: PointFunction,
@@ -123,7 +114,7 @@ def popoviciu_sides(tid: TheoremId, h: WeightFunction, f: PointFunction,
     if not valid[0]:
         raise DomainError(
             f"triple ({x}, {y}, {z}) not evaluable for theorem {tid.value} on {f.name}")
-    if _FORM[tid] == "product":
+    if tid.value[1] == "G":
         return float(np.exp(lhs[0])), float(np.exp(rhs[0]))
     return float(lhs[0]), float(rhs[0])
 
@@ -175,7 +166,7 @@ def verify_theorem(tid: TheoremId, h: WeightFunction, f: PointFunction,
     lhs, rhs, valid = _sides_arrays(tid, h, f, x, y, z)
     rel, bad = _compare(lhs, rhs, valid, sense == BASE_SENSE[tid], tol,
                         f"theorem {tid.value} on {f.name}")
-    product = _FORM[tid] == "product"
+    product = tid.value[1] == "G"
     witnesses = []
     for i in bad[:8]:
         wl, wr = (np.exp(lhs[i]), np.exp(rhs[i])) if product else (lhs[i], rhs[i])
@@ -285,54 +276,56 @@ class ChainedReport:
         return all(link.holds for link in self.links)
 
 
-# corollary -> (kind, f hypothesis, h hypothesis, parent theorem, prefix link,
-# suffix link). The middle link is the parent theorem's two sides. A prefix
+# Every chained corollary requires h superadditive.
+_CHAIN_H_HYPOTHESIS = "superadditive"
+
+# corollary -> (f hypothesis, parent theorem, prefix link, suffix link). The
+# f hypothesis also names the kind, additive or multiplicative, of the class
+# check on f. The middle link is the parent theorem's two sides. A prefix
 # (name, lhs(f, x, y, z)) ends at the parent's left side; a suffix
 # (name, rhs(f, x, y, z, h32, h12)) starts from its right side. Product-form
 # links compare logs.
 _CHAINS = {
-    "cor4.1": ("additive", "subadditive", "superadditive", TheoremId.AA,
+    "cor4.1": ("subadditive", TheoremId.AA,
                ("f(x+y+z) <= sum of midpoint values",
                 lambda f, x, y, z: f(x + y + z)),
                ("central term split to thirds",
                 lambda f, x, y, z, h32, h12: h32 * (f(x / 3) + f(y / 3) + f(z / 3))
                 + h12 * (f(x) + f(y) + f(z)))),
-    "cor4.2": ("additive", "superadditive", "superadditive", TheoremId.AA, None,
+    "cor4.2": ("superadditive", TheoremId.AA, None,
                ("point sum collapsed to f(x+y+z)",
                 lambda f, x, y, z, h32, h12: h32 * f((x + y + z) / 3)
                 + h12 * f(x + y + z))),
-    "cor8.1": ("multiplicative", "submultiplicative", "superadditive", TheoremId.AG,
+    "cor8.1": ("submultiplicative", TheoremId.AG,
                ("f of the midpoint product <= product of midpoint values",
                 lambda f, x, y, z: np.log(f((x + z) * (y + z) * (x + y) / 8.0))),
                None),
-    "cor8.2": ("multiplicative", "supermultiplicative", "superadditive", TheoremId.AG,
-               None,
+    "cor8.2": ("supermultiplicative", TheoremId.AG, None,
                ("point product collapsed to f(xyz)",
                 lambda f, x, y, z, h32, h12: h32 * np.log(f((x + y + z) / 3.0))
                 + h12 * np.log(f(x * y * z)))),
-    "cor9.1": ("additive", "superadditive", "superadditive", TheoremId.AG,
+    "cor9.1": ("superadditive", TheoremId.AG,
                ("half-point sums <= midpoint values",
                 lambda f, x, y, z: np.log((f(x / 2) + f(z / 2)) * (f(y / 2) + f(z / 2))
                                           * (f(x / 2) + f(y / 2)))),
                None),
-    "cor9.2": ("additive", "subadditive", "superadditive", TheoremId.AG, None,
+    "cor9.2": ("subadditive", TheoremId.AG, None,
                ("central value split to thirds",
                 lambda f, x, y, z, h32, h12: h32 * np.log(f(x / 3) + f(y / 3) + f(z / 3))
                 + h12 * (np.log(f(x)) + np.log(f(y)) + np.log(f(z))))),
-    "cor16.1": ("additive", "superadditive", "superadditive", TheoremId.GA, None,
+    "cor16.1": ("superadditive", TheoremId.GA, None,
                 ("point sum collapsed to f(x+y+z)",
                  lambda f, x, y, z, h32, h12: h32 * f(np.cbrt(x * y * z))
                  + h12 * f(x + y + z))),
-    "cor16.2": ("additive", "subadditive", "superadditive", TheoremId.GA,
+    "cor16.2": ("subadditive", TheoremId.GA,
                 ("f of the summed pair means <= sum",
                  lambda f, x, y, z: f(np.sqrt(x * z) + np.sqrt(y * z) + np.sqrt(x * y))),
                 None),
-    "cor20.1": ("multiplicative", "supermultiplicative", "superadditive", TheoremId.GG,
-                None,
+    "cor20.1": ("supermultiplicative", TheoremId.GG, None,
                 ("point product collapsed to f(xyz)",
                  lambda f, x, y, z, h32, h12: h32 * np.log(f(np.cbrt(x * y * z)))
                  + h12 * np.log(f(x * y * z)))),
-    "cor20.2": ("multiplicative", "submultiplicative", "superadditive", TheoremId.GG,
+    "cor20.2": ("submultiplicative", TheoremId.GG,
                 ("f(xyz) <= product of pair-mean values",
                  lambda f, x, y, z: np.log(f(x * y * z))),
                 ("central value split to cube roots",
@@ -340,14 +333,14 @@ _CHAINS = {
                                                      + np.log(f(np.cbrt(y)))
                                                      + np.log(f(np.cbrt(z))))
                  + h12 * (np.log(f(x)) + np.log(f(y)) + np.log(f(z))))),
-    "cor27.1": ("additive", "superadditive", "superadditive", TheoremId.HA,
+    "cor27.1": ("superadditive", TheoremId.HA,
                 ("doubled half-harmonic values <= pair-mean values",
                  lambda f, x, y, z: 2.0 * (f(x * z / (x + z)) + f(y * z / (y + z))
                                            + f(x * y / (x + y)))),
                 ("point sum collapsed to f(x+y+z)",
                  lambda f, x, y, z, h32, h12: h32 * f(
                      3.0 * x * y * z / (x * y + y * z + x * z)) + h12 * f(x + y + z))),
-    "cor27.2": ("additive", "subadditive", "superadditive", TheoremId.HA,
+    "cor27.2": ("subadditive", TheoremId.HA,
                 ("f of the summed pair means <= sum",
                  lambda f, x, y, z: f(2 * x * z / (x + z) + 2 * y * z / (y + z)
                                       + 2 * x * y / (x + y))),
@@ -355,7 +348,7 @@ _CHAINS = {
                  lambda f, x, y, z, h32, h12: 3.0 * h32 * f(x * y * z / (x * y + y * z + x * z))
                  + h12 * (f(x) + f(y) + f(z)))),
     # as printed, the middle link compares a sum with a product; see _chain_sides
-    "HG-chain": ("additive", "superadditive", "superadditive", TheoremId.HG,
+    "HG-chain": ("superadditive", TheoremId.HG,
                  ("doubled half-harmonic values <= pair-mean value sum",
                   lambda f, x, y, z: 2.0 * (f(x * z / (x + z)) + f(y * z / (y + z))
                                             + f(x * y / (x + y)))),
@@ -365,7 +358,7 @@ _CHAINS = {
 
 def _chain_sides(corollary: str, h32: float, h12: float, f: PointFunction, x, y, z):
     """(name, lhs, rhs) of each link of a corollary, in comparison domain."""
-    _, _, _, parent, prefix, suffix = _CHAINS[corollary]
+    _, parent, prefix, suffix = _CHAINS[corollary]
     if corollary == "HG-chain":
         # the plain sum of f at the harmonic pair means (theorem HA's left
         # side) against theorem HG's right side as a product
@@ -398,9 +391,10 @@ def chained_check(corollary: str, h: WeightFunction, f: PointFunction,
         raise KeyError(f"unknown chained corollary {corollary!r}; "
                        f"choose from {sorted(_CHAINS)}")
     plan = plan or SamplePlan()
-    kind, f_hyp, h_hyp = _CHAINS[corollary][:3]
+    f_hyp = _CHAINS[corollary][0]
     dom = f.sampling_domain(box)
-    classify = classify_additivity if kind == "additive" else classify_multiplicativity
+    classify = (classify_multiplicativity if f_hyp.endswith("multiplicative")
+                else classify_additivity)
     f_class = classify(f.fn, dom, plan, tol)
     h_class = classify_additivity(h, Interval(0.0, 1.0), plan, tol)
     if enforce_hypotheses:
@@ -409,9 +403,9 @@ def chained_check(corollary: str, h: WeightFunction, f: PointFunction,
             raise HypothesisMismatchError(
                 f"{corollary} requires f {f_hyp}; sampled class is "
                 f"{f_class.tag} (witness {f_class.witness})")
-        if not h_class.satisfies(h_hyp):
-            raise HypothesisMismatchError(
-                f"{corollary} requires h {h_hyp}; sampled class is {h_class.tag}")
+        if not h_class.satisfies(_CHAIN_H_HYPOTHESIS):
+            raise HypothesisMismatchError(f"{corollary} requires h {_CHAIN_H_HYPOTHESIS}; "
+                                          f"sampled class is {h_class.tag}")
     h32 = weight_eval(h, 1.5)
     h12 = weight_eval(h, 0.5)
     x, y, z = plan.triples(dom)

@@ -1,6 +1,9 @@
 import csv
 import json
 import os
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -159,3 +162,56 @@ class TestMeansCommand:
                            "--t", "0", "--weight", "reciprocal")
         assert code == 2
         assert "error" in err
+
+
+class TestBadInput:
+    """Usage and domain errors print one `error:` line and exit 2."""
+
+    LOG_BOX = ["--fn", "log", "--lo", "0.1", "--hi", "0.5"]
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--theorem", "AA", "--fn", "square", "--lo", "20"],
+        ["verify", "--theorem", "AA", "--fn", "square", "--lo", "5", "--hi", "1"],
+        ["search", "--theorem", "AA", "--fn", "square", "--lo", "20"],
+        ["verify", "--theorem", "AA", *LOG_BOX],
+        ["verify", "--arg", "A", "--val", "A", *LOG_BOX],
+        ["search", "--theorem", "AA", *LOG_BOX],
+        ["classify", *LOG_BOX],
+        ["verify", "--theorem", "AA", "--fn", "square", "--grid", "-1"],
+        ["verify", "--theorem", "AA", "--fn", "square", "--grid", "0", "--random", "0"],
+        ["classify", "--fn", "square", "--grid", "-1"],
+        ["verify", "--theorem", "AA", "--fn", "square", "--weight", "power"],
+        ["means", "--weight", "power", "--x", "1", "--y", "4"],
+    ], ids=" ".join)
+    def test_exits_two(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_commands():
+    block = README.read_text().split("## Command line", 1)[1].split("```")[1]
+    return [line for line in block.splitlines() if line.strip()]
+
+
+@pytest.mark.parametrize("line", _readme_commands())
+def test_readme_command_line(capsys, tmp_path, monkeypatch, line):
+    # each example runs as printed; `# exit N` states its exit code, and an
+    # example without one must at least not be a usage error
+    monkeypatch.chdir(tmp_path)
+    command, _, comment = line.partition("#")
+    argv = shlex.split(command)
+    assert argv[0] == "meanconvex"
+    try:
+        code = main(argv[1:])
+    except SystemExit as exc:
+        code = exc.code
+    stated = re.fullmatch(r"\s*exit (\d+)\s*", comment)
+    if stated:
+        assert code == int(stated.group(1))
+    else:
+        assert code != 2

@@ -151,20 +151,40 @@ class TestDiagonalRefute:
             diagonal_refute(spec(A, G, "concave", reciprocal_weight()),
                             self.CONST1, 2.0, 0.5)
 
-    def test_uncovered_spec(self):
+    @pytest.mark.parametrize("sense,h", [("convex", ID),
+                                         ("concave", constant_weight(2.0))])
+    def test_uncovered_spec(self, sense, h):
+        # the constant probes are the h = 1 cases their printed text states
         with pytest.raises(InapplicableSpecError):
-            diagonal_refute(spec(A, A, "convex"), self.CONST1, 2.0, 0.5)
+            diagonal_refute(spec(A, A, sense, h), self.CONST1, 2.0, 0.5)
 
     def test_interior_t_only(self):
         with pytest.raises(DomainError):
             diagonal_refute(spec(A, A, "concave", reciprocal_weight()),
                             self.CONST1, 2.0, 0.0)
 
-    def test_record_contents(self):
-        rec = diagonal_refute(spec(A, A, "concave", reciprocal_weight()),
-                              self.CONST1, 2.0, 0.5)
-        assert rec.lhs == 1.0
-        assert rec.rhs == pytest.approx(4.0)  # (1/(1-t) + 1/t) f(x) at t=1/2
+    @pytest.mark.parametrize("val,h,sense,case,closed_form", [
+        (A, reciprocal_weight(), "concave", "A_1/t-concave",
+         lambda t, fx: (1.0 / (1.0 - t) + 1.0 / t) * fx),
+        (H, reciprocal_weight(), "convex", "H_1/t-convex",
+         lambda t, fx: t * (1.0 - t) * fx),
+        (A, constant_weight(1.0), "concave", "A_1-concave", lambda t, fx: 2.0 * fx),
+        (H, constant_weight(1.0), "convex", "H_1-convex", lambda t, fx: fx / 2.0),
+        (G, reciprocal_weight(), "concave", "G_1/t-concave",
+         lambda t, fx: fx ** (1.0 / (1.0 - t) + 1.0 / t)),
+        (G, constant_weight(1.0), "concave", "G_1-concave", lambda t, fx: fx * fx),
+    ])
+    def test_record_contents(self, val, h, sense, case, closed_form):
+        # the sides come from the defining inequality at y = x; they must
+        # match the closed forms of the non-existence arguments
+        for arg in (A, G, H):
+            for t in np.linspace(0.05, 0.95, 19):
+                rec = diagonal_refute(spec(arg, val, sense, h), self.CONST2, 2.0, t)
+                assert (rec.case, rec.arg_mean, rec.x, rec.t) == (case, arg, 2.0, t)
+                assert rec.lhs == 2.0
+                assert rec.rhs == pytest.approx(closed_form(t, 2.0), rel=1e-14, abs=0)
+                assert rec.refuted
+                assert rec.inequality.endswith(f" = {rec.rhs:.6g}")
 
 
 @settings(max_examples=80, deadline=None)

@@ -12,7 +12,7 @@ from meanconvex import (BASE_SENSE, EQUALITY_FAMILIES, DomainError,
                         hlawka_margins, identity_weight, popoviciu_sides,
                         power_weight, theorem_margins, two_point_reduction,
                         verify_theorem)
-from meanconvex import popoviciu
+from meanconvex import popoviciu, reciprocal_weight, weight_eval
 from meanconvex.catalog import builtin_functions, make_function
 
 ID = identity_weight()
@@ -72,6 +72,67 @@ class TestPopoviciuSides:
             got = popoviciu_sides(tid, ID, FS["square"], *perm)
             assert got[0] == pytest.approx(base[0], rel=1e-12)
             assert got[1] == pytest.approx(base[1], rel=1e-12)
+
+
+# Reference: the side assembly as written out per theorem form before the
+# forms were derived from the value mean. The derived sides must equal it
+# bit for bit.
+_REF_FORM = {
+    TheoremId.AA: "sum", TheoremId.GA: "sum", TheoremId.HA: "sum",
+    TheoremId.AG: "product", TheoremId.GG: "product", TheoremId.HG: "product",
+    TheoremId.AH: "recip", TheoremId.GH: "recip", TheoremId.HH: "recip",
+}
+
+
+def _ref_pair_side(tid, f, m1, m2, m3):
+    form = _REF_FORM[tid]
+    if form == "sum":
+        return f(m1) + f(m2) + f(m3)
+    if form == "product":
+        return np.log(f(m1)) + np.log(f(m2)) + np.log(f(m3))
+    return 1.0 / f(m1) + 1.0 / f(m2) + 1.0 / f(m3)
+
+
+def _ref_point_side(tid, h32, h12, f, c, x, y, z):
+    form = _REF_FORM[tid]
+    if form == "sum":
+        return h32 * f(c) + h12 * (f(x) + f(y) + f(z))
+    if form == "product":
+        return h32 * np.log(f(c)) + h12 * (np.log(f(x)) + np.log(f(y)) + np.log(f(z)))
+    return h12 * (1.0 / f(x) + 1.0 / f(y) + 1.0 / f(z)) + h32 / f(c)
+
+
+def _ref_sides_arrays(tid, h, f, x, y, z):
+    h32, h12 = weight_eval(h, 1.5), weight_eval(h, 0.5)
+    with np.errstate(all="ignore"):
+        m1, m2, m3, c = popoviciu._pair_and_central(tid, x, y, z)
+        lhs = _ref_pair_side(tid, f, m1, m2, m3)
+        rhs = _ref_point_side(tid, h32, h12, f, c, x, y, z)
+        valid = np.isfinite(lhs) & np.isfinite(rhs)
+        for arg in (m1, m2, m3, c):
+            valid &= np.isfinite(arg) & f.domain.contains_array(arg)
+    return lhs, rhs, valid
+
+
+class TestDerivedSides:
+    @pytest.mark.parametrize("tid", list(TheoremId))
+    @pytest.mark.parametrize("h", [ID, power_weight(2.0), reciprocal_weight()],
+                             ids=lambda h: h.name)
+    def test_bitwise_equal_to_reference(self, tid, h):
+        rng = np.random.default_rng(20)
+        usable = []
+        for f in FS.values():
+            lo, hi = f.sampling_domain().sampling_bounds()
+            # a tenth past each end, so that unusable triples are compared too
+            pad = 0.1 * (hi - lo)
+            x, y, z = rng.uniform(lo - pad, hi + pad, size=(3, 2000))
+            got = popoviciu._sides_arrays(tid, h, f, x, y, z)
+            want = _ref_sides_arrays(tid, h, f, x, y, z)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), f.name
+            usable.append(got[2].mean())
+        # both usable and unusable triples took part
+        assert 0.0 < np.mean(usable) < 1.0
 
 
 class TestTwoPointReduction:
