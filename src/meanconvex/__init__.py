@@ -1,10 +1,9 @@
 """Numerical verification of weighted mean-convexity classes and the
 associated three-point (Popoviciu-type) inequalities."""
 
-from .convexity import (ConvexitySpec, OrderingReport, PointFunction,
-                        RefutationRecord, Verdict, Witness,
-                        class_ordering_check, defining_gap, diagonal_refute,
-                        verify_class, verify_extended_class)
+from .convexity import (ConvexitySpec, PointFunction, RefutationRecord, Verdict,
+                        Witness, defining_gap, diagonal_refute, verify_class,
+                        verify_extended_class)
 from .catalog import (AuditFinding, CatalogEntry, builtin_claims,
                       builtin_functions, make_function, run_audit)
 from .errors import (DomainError, EvaluationError, HypothesisMismatchError,
@@ -20,7 +19,7 @@ from .popoviciu import (BASE_SENSE, EQUALITY_FAMILIES, ChainedReport,
 from .sampling import SamplePlan, rel_scale
 from .weights import (AdditivityClass, WeightFunction, classify_additivity,
                       classify_multiplicativity, constant_weight,
-                      custom_weight, identity_weight, power_weight,
-                      power_weight_class, reciprocal_weight, weight_eval)
+                      identity_weight, power_weight, power_weight_class,
+                      reciprocal_weight, weight_eval)
 
 __version__ = "0.1.0"

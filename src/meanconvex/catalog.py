@@ -23,10 +23,8 @@ from .means import MeanKind
 from .popoviciu import (EQUALITY_FAMILIES, BASE_SENSE, TheoremId, chained_check,
                         equality_max_residual, hlawka_margins, verify_theorem)
 from .sampling import SamplePlan
-from .weights import (DEFAULT_TOL, WeightFunction, identity_weight,
-                      power_weight, reciprocal_weight)
-
-A, G, H = MeanKind.ARITHMETIC, MeanKind.GEOMETRIC, MeanKind.HARMONIC
+from .weights import (DEFAULT_TOL, identity_weight, power_weight,
+                      reciprocal_weight)
 
 _POS = Interval(0.0, np.inf)
 _REALS = Interval(-np.inf, np.inf)
@@ -34,31 +32,26 @@ _REALS = Interval(-np.inf, np.inf)
 
 def builtin_functions() -> dict[str, PointFunction]:
     """Named test functions with their stated domains and positivity claims."""
-    return {
-        "identity": PointFunction("identity", lambda v: v, _POS),
-        "affine": PointFunction("affine", lambda v: 2.0 * v + 3.0, _POS),
-        "square": PointFunction("square", np.square, _POS),
-        "neg_square": PointFunction("neg_square", lambda v: -np.square(v),
-                                    _POS, positive_on_domain=False),
-        "sqrt": PointFunction("sqrt", np.sqrt, _POS),
-        "power": PointFunction("power", lambda v: v**2.0, _POS),
-        "const": PointFunction("const", lambda v: np.full_like(
-            np.asarray(v, dtype=float), 2.0), _REALS),
-        "exp": PointFunction("exp", np.exp, _REALS),
-        "exp_neg": PointFunction("exp_neg", lambda v: np.exp(-v), _REALS),
-        "log": PointFunction("log", np.log, Interval(1.0, np.inf)),
-        "neg_log": PointFunction("neg_log", lambda v: -np.log(v),
-                                 Interval(0.0, 1.0)),
-        "cosh": PointFunction("cosh", np.cosh, _REALS),
-        "arcsin": PointFunction("arcsin", np.arcsin, Interval(0.0, 1.0)),
-        "arctan": PointFunction("arctan", np.arctan, _POS),
-        "reciprocal": PointFunction("reciprocal", lambda v: 1.0 / v, _POS),
-        "reciprocal_log": PointFunction("reciprocal_log",
-                                        lambda v: 1.0 / np.log(v),
-                                        Interval(1.0, np.inf)),
-        "exp_reciprocal": PointFunction("exp_reciprocal",
-                                        lambda v: np.exp(1.0 / v), _POS),
-    }
+    return {f.name: f for f in (
+        PointFunction("identity", lambda v: v, _POS),
+        PointFunction("affine", lambda v: 2.0 * v + 3.0, _POS),
+        PointFunction("square", np.square, _POS),
+        PointFunction("neg_square", lambda v: -np.square(v), _POS, positive_on_domain=False),
+        PointFunction("sqrt", np.sqrt, _POS),
+        PointFunction("power", lambda v: v**2.0, _POS),
+        PointFunction("const", lambda v: np.full_like(np.asarray(v, dtype=float), 2.0),
+                      _REALS),
+        PointFunction("exp", np.exp, _REALS),
+        PointFunction("exp_neg", lambda v: np.exp(-v), _REALS),
+        PointFunction("log", np.log, Interval(1.0, np.inf)),
+        PointFunction("neg_log", lambda v: -np.log(v), Interval(0.0, 1.0)),
+        PointFunction("cosh", np.cosh, _REALS),
+        PointFunction("arcsin", np.arcsin, Interval(0.0, 1.0)),
+        PointFunction("arctan", np.arctan, _POS),
+        PointFunction("reciprocal", lambda v: 1.0 / v, _POS),
+        PointFunction("reciprocal_log", lambda v: 1.0 / np.log(v), Interval(1.0, np.inf)),
+        PointFunction("exp_reciprocal", lambda v: np.exp(1.0 / v), _POS),
+    )}
 
 
 def make_function(name: str, p: Optional[float] = None,
@@ -70,8 +63,7 @@ def make_function(name: str, p: Optional[float] = None,
     takes the constant c.
     """
     if name == "power" and p is not None:
-        return PointFunction(f"power[{p:g}]", lambda v: v**p, _POS,
-                             positive_on_domain=True)
+        return PointFunction(f"power[{p:g}]", lambda v: v**p, _POS)
     if name == "affine" and (a is not None or b is not None):
         a0, b0 = a if a is not None else 2.0, b if b is not None else 3.0
         return PointFunction(f"affine[{a0:g},{b0:g}]",
@@ -110,198 +102,146 @@ class AuditFinding:
     skipped: int = 0
 
 
-def _cls(arg, val, sense, f, h: Optional[WeightFunction] = None, box=None):
-    return {"spec": ConvexitySpec(arg, val, h or identity_weight(), sense),
-            "f": f, "box": box}
-
-
-def _thm(tid, f, sense=None, h: Optional[WeightFunction] = None, box=None):
-    return {"tid": tid, "h": h or identity_weight(), "f": f,
-            "sense": sense or BASE_SENSE[tid], "box": box}
-
-
-def _chain(cor, f, box=None):
-    return {"corollary": cor, "h": identity_weight(), "f": f, "box": box}
-
-
 _BOX_01_10 = Interval(0.1, 10.0, closed_lo=True, closed_hi=True)
 _BOX_01_5 = Interval(0.1, 5.0, closed_lo=True, closed_hi=True)
 _BOX_1_4 = Interval(1.0, 4.0, closed_lo=True, closed_hi=True)
 _BOX_2_8 = Interval(2.0, 8.0, closed_lo=True, closed_hi=True)
 
+_FALSE = "deliberately false"  # the reason of a claim the audit must refute
+
+# Identity-weight class memberships: (f, argument and value mean, sense, box, reason).
+_CLASSES = [
+    ("square", "AA", "convex", _BOX_01_10, "the classical case"),
+    ("square", "AA", "concave", _BOX_01_10, _FALSE),
+    ("exp", "AG", "convex", _BOX_01_5, "log-affine, so exact"),
+    ("cosh", "AG", "convex", _BOX_01_5, "log cosh is convex"),
+    ("reciprocal", "AH", "concave", _BOX_01_10, "an exact identity"),
+    ("log", "GA", "concave", None, "an exact identity"),
+    ("identity", "GA", "convex", _BOX_01_10, "weighted AM-GM"),
+    ("square", "GG", "convex", _BOX_01_10, "an exact identity"),
+    ("identity", "HH", "convex", _BOX_01_10, "an exact identity"),
+    ("reciprocal", "HA", "convex", _BOX_01_10, "an exact identity"),
+]
+
+# Extended classes, arithmetic argument mean, s = 1/2: (f, tag, box, bound).
+_EXTENDED = [
+    ("square", "P", _BOX_01_10, "f(tx+(1-t)y) <= f(x)+f(y)"),
+    ("square", "Q", _BOX_01_10, "Godunova-Levin, weight 1/t"),
+    ("square", "K_s2", _BOX_01_10, "s-convex in the second sense"),
+]
+
+# Three-point inequalities: (theorem, f, box, sense, reason[, _WEIGHTS key]); the
+# weight is identity unless keyed. Sense "both" makes a probe, measured not asserted.
+_THEOREMS = [
+    ("AA", "square", _BOX_01_10, "convex", "the classical inequality"),
+    ("AA", "square", _BOX_01_10, "concave", _FALSE),
+    ("AG", "cosh", _BOX_01_5, "convex", "product form"),
+    ("AH", "reciprocal", _BOX_01_10, "concave", "reciprocal form"),
+    ("GA", "cosh", _BOX_01_5, "convex", "sum form"),
+    ("GG", "cosh", _BOX_01_5, "convex", "product form"),
+    ("GH", "cosh", _BOX_1_4, "both", "fails both ways, at (1,1,2) and (1,1,1.09375)"),
+    ("GH", "reciprocal_log", None, "concave", "an exact identity"),
+    ("HA", "reciprocal", _BOX_01_10, "convex", "sum form"),
+    ("HG", "exp", _BOX_01_5, "convex", "product form"),
+    ("HH", "arctan", _BOX_01_10, "concave", "reciprocal form"),
+]
+_PROBES = [
+    ("AA", "square", _BOX_01_10, "both", "direction measured, not asserted", "reciprocal"),
+    ("AG", "cosh", _BOX_01_5, "both", "direction measured, not asserted", "reciprocal"),
+    ("AA", "square", _BOX_01_10, "both", "direction measured, not asserted", "squared"),
+]
+_WEIGHTS = {"reciprocal": reciprocal_weight, "squared": lambda: power_weight(2.0)}
+
+# Identity-weight chained corollaries: (corollary, f, box, reason).
+_CHAIN_CASES = [
+    ("cor4.1", "identity", _BOX_01_10, "subadditive f"),
+    ("cor4.2", "square", _BOX_01_10, "superadditive f"),
+    ("cor8.1", "const", _BOX_01_10, "submultiplicative f"),
+    ("cor8.2", "cosh", _BOX_2_8, "supermultiplicative f"),
+    ("cor9.1", "cosh", _BOX_2_8, "superadditive f"),
+    ("cor9.2", "const", _BOX_01_10, "subadditive f"),
+    ("cor16.1", "cosh", _BOX_1_4, "superadditive f"),
+    ("cor16.2", "sqrt", _BOX_01_10, "subadditive f"),
+    ("cor20.1", "square", _BOX_01_10, "supermultiplicative f"),
+    ("cor20.2", "sqrt", _BOX_01_10, "submultiplicative f"),
+    ("cor27.1", "identity", _BOX_01_10, "superadditive f"),
+    ("cor27.2", "sqrt", _BOX_01_10, "subadditive f"),
+    ("HG-chain", "square", _BOX_01_10, "as printed it compares a sum against a product"),
+]
+
+
+def _class(key, f, pair, sense, box, reason) -> CatalogEntry:
+    expected = ("refuted" if reason == _FALSE else "domain-violation"
+                if pair[1] != "A" and not f.positive_on_domain else "holds")
+    spec = ConvexitySpec(MeanKind(pair[0]), MeanKind(pair[1]), identity_weight(), sense)
+    return CatalogEntry(key, "class", f"{f.name} is {pair}-{sense} ({reason})",
+                        expected, {"spec": spec, "f": f, "box": box})
+
+
+def _theorem(fs, tid, fname, box, sense, reason, weight=None) -> CatalogEntry:
+    tid, probe = TheoremId(tid), sense == "both"
+    h = _WEIGHTS[weight]() if weight else identity_weight()
+    key = tid.value + (f"-{weight}-weight" if weight else "") + "-" + fname.replace("_", "-")
+    if not probe and sense != BASE_SENSE[tid]:
+        key += "-flipped"
+    return CatalogEntry(
+        ("probe/" if probe else "theorem/") + key,
+        "direction-probe" if probe else "theorem",
+        f"theorem {tid.value} for {fname}, weight {h.name}, sense {sense} ({reason})",
+        "suspect" if probe else "refuted" if reason == _FALSE else "holds",
+        {"tid": tid, "h": h, "f": fs[fname],
+         "sense": BASE_SENSE[tid] if probe else sense, "box": box})
+
 
 def builtin_claims() -> list[CatalogEntry]:
-    """The audited claim catalog (52 entries)."""
-    E = CatalogEntry
+    """The audited claim catalog (52 entries), derived from the row tables.
+
+    Keys: class/<f>-<pair>-<sense>, extended/<f>-<tag without "_">,
+    theorem/<id>-<f>[-flipped] (flipped: not the printed sense),
+    probe/<id>[-<weight>-weight]-<f>, chain/<corollary>-<f> and
+    domain/<f>-<pair>, with "_" in f read as "-"; only log on (0, 1) has
+    its own label, log-unit. Expected outcomes: "refuted" for reason _FALSE;
+    "domain-violation" for a class whose f does not claim positive_on_domain
+    under a G or H value mean; "suspect" for direction probes and HG-chain,
+    which are only measured; "equality" for exact families; else "holds".
+    """
     fs = builtin_functions()
-    entries = [
-        # -- mean-pair class memberships -----------------------------------
-        E("class/square-AA-convex", "class",
-          "x^2 is arithmetic-arithmetic convex with identity weight",
-          "holds", _cls(A, A, "convex", fs["square"], box=_BOX_01_10)),
-        E("class/square-AA-concave", "class",
-          "x^2 is arithmetic-arithmetic concave (deliberately false)",
-          "refuted", _cls(A, A, "concave", fs["square"], box=_BOX_01_10)),
-        E("class/exp-AG-convex", "class",
-          "exp is arithmetic-geometric convex (log-affine, so exact)",
-          "holds", _cls(A, G, "convex", fs["exp"], box=_BOX_01_5)),
-        E("class/cosh-AG-convex", "class",
-          "cosh is arithmetic-geometric convex (log cosh is convex)",
-          "holds", _cls(A, G, "convex", fs["cosh"], box=_BOX_01_5)),
-        E("class/reciprocal-AH-concave", "class",
-          "1/x is arithmetic-harmonic concave (an exact identity)",
-          "holds", _cls(A, H, "concave", fs["reciprocal"], box=_BOX_01_10)),
-        E("class/log-GA-concave", "class",
-          "log is geometric-arithmetic concave on x > 1 (an exact identity)",
-          "holds", _cls(G, A, "concave", fs["log"])),
-        E("class/identity-GA-convex", "class",
-          "x is geometric-arithmetic convex (weighted AM-GM)",
-          "holds", _cls(G, A, "convex", fs["identity"], box=_BOX_01_10)),
-        E("class/square-GG-convex", "class",
-          "x^2 is geometric-geometric convex (an exact identity)",
-          "holds", _cls(G, G, "convex", fs["square"], box=_BOX_01_10)),
-        E("class/identity-HH-convex", "class",
-          "x is harmonic-harmonic convex (an exact identity)",
-          "holds", _cls(H, H, "convex", fs["identity"], box=_BOX_01_10)),
-        E("class/reciprocal-HA-convex", "class",
-          "1/x is harmonic-arithmetic convex (an exact identity)",
-          "holds", _cls(H, A, "convex", fs["reciprocal"], box=_BOX_01_10)),
-        # -- extended weight classes ---------------------------------------
-        E("extended/square-P", "extended-class",
-          "x^2 satisfies the P-class bound f(tx+(1-t)y) <= f(x)+f(y)",
-          "holds", {"class_tag": "P", "arg_mean": A, "f": fs["square"],
-                    "s": 0.5, "box": _BOX_01_10}),
-        E("extended/square-Q", "extended-class",
-          "x^2 satisfies the Godunova-Levin bound with weight 1/t",
-          "holds", {"class_tag": "Q", "arg_mean": A, "f": fs["square"],
-                    "s": 0.5, "box": _BOX_01_10}),
-        E("extended/square-Ks2", "extended-class",
-          "x^2 is s-convex in the second sense with s = 1/2",
-          "holds", {"class_tag": "K_s2", "arg_mean": A, "f": fs["square"],
-                    "s": 0.5, "box": _BOX_01_10}),
-        # -- three-point inequalities --------------------------------------
-        E("theorem/AA-square", "theorem",
-          "classical three-point inequality for x^2 on (0.1, 10)",
-          "holds", _thm(TheoremId.AA, fs["square"], box=_BOX_01_10)),
-        E("theorem/AA-square-flipped", "theorem",
-          "the same inequality with the direction flipped (deliberately false)",
-          "refuted", _thm(TheoremId.AA, fs["square"], sense="concave",
-                          box=_BOX_01_10)),
-        E("theorem/AG-cosh", "theorem",
-          "arithmetic-argument product inequality for cosh",
-          "holds", _thm(TheoremId.AG, fs["cosh"], box=_BOX_01_5)),
-        E("theorem/AH-reciprocal", "theorem",
-          "arithmetic-argument reciprocal inequality for 1/x (concave sense)",
-          "holds", _thm(TheoremId.AH, fs["reciprocal"], box=_BOX_01_10)),
-        E("theorem/GA-cosh", "theorem",
-          "geometric-argument sum inequality for cosh",
-          "holds", _thm(TheoremId.GA, fs["cosh"], box=_BOX_01_5)),
-        E("theorem/GG-cosh", "theorem",
-          "geometric-argument product inequality for cosh",
-          "holds", _thm(TheoremId.GG, fs["cosh"], box=_BOX_01_5)),
-        E("probe/GH-cosh", "direction-probe",
-          "geometric-argument reciprocal inequality for cosh on [1, 4]; "
-          "fails numerically in both directions (counterexamples (1,1,2) and "
-          "(1,1,1.09375)), so only measured",
-          "suspect", _thm(TheoremId.GH, fs["cosh"], box=_BOX_1_4)),
-        E("theorem/GH-reciprocal-log", "theorem",
-          "geometric-argument reciprocal inequality for 1/log (concave sense, "
-          "an exact identity)",
-          "holds", _thm(TheoremId.GH, fs["reciprocal_log"])),
-        E("theorem/HA-reciprocal", "theorem",
-          "harmonic-argument sum inequality for 1/x",
-          "holds", _thm(TheoremId.HA, fs["reciprocal"], box=_BOX_01_10)),
-        E("theorem/HG-exp", "theorem",
-          "harmonic-argument product inequality for exp",
-          "holds", _thm(TheoremId.HG, fs["exp"], box=_BOX_01_5)),
-        E("theorem/HH-arctan", "theorem",
-          "harmonic-argument reciprocal inequality for arctan (concave sense)",
-          "holds", _thm(TheoremId.HH, fs["arctan"], box=_BOX_01_10)),
-        # -- exact equality families ---------------------------------------
-        *[E(f"equality/{family}", "equality",
-            f"the {family} specialization is an exact identity",
-            "equality", {"family": family})
-          for family in EQUALITY_FAMILIES],
-        # -- chained corollaries -------------------------------------------
-        E("chain/cor4.1-identity", "chain",
-          "subadditive chain through the arithmetic sum form, f(x) = x",
-          "holds", _chain("cor4.1", fs["identity"], box=_BOX_01_10)),
-        E("chain/cor4.2-square", "chain",
-          "superadditive chain through the arithmetic sum form, f(x) = x^2",
-          "holds", _chain("cor4.2", fs["square"], box=_BOX_01_10)),
-        E("chain/cor8.1-const", "chain",
-          "submultiplicative chain through the arithmetic product form, f = 2",
-          "holds", _chain("cor8.1", fs["const"], box=_BOX_01_10)),
-        E("chain/cor8.2-cosh", "chain",
-          "supermultiplicative chain through the arithmetic product form, cosh on [2, 8]",
-          "holds", _chain("cor8.2", fs["cosh"], box=_BOX_2_8)),
-        E("chain/cor9.1-cosh", "chain",
-          "superadditive chain through the arithmetic product form, cosh on [2, 8]",
-          "holds", _chain("cor9.1", fs["cosh"], box=_BOX_2_8)),
-        E("chain/cor9.2-const", "chain",
-          "subadditive chain through the arithmetic product form, f = 2",
-          "holds", _chain("cor9.2", fs["const"], box=_BOX_01_10)),
-        E("chain/cor16.1-cosh", "chain",
-          "superadditive chain through the geometric sum form, cosh on [1, 4]",
-          "holds", _chain("cor16.1", fs["cosh"], box=_BOX_1_4)),
-        E("chain/cor16.2-sqrt", "chain",
-          "subadditive chain through the geometric sum form, f(x) = sqrt(x)",
-          "holds", _chain("cor16.2", fs["sqrt"], box=_BOX_01_10)),
-        E("chain/cor20.1-square", "chain",
-          "supermultiplicative chain through the geometric product form, f(x) = x^2",
-          "holds", _chain("cor20.1", fs["square"], box=_BOX_01_10)),
-        E("chain/cor20.2-sqrt", "chain",
-          "submultiplicative chain through the geometric product form, f(x) = sqrt(x)",
-          "holds", _chain("cor20.2", fs["sqrt"], box=_BOX_01_10)),
-        E("chain/cor27.1-identity", "chain",
-          "superadditive chain through the harmonic sum form, f(x) = x",
-          "holds", _chain("cor27.1", fs["identity"], box=_BOX_01_10)),
-        E("chain/cor27.2-sqrt", "chain",
-          "subadditive chain through the harmonic sum form, f(x) = sqrt(x)",
-          "holds", _chain("cor27.2", fs["sqrt"], box=_BOX_01_10)),
-        E("chain/HG-chain-square", "chain",
-          "harmonic product-form chain as printed (compares a sum against a "
-          "product; direction not asserted)",
-          "suspect", _chain("HG-chain", fs["square"], box=_BOX_01_10)),
-        # -- Hlawka --------------------------------------------------------
-        E("hlawka/random", "hlawka",
-          "|x|+|y|+|z|+|x+y+z| >= |x+z|+|z+y|+|x+y| on random triples",
-          "holds", {"mode": "random"}),
-        E("hlawka/same-sign", "hlawka",
-          "Hlawka's inequality is an equality when x, y, z share a sign",
-          "equality", {"mode": "same-sign"}),
-        # -- direction probes (suspect printed directions) -----------------
-        E("probe/AA-reciprocal-weight-square", "direction-probe",
-          "arithmetic sum form under weight 1/t for x^2; direction measured, "
-          "not asserted",
-          "suspect", _thm(TheoremId.AA, fs["square"], h=reciprocal_weight(),
-                          box=_BOX_01_10)),
-        E("probe/AG-reciprocal-weight-cosh", "direction-probe",
-          "arithmetic product form under weight 1/t for cosh; direction "
-          "measured, not asserted",
-          "suspect", _thm(TheoremId.AG, fs["cosh"], h=reciprocal_weight(),
-                          box=_BOX_01_5)),
-        E("probe/AA-squared-weight-square", "direction-probe",
-          "arithmetic sum form under weight t^2 for x^2; direction measured, "
-          "not asserted",
-          "suspect", _thm(TheoremId.AA, fs["square"], h=power_weight(2.0),
-                          box=_BOX_01_10)),
-        # -- positivity / domain violations --------------------------------
-        E("domain/neg-square-AG", "class",
-          "-x^2 in a geometric value class (value mean needs positive f)",
-          "domain-violation", _cls(A, G, "convex", fs["neg_square"],
-                                   box=_BOX_01_10)),
-        E("domain/log-unit-GG", "class",
-          "log on (0, 1) in a geometric value class (f is negative there)",
-          "domain-violation", _cls(G, G, "convex", PointFunction(
-              "log", np.log, Interval(0.0, 1.0), positive_on_domain=False))),
-        E("domain/neg-log-AH", "class",
-          "-log on (1, 10) in a harmonic value class (f is negative there)",
-          "domain-violation", _cls(A, H, "concave", PointFunction(
-              "neg_log", lambda v: -np.log(v), Interval(1.0, 10.0),
-              positive_on_domain=False))),
+    domain_cases = [  # (f, pair, sense, box, key label)
+        (fs["neg_square"], "AG", "convex", _BOX_01_10, None),
+        (PointFunction("log", np.log, Interval(0.0, 1.0), positive_on_domain=False),
+         "GG", "convex", None, "log-unit"),
+        (PointFunction("neg_log", lambda v: -np.log(v), Interval(1.0, 10.0),
+                       positive_on_domain=False), "AH", "concave", None, None),
     ]
-    return entries
+    return [
+        *[_class(f"class/{f.replace('_', '-')}-{pair}-{sense}", fs[f], pair, sense,
+                 box, reason) for f, pair, sense, box, reason in _CLASSES],
+        *[CatalogEntry(f"extended/{f.replace('_', '-')}-{tag.replace('_', '')}",
+                       "extended-class", f"{f} is in class {tag} with s = 1/2 ({bound})",
+                       "holds", {"class_tag": tag, "arg_mean": MeanKind.ARITHMETIC,
+                                 "f": fs[f], "s": 0.5, "box": box})
+          for f, tag, box, bound in _EXTENDED],
+        *[_theorem(fs, *row) for row in _THEOREMS],
+        *[CatalogEntry(f"equality/{family}", "equality",
+                       f"the {family} specialization is an exact identity",
+                       "equality", {"family": family})
+          for family in EQUALITY_FAMILIES],
+        *[CatalogEntry(f"chain/{cor}-{f.replace('_', '-')}", "chain",
+                       f"corollary {cor} for {f} ({reason})",
+                       "suspect" if cor == "HG-chain" else "holds",
+                       {"corollary": cor, "h": identity_weight(), "f": fs[f], "box": box})
+          for cor, f, box, reason in _CHAIN_CASES],
+        CatalogEntry("hlawka/random", "hlawka",
+                     "|x|+|y|+|z|+|x+y+z| >= |x+z|+|z+y|+|x+y| on random triples",
+                     "holds", {"mode": "random"}),
+        CatalogEntry("hlawka/same-sign", "hlawka",
+                     "Hlawka's inequality is an equality when x, y, z share a sign",
+                     "equality", {"mode": "same-sign"}),
+        *[_theorem(fs, *row) for row in _PROBES],
+        *[_class(f"domain/{label or f.name.replace('_', '-')}-{pair}", f, pair, sense,
+                 box, "f is not positive on its domain, yet the value mean needs f > 0")
+          for f, pair, sense, box, label in domain_cases],
+    ]
 
 
 _AUDIT_PLAN = SamplePlan(grid_axis=13, grid_t=9, n_random=2000)

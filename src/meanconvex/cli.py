@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -236,12 +237,7 @@ def _cmd_audit(args) -> int:
             "config": {"command": "audit", "seed": plan.seed, "tol": args.tol},
             "entries": len(findings),
             "disagreements": disagreements,
-            "findings": [
-                {"key": fd.key, "kind": fd.kind, "expected": fd.expected,
-                 "outcome": fd.outcome, "agree": fd.agree, "detail": fd.detail,
-                 "min_margin": fd.min_margin, "samples": fd.samples,
-                 "skipped": fd.skipped}
-                for fd in findings],
+            "findings": [dataclasses.asdict(fd) for fd in findings],
         }
         _write_json(args.json, payload)
     print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)
@@ -256,6 +252,8 @@ def _cmd_search(args) -> int:
     lo, hi = dom.sampling_bounds()
     rng = np.random.default_rng(_resolve_seed(args))
     budget = args.budget
+    if budget < 1:
+        raise MeanConvexError(f"--budget must be at least 1, got {budget}")
     margin_of = lambda x, y, z: theorem_margins(
         tid, h, f, np.array([x]), np.array([y]), np.array([z]), sense)[0]
 
@@ -418,6 +416,8 @@ def main(argv=None) -> int:
     if args.command == "verify" and args.arg and not args.val:
         parser.error("--val is required with --arg")
     try:
+        if not getattr(args, "tol", 0.0) >= 0.0:
+            raise MeanConvexError(f"--tol must be a number >= 0, got {args.tol:g}")
         return args.handler(args)
     except (MeanConvexError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

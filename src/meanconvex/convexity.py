@@ -21,8 +21,8 @@ from .errors import DomainError, InapplicableSpecError
 from .intervals import Interval
 from .means import MeanKind
 from .sampling import SamplePlan, rel_scale
-from .weights import (DEFAULT_TOL, WeightFunction, constant_weight,
-                      identity_weight, power_weight, reciprocal_weight)
+from .weights import (DEFAULT_TOL, WeightFunction, constant_weight, power_weight,
+                      reciprocal_weight)
 
 # A verdict needs at least this fraction of usable (non-skipped) samples.
 MIN_USABLE_FRACTION = 0.5
@@ -202,59 +202,15 @@ _EXTENDED_WEIGHTS = {
 
 def verify_extended_class(class_tag: str, arg_mean: MeanKind, f: PointFunction,
                           plan: SamplePlan | None = None, tol: float = DEFAULT_TOL,
-                          s: float = 0.5, val_mean: Optional[MeanKind] = None,
-                          box: Optional[Interval] = None) -> Verdict:
+                          s: float = 0.5, box: Optional[Interval] = None) -> Verdict:
     """Godunova-Levin (Q), P-function, and s-convex (K_s2) membership checks."""
     if class_tag not in _EXTENDED_WEIGHTS:
         raise InapplicableSpecError(f"unknown extended class {class_tag!r}")
     if class_tag == "K_s2" and not 0.0 < s <= 1.0:
         raise DomainError("s-convexity requires s in (0, 1]")
     h = _EXTENDED_WEIGHTS[class_tag](s)
-    spec = ConvexitySpec(arg_mean, val_mean or arg_mean, h, "convex")
+    spec = ConvexitySpec(arg_mean, arg_mean, h, "convex")
     return verify_class(spec, f, plan, tol, box)
-
-
-@dataclass(frozen=True)
-class OrderingReport:
-    """Implication check: M_tN_t-convexity at a sample implies M_tN_h-convexity."""
-
-    samples_checked: int
-    failures: int
-    first_failure: Optional[Witness]
-
-    @property
-    def holds(self) -> bool:
-        return self.failures == 0
-
-
-def class_ordering_check(f: PointFunction, arg_mean: MeanKind, val_mean: MeanKind,
-                         h_above: WeightFunction, plan: SamplePlan | None = None,
-                         tol: float = DEFAULT_TOL,
-                         box: Optional[Interval] = None) -> OrderingReport:
-    """Check that h(t) >= t lifts N_t-convex samples to N_h-convex samples."""
-    plan = plan or SamplePlan()
-    ts = plan.t_grid()
-    hs = np.asarray(h_above(ts), dtype=float)
-    if (hs < ts - tol).any():
-        i = int(np.argmax(hs < ts - tol))
-        raise DomainError(
-            f"h_above({ts[i]:.6g}) = {hs[i]:.6g} < t; ordering premise fails")
-    dom = f.sampling_domain(box)
-    x, y, t = plan.pairs_with_t(dom)
-    base = ConvexitySpec(arg_mean, val_mean, identity_weight(), "convex")
-    lifted = ConvexitySpec(arg_mean, val_mean, h_above, "convex")
-    lhs_b, rhs_b, valid_b = _gap_arrays(base, f, x, y, t)
-    lhs_l, rhs_l, valid_l = _gap_arrays(lifted, f, x, y, t)
-    valid = valid_b & valid_l
-    base_rel, _ = _compare(lhs_b, rhs_b, valid)
-    base_holds = valid & (base_rel >= -tol)
-    _, failures = _compare(lhs_l, rhs_l, base_holds, tol=tol)
-    first = None
-    if failures.size:
-        i = int(failures[0])
-        first = Witness(float(x[i]), float(y[i]), float(t[i]),
-                        float(lhs_l[i]), float(rhs_l[i]), index=i)
-    return OrderingReport(int(base_holds.sum()), failures.size, first)
 
 
 @dataclass(frozen=True)

@@ -25,9 +25,7 @@ class Interval:
         return math.isfinite(self.lo) and math.isfinite(self.hi)
 
     def contains(self, x) -> bool:
-        lo_ok = x >= self.lo if self.closed_lo else x > self.lo
-        hi_ok = x <= self.hi if self.closed_hi else x < self.hi
-        return bool(lo_ok and hi_ok)
+        return bool(self.contains_array(x))
 
     def contains_array(self, x):
         """Vectorized membership for numpy arrays."""

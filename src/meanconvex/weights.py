@@ -13,7 +13,7 @@ from .sampling import SamplePlan, rel_scale
 
 DEFAULT_TOL = 1e-9
 
-FAMILIES = ("identity", "power", "reciprocal", "constant", "custom")
+FAMILIES = ("identity", "power", "reciprocal", "constant")
 
 
 @dataclass(frozen=True)
@@ -54,10 +54,6 @@ def constant_weight(c: float = 1.0) -> WeightFunction:
     return WeightFunction(
         f"constant:{c:g}", "constant",
         lambda t: np.full_like(np.asarray(t, dtype=float), c), param=c)
-
-
-def custom_weight(name: str, fn: Callable) -> WeightFunction:
-    return WeightFunction(name, "custom", fn)
 
 
 WEIGHT_BUILDERS = {

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from meanconvex import Interval, SamplePlan
-from meanconvex.catalog import (AuditFinding, builtin_claims,
-                                builtin_functions, make_function, run_audit)
+from meanconvex.catalog import (AuditFinding, _positivity_violation,
+                                builtin_claims, builtin_functions,
+                                make_function, run_audit)
 
 PLAN = SamplePlan(grid_axis=9, grid_t=5, n_random=500)
 
@@ -34,6 +35,11 @@ class TestBuiltinFunctions:
 
     def test_neg_square_flagged_nonpositive(self):
         assert not builtin_functions()["neg_square"].positive_on_domain
+
+    @pytest.mark.parametrize("name", sorted(builtin_functions()))
+    def test_positivity_claim_matches_samples(self, name):
+        f = builtin_functions()[name]
+        assert (_positivity_violation(f, None) is None) == f.positive_on_domain
 
     def test_stated_log_domain(self):
         log = builtin_functions()["log"]
@@ -84,6 +90,13 @@ class TestBuiltinClaims:
     def test_every_equality_family_covered(self):
         keys = {e.key for e in builtin_claims() if e.kind == "equality"}
         assert len(keys) == 7
+
+    def test_class_positivity_claims_match_samples(self):
+        # the expected domain-violation of a class entry is read from this claim
+        for e in builtin_claims():
+            if e.kind == "class":
+                f, box = e.payload["f"], e.payload["box"]
+                assert (_positivity_violation(f, box) is None) == f.positive_on_domain
 
     def test_every_chained_corollary_covered(self):
         chains = {e.payload["corollary"] for e in builtin_claims()

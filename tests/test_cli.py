@@ -182,6 +182,16 @@ class TestBadInput:
         ["classify", "--fn", "square", "--grid", "-1"],
         ["verify", "--theorem", "AA", "--fn", "square", "--weight", "power"],
         ["means", "--weight", "power", "--x", "1", "--y", "4"],
+        ["search", "--theorem", "AA", "--fn", "square", "--sense", "concave",
+         "--budget", "0"],
+        ["search", "--theorem", "AA", "--fn", "square", "--sense", "concave",
+         "--budget", "-5"],
+        ["verify", "--theorem", "AA", "--fn", "square", "--lo", "0.1", "--hi", "10",
+         "--tol", "-1"],
+        ["verify", "--arg", "A", "--val", "A", "--fn", "square", "--tol", "nan"],
+        ["search", "--theorem", "AA", "--fn", "square", "--tol", "-1"],
+        ["classify", "--fn", "square", "--tol", "-1"],
+        ["audit", "--tol", "-1"],
     ], ids=" ".join)
     def test_exits_two(self, capsys, argv):
         code, out, err = run(capsys, *argv)

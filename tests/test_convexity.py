@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from meanconvex import (ConvexitySpec, DomainError, InapplicableSpecError,
                         Interval, MeanKind, PointFunction, SamplePlan,
-                        class_ordering_check, constant_weight, defining_gap,
-                        diagonal_refute, identity_weight, power_weight,
-                        reciprocal_weight, verify_class, verify_extended_class)
+                        constant_weight, defining_gap, diagonal_refute,
+                        identity_weight, power_weight, reciprocal_weight,
+                        verify_class, verify_extended_class)
 from meanconvex.catalog import builtin_functions, make_function
 
 A, G, H = MeanKind.ARITHMETIC, MeanKind.GEOMETRIC, MeanKind.HARMONIC
@@ -105,23 +105,6 @@ class TestExtendedClasses:
     def test_unknown_class(self):
         with pytest.raises(InapplicableSpecError):
             verify_extended_class("R", A, FS["square"], box=BOX)
-
-
-class TestClassOrdering:
-    def test_constant_one_dominates_identity(self):
-        rep = class_ordering_check(FS["square"], A, A, constant_weight(1.0),
-                                   box=BOX)
-        assert rep.holds
-        assert rep.samples_checked > 0
-
-    def test_sqrt_weight_dominates_identity(self):
-        rep = class_ordering_check(FS["square"], A, A, power_weight(0.5),
-                                   box=BOX)
-        assert rep.holds
-
-    def test_premise_enforced(self):
-        with pytest.raises(DomainError):
-            class_ordering_check(FS["square"], A, A, power_weight(2.0), box=BOX)
 
 
 class TestDiagonalRefute:
