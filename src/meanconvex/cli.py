@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -28,7 +29,8 @@ import time
 
 import numpy as np
 
-from .catalog import _AUDIT_PLAN, builtin_functions, make_function, run_audit
+from .catalog import (_AUDIT_PLAN, _positivity_violation, builtin_functions,
+                      make_function, run_audit)
 from .convexity import ConvexitySpec, verify_class
 from .errors import DomainError, MeanConvexError
 from .intervals import Interval
@@ -189,6 +191,12 @@ def _build_fn(args):
 def _cmd_verify(args) -> int:
     plan, f = _build_plan(args, grid_t=args.grid_t), _build_fn(args)
     h, (box, _) = _build_weight(args), _build_box(args, f)
+    value_mean = args.theorem[1] if args.theorem else args.val
+    if value_mean != "A":
+        x_bad = _positivity_violation(f, box)
+        if x_bad is not None:
+            raise DomainError(f"{f.name}({x_bad:.6g}) <= 0, but value mean "
+                              f"{value_mean} needs f > 0")
     t0 = time.perf_counter()
     if args.theorem:
         tid = TheoremId(args.theorem)
@@ -410,8 +418,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and reused by later ones."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command == "verify" and args.arg and not args.val:
         parser.error("--val is required with --arg")

@@ -13,6 +13,7 @@ _compare: relative margin, usable-sample rule, witness indices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -57,7 +58,9 @@ class PointFunction:
     """A scalar function with its stated domain and positivity claim.
 
     positive_on_domain is a claim, not an assumption: audits sample it.
-    fn must accept numpy arrays.
+    fn must be elementwise: verifiers call it on broadcast grid axes (shapes
+    such as (n, 1, 1) or (n, 1, n)), and it must return an array of its
+    argument's shape.
     """
 
     name: str
@@ -179,18 +182,18 @@ def verify_class(spec: ConvexitySpec, f: PointFunction,
     "on samples" only, never a proof.
     """
     plan = plan or SamplePlan()
-    dom = f.sampling_domain(box)
-    x, y, t = plan.pairs_with_t(dom)
-    lhs, rhs, valid = _gap_arrays(spec, f, x, y, t)
+    blocks = plan.pair_t_blocks(f.sampling_domain(box))
+    lhs, rhs, valid = blocks.evaluate(partial(_gap_arrays, spec, f))
     rel, bad = _compare(lhs, rhs, valid, spec.sense == "convex", tol,
                         f"{spec.label} on {f.name}")
     n_valid = int(valid.sum())
     w = None
     if bad.size:
         i = int(bad[0])
-        w = Witness(float(x[i]), float(y[i]), float(t[i]), float(lhs[i]), float(rhs[i]), index=i)
+        x, y, t = blocks.point(i)
+        w = Witness(x, y, t, float(lhs[i]), float(rhs[i]), index=i)
     return Verdict("refuted" if w else "holds-on-samples", n_valid,
-                   float(np.min(rel)), w, x.size - n_valid)
+                   float(np.min(rel)), w, valid.size - n_valid)
 
 
 _EXTENDED_WEIGHTS = {

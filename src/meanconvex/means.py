@@ -13,8 +13,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError, EvaluationError
 from .weights import DEFAULT_TOL, WeightFunction, weight_eval
 

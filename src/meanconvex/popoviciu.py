@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -162,19 +163,19 @@ def verify_theorem(tid: TheoremId, h: WeightFunction, f: PointFunction,
     if sense not in ("convex", "concave"):
         raise ValueError(f"sense must be convex|concave, got {sense!r}")
     plan = plan or SamplePlan()
-    x, y, z = plan.triples(f.sampling_domain(box))
-    lhs, rhs, valid = _sides_arrays(tid, h, f, x, y, z)
+    blocks = plan.triple_blocks(f.sampling_domain(box))
+    lhs, rhs, valid = blocks.evaluate(partial(_sides_arrays, tid, h, f))
     rel, bad = _compare(lhs, rhs, valid, sense == BASE_SENSE[tid], tol,
                         f"theorem {tid.value} on {f.name}")
     product = tid.value[1] == "G"
     witnesses = []
     for i in bad[:8]:
+        x, y, z = blocks.point(i)
         wl, wr = (np.exp(lhs[i]), np.exp(rhs[i])) if product else (lhs[i], rhs[i])
-        witnesses.append(Witness(float(x[i]), float(y[i]), None, float(wl), float(wr),
-                                 z=float(z[i]), index=int(i)))
+        witnesses.append(Witness(x, y, None, float(wl), float(wr), z=z, index=int(i)))
     n_valid = int(valid.sum())
     return PopoviciuReport(tid, h.name, f.name, sense, n_valid, float(np.min(rel)),
-                           witnesses, skipped=x.size - n_valid)
+                           witnesses, skipped=valid.size - n_valid)
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +243,8 @@ def equality_max_residual(family: str, plan: SamplePlan | None = None,
         raise KeyError(f"unknown equality family {family!r}")
     tid, f = EQUALITY_FAMILIES[family]
     plan = plan or SamplePlan()
-    x, y, z = plan.triples(f.sampling_domain(box))
-    lhs, rhs, valid = _sides_arrays(tid, identity_weight(), f, x, y, z)
+    blocks = plan.triple_blocks(f.sampling_domain(box))
+    lhs, rhs, valid = blocks.evaluate(partial(_sides_arrays, tid, identity_weight(), f))
     rel, _ = _compare(lhs, rhs, valid, what=f"family {family}")
     return float(np.abs(rel[valid]).max()), int(valid.sum())
 
@@ -356,8 +357,17 @@ _CHAINS = {
 }
 
 
+def _chain_links(corollary: str) -> list[str]:
+    """The name of each link of a corollary, in link order."""
+    _, parent, prefix, suffix = _CHAINS[corollary]
+    middle = ("pair-mean value sum <= theorem HG right side (as printed)"
+              if corollary == "HG-chain" else f"theorem {parent.value}")
+    return [link[0] for link in (prefix, (middle,), suffix) if link]
+
+
 def _chain_sides(corollary: str, h32: float, h12: float, f: PointFunction, x, y, z):
-    """(name, lhs, rhs) of each link of a corollary, in comparison domain."""
+    """lhs, rhs of each link of a corollary in link order, flattened to
+    [lhs, rhs, lhs, rhs, ...], in comparison domain."""
     _, parent, prefix, suffix = _CHAINS[corollary]
     if corollary == "HG-chain":
         # the plain sum of f at the harmonic pair means (theorem HA's left
@@ -365,16 +375,14 @@ def _chain_sides(corollary: str, h32: float, h12: float, f: PointFunction, x, y,
         m1, m2, m3, c = _pair_and_central(parent, x, y, z)
         lhs = _pair_side(TheoremId.HA, f, m1, m2, m3)
         rhs = np.exp(_point_side(parent, h32, h12, f, c, x, y, z))
-        middle = "pair-mean value sum <= theorem HG right side (as printed)"
     else:
         lhs, rhs, _ = _theorem_sides(parent, h32, h12, f, x, y, z)
-        middle = f"theorem {parent.value}"
-    links = [(middle, lhs, rhs)]
+    sides = [lhs, rhs]
     if prefix:
-        links.insert(0, (prefix[0], prefix[1](f, x, y, z), lhs))
+        sides = [prefix[1](f, x, y, z), lhs] + sides
     if suffix:
-        links.append((suffix[0], rhs, suffix[1](f, x, y, z, h32, h12)))
-    return links
+        sides += [rhs, suffix[1](f, x, y, z, h32, h12)]
+    return sides
 
 
 def chained_check(corollary: str, h: WeightFunction, f: PointFunction,
@@ -408,11 +416,11 @@ def chained_check(corollary: str, h: WeightFunction, f: PointFunction,
                                           f"sampled class is {h_class.tag}")
     h32 = weight_eval(h, 1.5)
     h12 = weight_eval(h, 0.5)
-    x, y, z = plan.triples(dom)
+    blocks = plan.triple_blocks(dom)
     with np.errstate(all="ignore"):
-        links = _chain_sides(corollary, h32, h12, f, x, y, z)
+        sides = blocks.evaluate(partial(_chain_sides, corollary, h32, h12, f))
     results = []
-    for name, lhs, rhs in links:
+    for name, lhs, rhs in zip(_chain_links(corollary), sides[0::2], sides[1::2]):
         lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
         valid = np.isfinite(lhs) & np.isfinite(rhs)
         rel, bad = _compare(lhs, rhs, valid, tol=tol,
@@ -420,11 +428,11 @@ def chained_check(corollary: str, h: WeightFunction, f: PointFunction,
         witness = None
         if bad.size:
             i = int(bad[0])
-            witness = Witness(float(x[i]), float(y[i]), None,
-                              float(lhs[i]), float(rhs[i]), z=float(z[i]), index=i)
+            x, y, z = blocks.point(i)
+            witness = Witness(x, y, None, float(lhs[i]), float(rhs[i]), z=z, index=i)
         n_valid = int(valid.sum())
         results.append(LinkResult(name, float(np.min(rel)), n_valid,
-                                  x.size - n_valid, witness))
+                                  valid.size - n_valid, witness))
     return ChainedReport(corollary, f_class.tag, h_class.tag, results)
 
 

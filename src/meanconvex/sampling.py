@@ -1,11 +1,19 @@
 """Deterministic sampling plans: Cartesian grids plus seeded random points.
 
-All sample streams are ordered (grid first, then random) so that the
-"smallest-index witness" reported by a verifier is reproducible.
+A plan yields its samples as two blocks (SampleBlocks): the Cartesian grid
+as an open mesh of its axes (np.ix_, so each axis keeps only its own
+points), then the seeded random tail as flat columns. A side kernel runs on
+each block once; a term that reads only some axes, such as f(x) or
+f((x + z) / 2), costs one evaluation per distinct point instead of one per
+sample. The joined results, and the flat views triples, pairs_with_t and
+scalar_pairs, list samples in one order, grid first in C order, then
+random, so that the "smallest-index witness" reported by a verifier is
+reproducible.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -13,6 +21,51 @@ import numpy as np
 from .intervals import Interval
 
 T_EPS = 1e-6
+
+
+@dataclass(frozen=True)
+class SampleBlocks:
+    """A sample stream as its grid block and its random-tail block.
+
+    grid holds one open-mesh axis per coordinate (np.ix_ shapes such as
+    (n, 1, 1)); tail holds one flat column per coordinate. Sample i is grid
+    point np.unravel_index(i, grid_shape) for i below the grid size, else
+    tail row i - grid size.
+    """
+
+    grid: tuple[np.ndarray, ...]
+    tail: tuple[np.ndarray, ...]
+
+    @property
+    def grid_shape(self) -> tuple[int, ...]:
+        return tuple(axis.size for axis in self.grid)
+
+    def evaluate(self, kernel) -> tuple[np.ndarray, ...]:
+        """Run kernel(*coordinates), which returns a sequence of elementwise
+        arrays, once on the grid axes and once on the tail. Each result is
+        joined into one flat array in sample order: the grid broadcast to
+        its full shape and raveled in C order, then the tail."""
+        shape = self.grid_shape
+        n_grid = math.prod(shape)
+        joined = []
+        for g, r in zip(kernel(*self.grid), kernel(*self.tail)):
+            out = np.empty(n_grid + self.tail[0].size, np.result_type(g, r))
+            out[:n_grid].reshape(shape)[...] = g
+            out[n_grid:] = r
+            joined.append(out)
+        return tuple(joined)
+
+    def flat(self) -> tuple[np.ndarray, ...]:
+        """One flat column per coordinate, in sample order."""
+        return self.evaluate(lambda *coordinates: coordinates)
+
+    def point(self, i: int) -> tuple[float, ...]:
+        """The coordinates of sample i."""
+        i, n_grid = int(i), math.prod(self.grid_shape)
+        if i >= n_grid:
+            return tuple(float(column[i - n_grid]) for column in self.tail)
+        index = np.unravel_index(i, self.grid_shape)
+        return tuple(float(axis.flat[k]) for axis, k in zip(self.grid, index))
 
 
 @dataclass(frozen=True)
@@ -44,29 +97,37 @@ class SamplePlan:
     def t_grid(self) -> np.ndarray:
         return np.linspace(T_EPS, 1.0 - T_EPS, self.grid_t)
 
-    def _grid_then_random(self, *axes) -> tuple[np.ndarray, ...]:
-        """One column per (grid points, (lo, hi)) axis: the Cartesian grid of
-        the axes in C order, then n_random seeded uniform draws in [lo, hi),
-        taken from one generator a whole axis at a time."""
-        grids = np.meshgrid(*(points for points, _ in axes), indexing="ij")
+    def _blocks(self, *axes) -> SampleBlocks:
+        """One coordinate per (grid points, (lo, hi)) axis: the open mesh of
+        the axes, then n_random seeded uniform draws in [lo, hi), taken from
+        one generator a whole axis at a time."""
         u = np.random.default_rng(self.seed).random((len(axes), self.n_random))
-        return tuple(np.concatenate([g.ravel(), lo + (hi - lo) * row])
-                     for g, (_, (lo, hi)), row in zip(grids, axes, u))
+        return SampleBlocks(np.ix_(*(points for points, _ in axes)),
+                            tuple(lo + (hi - lo) * row
+                                  for (_, (lo, hi)), row in zip(axes, u)))
+
+    def pair_t_blocks(self, domain: Interval) -> SampleBlocks:
+        """(x, y, t) blocks: grid_axis^2 * grid_t grid, then random."""
+        xy = self._spatial(domain)
+        return self._blocks(xy, xy, (self.t_grid(), (T_EPS, 1.0 - T_EPS)))
+
+    def triple_blocks(self, domain: Interval) -> SampleBlocks:
+        """(x, y, z) blocks: grid_axis^3 grid, then random."""
+        xyz = self._spatial(domain)
+        return self._blocks(xyz, xyz, xyz)
 
     def pairs_with_t(self, domain: Interval) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Ordered (x, y, t) samples: grid_axis^2 * grid_t grid, then random."""
-        xy = self._spatial(domain)
-        return self._grid_then_random(xy, xy, (self.t_grid(), (T_EPS, 1.0 - T_EPS)))
+        return self.pair_t_blocks(domain).flat()
 
     def triples(self, domain: Interval) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Ordered (x, y, z) samples: grid_axis^3 grid, then random."""
-        xyz = self._spatial(domain)
-        return self._grid_then_random(xyz, xyz, xyz)
+        return self.triple_blocks(domain).flat()
 
     def scalar_pairs(self, domain: Interval) -> tuple[np.ndarray, np.ndarray]:
         """Ordered (s, t) pairs for additivity/multiplicativity checks."""
         st = self._spatial(domain)
-        return self._grid_then_random(st, st)
+        return self._blocks(st, st).flat()
 
 
 def rel_scale(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -164,10 +164,67 @@ class TestMeansCommand:
         assert "error" in err
 
 
+class TestParserReuse:
+    """main builds its parser once per process; later calls reuse it."""
+
+    BOX = ["--lo", "0.1", "--hi", "10"]
+    CALLS = [
+        ["verify", "--theorem", "AA", "--fn", "square", "--sense", "concave",
+         *BOX, *FAST, "--json", "{json}"],
+        ["means", "--x", "1", "--y", "4", "--weight", "power", "--weight-param", "2"],
+        ["verify", "--arg", "A", "--fn", "square", *BOX],  # parser.error: exit 2
+        ["search", "--theorem", "GH", "--fn", "cosh", "--lo", "1", "--hi", "4",
+         "--sense", "convex", "--budget", "8192", "--json", "{json}"],
+        ["classify", "--fn", "sqrt", "--lo", "0.01", "--hi", "1", "--grid", "7",
+         "--random", "200"],
+        ["audit", "--json", "{json}"],
+        ["verify", "--arg", "G", "--val", "G", "--fn", "square", *BOX, *FAST,
+         "--json", "{json}"],
+    ]
+
+    def _run_all(self, capsys, monkeypatch, tmp_path):
+        tmp_path.mkdir()
+        results = []
+        for k, argv in enumerate(self.CALLS):
+            path = tmp_path / f"{k}.json"
+            monkeypatch.setenv("MEANCONVEX_SEED", str(k + 1))
+            try:
+                code = main([a.replace("{json}", str(path)) for a in argv])
+            except SystemExit as exc:
+                code = exc.code
+            out = capsys.readouterr()
+            err = [ln for ln in out.err.splitlines() if not ln.startswith("elapsed:")]
+            report = path.read_bytes() if path.exists() else None
+            if report is not None:
+                assert json.loads(report)["config"]["seed"] == k + 1
+            results.append((code, out.out, err, report))
+        return results
+
+    def test_same_output_as_fresh_parser(self, capsys, monkeypatch, tmp_path):
+        from meanconvex import cli
+
+        cli._parser.cache_clear()
+        reused = self._run_all(capsys, monkeypatch, tmp_path / "reused")
+        assert cli._parser.cache_info().misses == 1
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        fresh = self._run_all(capsys, monkeypatch, tmp_path / "fresh")
+        assert reused == fresh
+        assert [code for code, *_ in reused] == [1, 0, 2, 0, 0, 0, 0]
+
+
 class TestBadInput:
     """Usage and domain errors print one `error:` line and exit 2."""
 
     LOG_BOX = ["--fn", "log", "--lo", "0.1", "--hi", "0.5"]
+    # f <= 0 somewhere in the box under a G or H value mean
+    NONPOSITIVE = [
+        ["verify", "--arg", "A", "--val", "H", "--fn", "neg_square", "--lo", "0.1",
+         "--hi", "10", *FAST],
+        ["verify", "--theorem", "AH", "--fn", "affine", "--a", "-1", "--b", "0",
+         "--lo", "0.1", "--hi", "10"],
+        ["verify", "--theorem", "AG", "--fn", "neg_square", "--lo", "0.1",
+         "--hi", "10", *FAST],
+    ]
 
     @pytest.mark.parametrize("argv", [
         ["verify", "--theorem", "AA", "--fn", "square", "--lo", "20"],
@@ -192,12 +249,19 @@ class TestBadInput:
         ["search", "--theorem", "AA", "--fn", "square", "--tol", "-1"],
         ["classify", "--fn", "square", "--tol", "-1"],
         ["audit", "--tol", "-1"],
+        *NONPOSITIVE,
     ], ids=" ".join)
     def test_exits_two(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", NONPOSITIVE, ids=" ".join)
+    def test_nonpositive_f_named(self, capsys, argv):
+        _, _, err = run(capsys, *argv)
+        assert re.match(r"error: \S+\(0\.1\) <= 0, but value mean [GH] needs f > 0$",
+                        err)
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -182,18 +182,22 @@ class TestVerifyTheorem:
         assert found > 0
 
     def test_sides_evaluated_once(self, monkeypatch):
+        # once per sample block: the grid on its axes, then the random tail
         calls = []
         sides = popoviciu._sides_arrays
 
         def counting(*args):
-            calls.append(args[0])
+            calls.append((args[0], np.broadcast_shapes(*(np.shape(a) for a in args[3:]))))
             return sides(*args)
 
         monkeypatch.setattr(popoviciu, "_sides_arrays", counting)
         rep = verify_theorem(TheoremId.AA, ID, FS["square"], "concave",
                              plan=SMALL, box=BOX)
         assert len(rep.witnesses) == 8
-        assert calls == [TheoremId.AA]
+        n = SMALL.grid_axis
+        assert calls == [(TheoremId.AA, (n, n, n)), (TheoremId.AA, (SMALL.n_random,))]
+        assert sum(math.prod(shape) for _, shape in calls) == \
+            rep.triples_tested + rep.skipped == n**3 + SMALL.n_random
 
     def test_bad_sense_rejected(self):
         with pytest.raises(ValueError):
