@@ -73,6 +73,20 @@ def _render_json(value, indent=0) -> str:
     raise TypeError(f"cannot render {type(value).__name__}")
 
 
+def _check_output_paths(args) -> None:
+    """Refuse, before any computation, a --json or --csv path in a missing
+    directory or naming a directory."""
+    for flag in ("json", "csv"):
+        path = getattr(args, flag, None)
+        if path is None:
+            continue
+        folder = os.path.dirname(path) or "."
+        if not os.path.isdir(folder):
+            raise MeanConvexError(f"--{flag} {path}: directory {folder} does not exist")
+        if os.path.isdir(path):
+            raise MeanConvexError(f"--{flag} {path} is a directory")
+
+
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w") as fh:
         fh.write(_render_json(payload) + "\n")
@@ -432,6 +446,7 @@ def main(argv=None) -> int:
     try:
         if not getattr(args, "tol", 0.0) >= 0.0:
             raise MeanConvexError(f"--tol must be a number >= 0, got {args.tol:g}")
+        _check_output_paths(args)
         return args.handler(args)
     except (MeanConvexError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

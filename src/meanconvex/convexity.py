@@ -7,7 +7,12 @@ case equations: three value-mean shapes, with h(t) and h(1 - t) swapped under
 a harmonic argument mean; see _VALUE_MEANS.
 
 Every verdict in the package compares its sides through one kernel,
-_compare: relative margin, usable-sample rule, witness indices.
+_compare. It takes the sides block by block (the grid, then the random
+tail), turns each block into relative margins with _margin, reduces them on
+the block's own shape to a usable count, a minimum and the first violations,
+and combines the blocks in sample order; the usable-sample rule applies to
+the summed counts. _margin is the one margin formula; theorem_margins uses
+it for per-point margins.
 """
 
 from __future__ import annotations
@@ -32,25 +37,62 @@ MIN_USABLE_FRACTION = 0.5
 DEFAULT_BOX = (-10.0, 10.0)
 
 
-def _compare(lhs, rhs, valid, forward: bool = True, tol: Optional[float] = None,
-             what: Optional[str] = None):
-    """Relative margin of the claim lhs <= rhs (lhs >= rhs when not forward),
-    and with tol the indices, in sample order, of the samples violating it by
-    more than tol (else None).
+def _margin(lhs, rhs, valid, claim: str = "<="):
+    """Relative margin of the claim lhs <= rhs, lhs >= rhs or lhs == rhs.
 
-    The margin is (rhs - lhs) / max(1, |lhs|, |rhs|), and +inf where a sample
-    is not usable. Naming the claim with `what` makes this a verdict: it
-    raises DomainError when fewer than MIN_USABLE_FRACTION of the samples
-    are usable.
+    The margin is rhs - lhs, lhs - rhs or -|rhs - lhs| over
+    max(1, |lhs|, |rhs|), and +inf where a sample is not usable; negative
+    means violated.
     """
-    if what is not None:
-        n_valid = int(np.count_nonzero(valid))
-        if n_valid < MIN_USABLE_FRACTION * valid.size:
-            raise DomainError(f"only {n_valid}/{valid.size} samples usable for {what}")
-    lhs, rhs = np.where(valid, lhs, 0.0), np.where(valid, rhs, 0.0)
-    margin = np.where(valid, (rhs - lhs) if forward else (lhs - rhs), np.inf)
-    rel = margin / rel_scale(lhs, rhs)
-    return rel, None if tol is None else (rel < -tol).nonzero()[0]
+    with np.errstate(all="ignore"):  # unusable samples may hold inf or nan
+        if claim == "<=":
+            gap = rhs - lhs
+        elif claim == ">=":
+            gap = lhs - rhs
+        else:
+            gap = -np.abs(rhs - lhs)
+        return np.where(valid, gap / rel_scale(lhs, rhs), np.inf)
+
+
+@dataclass(frozen=True)
+class Comparison:
+    """A claim reduced over all sample blocks."""
+
+    samples: int  # usable samples
+    skipped: int
+    min_margin: float
+    violations: list[tuple[int, float, float]]  # (index, lhs, rhs), sample order
+
+
+def _compare(blocks, claim: str, what: str, tol: Optional[float] = None,
+             limit: int = 1) -> Comparison:
+    """Compare lhs and rhs of a claim over the blocks of a sample stream.
+
+    blocks are (offset, shape, (lhs, rhs, valid)) per block, grid first, as
+    SampleBlocks.map gives them. Each block's margins are reduced on the
+    block's shape; with tol, up to `limit` samples violating the claim by
+    more than tol are kept, in sample order, with their lhs and rhs. Raises
+    DomainError, naming the claim `what`, when fewer than
+    MIN_USABLE_FRACTION of all samples are usable.
+    """
+    usable = total = 0
+    lowest = np.inf
+    violations = []
+    for offset, shape, (lhs, rhs, valid) in blocks:
+        rel = np.broadcast_to(_margin(lhs, rhs, valid, claim), shape)
+        if not rel.size:
+            continue
+        total += rel.size
+        usable += int(np.count_nonzero(np.broadcast_to(valid, shape)))
+        block_min = float(rel.min())
+        lowest = min(lowest, block_min)
+        if tol is not None and block_min < -tol and len(violations) < limit:
+            bad = np.flatnonzero(rel < -tol)[:limit - len(violations)]
+            lhs, rhs = np.broadcast_to(lhs, shape), np.broadcast_to(rhs, shape)
+            violations += [(offset + int(i), lhs.flat[i], rhs.flat[i]) for i in bad]
+    if usable < MIN_USABLE_FRACTION * total:
+        raise DomainError(f"only {usable}/{total} samples usable for {what}")
+    return Comparison(usable, total - usable, lowest, violations)
 
 
 @dataclass(frozen=True)
@@ -183,17 +225,15 @@ def verify_class(spec: ConvexitySpec, f: PointFunction,
     """
     plan = plan or SamplePlan()
     blocks = plan.pair_t_blocks(f.sampling_domain(box))
-    lhs, rhs, valid = blocks.evaluate(partial(_gap_arrays, spec, f))
-    rel, bad = _compare(lhs, rhs, valid, spec.sense == "convex", tol,
-                        f"{spec.label} on {f.name}")
-    n_valid = int(valid.sum())
+    cmp = _compare(blocks.map(partial(_gap_arrays, spec, f)),
+                   "<=" if spec.sense == "convex" else ">=",
+                   f"{spec.label} on {f.name}", tol)
     w = None
-    if bad.size:
-        i = int(bad[0])
-        x, y, t = blocks.point(i)
-        w = Witness(x, y, t, float(lhs[i]), float(rhs[i]), index=i)
-    return Verdict("refuted" if w else "holds-on-samples", n_valid,
-                   float(np.min(rel)), w, valid.size - n_valid)
+    if cmp.violations:
+        i, lhs, rhs = cmp.violations[0]
+        w = Witness(*blocks.point(i), float(lhs), float(rhs), index=i)
+    return Verdict("refuted" if w else "holds-on-samples", cmp.samples,
+                   cmp.min_margin, w, cmp.skipped)
 
 
 _EXTENDED_WEIGHTS = {

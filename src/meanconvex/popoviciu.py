@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .convexity import PointFunction, Witness, _compare
+from .convexity import PointFunction, Witness, _compare, _margin
 from .errors import DomainError, HypothesisMismatchError
 from .intervals import Interval
 from .sampling import SamplePlan
@@ -43,6 +43,11 @@ class TheoremId(enum.Enum):
 
 # the sense the printed "<=" binds to
 BASE_SENSE = {tid: "concave" if tid.value[1] == "H" else "convex" for tid in TheoremId}
+
+
+def _claim(tid: TheoremId, sense: str) -> str:
+    """The comparison lhs <= rhs or lhs >= rhs that theorem tid states in sense."""
+    return "<=" if sense == BASE_SENSE[tid] else ">="
 
 
 def _pair_and_central(tid: TheoremId, x, y, z):
@@ -164,18 +169,16 @@ def verify_theorem(tid: TheoremId, h: WeightFunction, f: PointFunction,
         raise ValueError(f"sense must be convex|concave, got {sense!r}")
     plan = plan or SamplePlan()
     blocks = plan.triple_blocks(f.sampling_domain(box))
-    lhs, rhs, valid = blocks.evaluate(partial(_sides_arrays, tid, h, f))
-    rel, bad = _compare(lhs, rhs, valid, sense == BASE_SENSE[tid], tol,
-                        f"theorem {tid.value} on {f.name}")
+    cmp = _compare(blocks.map(partial(_sides_arrays, tid, h, f)), _claim(tid, sense),
+                   f"theorem {tid.value} on {f.name}", tol, limit=8)
     product = tid.value[1] == "G"
     witnesses = []
-    for i in bad[:8]:
+    for i, wl, wr in cmp.violations:
         x, y, z = blocks.point(i)
-        wl, wr = (np.exp(lhs[i]), np.exp(rhs[i])) if product else (lhs[i], rhs[i])
-        witnesses.append(Witness(x, y, None, float(wl), float(wr), z=z, index=int(i)))
-    n_valid = int(valid.sum())
-    return PopoviciuReport(tid, h.name, f.name, sense, n_valid, float(np.min(rel)),
-                           witnesses, skipped=valid.size - n_valid)
+        wl, wr = (np.exp(wl), np.exp(wr)) if product else (wl, wr)
+        witnesses.append(Witness(x, y, None, float(wl), float(wr), z=z, index=i))
+    return PopoviciuReport(tid, h.name, f.name, sense, cmp.samples, cmp.min_margin,
+                           witnesses, skipped=cmp.skipped)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +233,7 @@ def theorem_margins(tid: TheoremId, h: WeightFunction, f: PointFunction,
     lhs, rhs, valid = _sides_arrays(tid, h, f, np.asarray(x, dtype=float),
                                     np.asarray(y, dtype=float),
                                     np.asarray(z, dtype=float))
-    return _compare(lhs, rhs, valid, sense == BASE_SENSE[tid])[0]
+    return _margin(lhs, rhs, valid, _claim(tid, sense))
 
 
 def equality_max_residual(family: str, plan: SamplePlan | None = None,
@@ -244,9 +247,9 @@ def equality_max_residual(family: str, plan: SamplePlan | None = None,
     tid, f = EQUALITY_FAMILIES[family]
     plan = plan or SamplePlan()
     blocks = plan.triple_blocks(f.sampling_domain(box))
-    lhs, rhs, valid = blocks.evaluate(partial(_sides_arrays, tid, identity_weight(), f))
-    rel, _ = _compare(lhs, rhs, valid, what=f"family {family}")
-    return float(np.abs(rel[valid]).max()), int(valid.sum())
+    cmp = _compare(blocks.map(partial(_sides_arrays, tid, identity_weight(), f)), "==",
+                   f"family {family}")
+    return -cmp.min_margin, cmp.samples
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +388,11 @@ def _chain_sides(corollary: str, h32: float, h12: float, f: PointFunction, x, y,
     return sides
 
 
+def _finite_sides(lhs, rhs):
+    """(lhs, rhs, valid) of a chain link: usable where both sides are finite."""
+    return lhs, rhs, np.isfinite(lhs) & np.isfinite(rhs)
+
+
 def chained_check(corollary: str, h: WeightFunction, f: PointFunction,
                   plan: SamplePlan | None = None, tol: float = DEFAULT_TOL,
                   box: Optional[Interval] = None,
@@ -418,21 +426,19 @@ def chained_check(corollary: str, h: WeightFunction, f: PointFunction,
     h12 = weight_eval(h, 0.5)
     blocks = plan.triple_blocks(dom)
     with np.errstate(all="ignore"):
-        sides = blocks.evaluate(partial(_chain_sides, corollary, h32, h12, f))
+        sides = blocks.map(partial(_chain_sides, corollary, h32, h12, f))
     results = []
-    for name, lhs, rhs in zip(_chain_links(corollary), sides[0::2], sides[1::2]):
-        lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
-        valid = np.isfinite(lhs) & np.isfinite(rhs)
-        rel, bad = _compare(lhs, rhs, valid, tol=tol,
-                            what=f"link {name!r} of {corollary} on {f.name}")
+    for j, name in enumerate(_chain_links(corollary)):
+        link = [(offset, shape, _finite_sides(*s[2 * j:2 * j + 2]))
+                for offset, shape, s in sides]
+        cmp = _compare(link, "<=", f"link {name!r} of {corollary} on {f.name}", tol)
         witness = None
-        if bad.size:
-            i = int(bad[0])
+        if cmp.violations:
+            i, lhs, rhs = cmp.violations[0]
             x, y, z = blocks.point(i)
-            witness = Witness(x, y, None, float(lhs[i]), float(rhs[i]), z=z, index=i)
-        n_valid = int(valid.sum())
-        results.append(LinkResult(name, float(np.min(rel)), n_valid,
-                                  valid.size - n_valid, witness))
+            witness = Witness(x, y, None, float(lhs), float(rhs), z=z, index=i)
+        results.append(LinkResult(name, cmp.min_margin, cmp.samples, cmp.skipped,
+                                  witness))
     return ChainedReport(corollary, f_class.tag, h_class.tag, results)
 
 

@@ -5,16 +5,18 @@ as an open mesh of its axes (np.ix_, so each axis keeps only its own
 points), then the seeded random tail as flat columns. A side kernel runs on
 each block once; a term that reads only some axes, such as f(x) or
 f((x + z) / 2), costs one evaluation per distinct point instead of one per
-sample. The joined results, and the flat views triples, pairs_with_t and
-scalar_pairs, list samples in one order, grid first in C order, then
-random, so that the "smallest-index witness" reported by a verifier is
-reproducible.
+sample. Verifiers reduce each block's margins on the block's own shape and
+combine the reductions, so no full-plan array is built. Samples are
+numbered in one order, grid first in C order, then random, so that the
+"smallest-index witness" reported by a verifier is reproducible; the flat
+views triples, pairs_with_t and scalar_pairs list them in that order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -30,7 +32,8 @@ class SampleBlocks:
     grid holds one open-mesh axis per coordinate (np.ix_ shapes such as
     (n, 1, 1)); tail holds one flat column per coordinate. Sample i is grid
     point np.unravel_index(i, grid_shape) for i below the grid size, else
-    tail row i - grid size.
+    tail row i - grid size. Verifiers reduce the blocks one at a time
+    (map); only the flat views join them (evaluate).
     """
 
     grid: tuple[np.ndarray, ...]
@@ -40,16 +43,24 @@ class SampleBlocks:
     def grid_shape(self) -> tuple[int, ...]:
         return tuple(axis.size for axis in self.grid)
 
+    def map(self, kernel) -> list[tuple[int, tuple[int, ...], object]]:
+        """Run kernel(*coordinates) once on the grid axes, then once on the
+        tail: (offset, shape, result) per block, where offset is the index
+        of the block's first sample and shape the shape its results
+        broadcast to."""
+        shape = self.grid_shape
+        return [(0, shape, kernel(*self.grid)),
+                (math.prod(shape), self.tail[0].shape, kernel(*self.tail))]
+
     def evaluate(self, kernel) -> tuple[np.ndarray, ...]:
         """Run kernel(*coordinates), which returns a sequence of elementwise
-        arrays, once on the grid axes and once on the tail. Each result is
-        joined into one flat array in sample order: the grid broadcast to
-        its full shape and raveled in C order, then the tail."""
-        shape = self.grid_shape
-        n_grid = math.prod(shape)
+        arrays, on both blocks and join each result into one flat array in
+        sample order: the grid broadcast to its full shape and raveled in C
+        order, then the tail."""
+        (_, shape, grid), (n_grid, (n_tail,), tail) = self.map(kernel)
         joined = []
-        for g, r in zip(kernel(*self.grid), kernel(*self.tail)):
-            out = np.empty(n_grid + self.tail[0].size, np.result_type(g, r))
+        for g, r in zip(grid, tail):
+            out = np.empty(n_grid + n_tail, np.result_type(g, r))
             out[:n_grid].reshape(shape)[...] = g
             out[n_grid:] = r
             joined.append(out)
@@ -97,14 +108,22 @@ class SamplePlan:
     def t_grid(self) -> np.ndarray:
         return np.linspace(T_EPS, 1.0 - T_EPS, self.grid_t)
 
+    @cached_property
+    def _uniform(self) -> np.ndarray:
+        """The plan's random block, drawn once: three rows of n_random
+        uniform draws in [0, 1) from one generator, a whole row at a time.
+        A two-coordinate stream uses the first two rows, which are the
+        draws random((2, n_random)) would give."""
+        u = np.random.default_rng(self.seed).random((3, self.n_random))
+        u.setflags(write=False)
+        return u
+
     def _blocks(self, *axes) -> SampleBlocks:
         """One coordinate per (grid points, (lo, hi)) axis: the open mesh of
-        the axes, then n_random seeded uniform draws in [lo, hi), taken from
-        one generator a whole axis at a time."""
-        u = np.random.default_rng(self.seed).random((len(axes), self.n_random))
+        the axes, then the plan's random rows scaled to [lo, hi)."""
         return SampleBlocks(np.ix_(*(points for points, _ in axes)),
                             tuple(lo + (hi - lo) * row
-                                  for (_, (lo, hi)), row in zip(axes, u)))
+                                  for (_, (lo, hi)), row in zip(axes, self._uniform)))
 
     def pair_t_blocks(self, domain: Interval) -> SampleBlocks:
         """(x, y, t) blocks: grid_axis^2 * grid_t grid, then random."""

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from meanconvex import cli
 from meanconvex.cli import main
 
 FAST = ["--grid", "7", "--grid-t", "5", "--random", "200"]
@@ -216,6 +217,7 @@ class TestBadInput:
     """Usage and domain errors print one `error:` line and exit 2."""
 
     LOG_BOX = ["--fn", "log", "--lo", "0.1", "--hi", "0.5"]
+    MISSING_DIR = "/nonexistent-meanconvex-dir"
     # f <= 0 somewhere in the box under a G or H value mean
     NONPOSITIVE = [
         ["verify", "--arg", "A", "--val", "H", "--fn", "neg_square", "--lo", "0.1",
@@ -249,6 +251,12 @@ class TestBadInput:
         ["search", "--theorem", "AA", "--fn", "square", "--tol", "-1"],
         ["classify", "--fn", "square", "--tol", "-1"],
         ["audit", "--tol", "-1"],
+        # an output path in a missing directory, refused before any computation
+        ["verify", "--theorem", "AA", "--fn", "square", "--lo", "0.1", "--hi", "10",
+         "--json", f"{MISSING_DIR}/report.json"],
+        ["audit", "--json", f"{MISSING_DIR}/audit.json"],
+        ["search", "--theorem", "AA", "--fn", "square", "--sense", "concave",
+         "--csv", f"{MISSING_DIR}/witness.csv"],
         *NONPOSITIVE,
     ], ids=" ".join)
     def test_exits_two(self, capsys, argv):
@@ -256,6 +264,16 @@ class TestBadInput:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_output_path_checked_before_computation(self, capsys, monkeypatch,
+                                                     tmp_path):
+        monkeypatch.setattr(cli, "verify_theorem",
+                            lambda *args, **kwargs: pytest.fail("verify ran"))
+        for flag, path in (("--json", tmp_path), ("--csv", tmp_path / "no" / "w.csv")):
+            code, out, err = run(capsys, "verify", "--theorem", "AA", "--fn", "square",
+                                 flag, str(path))
+            assert (code, out) == (2, "")
+            assert err.startswith(f"error: {flag} {path}") and err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", NONPOSITIVE, ids=" ".join)
     def test_nonpositive_f_named(self, capsys, argv):

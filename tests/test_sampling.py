@@ -4,7 +4,9 @@ Verifiers run their side kernels on SampleBlocks: once on the grid's open
 mesh of axes and once on the random tail. The reference is the same kernel
 on the flat streams plan.triples / plan.pairs_with_t. lhs, rhs and the valid
 mask must agree byte for byte, and witness coordinates must be the flat
-stream's sample at the witness index.
+stream's sample at the witness index. The verdicts reduce each block on its
+own shape; the reference for them is the flat comparison kernel below, run
+on the whole stream at once.
 """
 
 from __future__ import annotations
@@ -14,13 +16,15 @@ from functools import partial
 import numpy as np
 import pytest
 
-from meanconvex import (ConvexitySpec, EQUALITY_FAMILIES, Interval, MeanKind,
-                        SamplePlan, TheoremId, chained_check, identity_weight,
+from meanconvex import (BASE_SENSE, ConvexitySpec, DomainError, EQUALITY_FAMILIES,
+                        Interval, MeanKind, PointFunction, SamplePlan, TheoremId,
+                        chained_check, equality_max_residual, identity_weight,
                         power_weight, reciprocal_weight, verify_class,
                         verify_theorem, weight_eval)
 from meanconvex.catalog import builtin_functions
-from meanconvex.convexity import _gap_arrays
-from meanconvex.popoviciu import _CHAINS, _chain_sides, _sides_arrays
+from meanconvex.convexity import MIN_USABLE_FRACTION, _gap_arrays
+from meanconvex.popoviciu import _CHAINS, _chain_links, _chain_sides, _sides_arrays
+from meanconvex.sampling import T_EPS, SampleBlocks, rel_scale
 
 FS = builtin_functions()
 WEIGHTS = [identity_weight(), power_weight(2.0), reciprocal_weight()]
@@ -169,3 +173,245 @@ class TestWitnessCoordinates:
                         self._check(link.witness, flat, "xyz")
                         seen += 1
         assert seen > 0
+
+
+class TestRandomBlock:
+    """A plan draws its random block once; every tail is a scaled row of it."""
+
+    @staticmethod
+    def _rows(plan, k):
+        return np.random.default_rng(plan.seed).random((k, plan.n_random))
+
+    @pytest.mark.parametrize("plan", [*PLANS.values(), *(
+        SamplePlan(grid_axis=2, grid_t=2, n_random=n, seed=seed)
+        for seed in (1, 42, 7919, 2**31 - 1) for n in (0, 40, 2000, 10_000))], ids=repr)
+    def test_tails_are_scaled_rows(self, plan):
+        dom = Interval(0.5, 2.0)
+        xy = dom.sampling_bounds()
+        rows = self._rows(plan, 3)
+        for blocks, bounds in ((plan.triple_blocks(dom), [xy, xy, xy]),
+                               (plan.pair_t_blocks(dom), [xy, xy, (T_EPS, 1 - T_EPS)])):
+            for column, (lo, hi), row in zip(blocks.tail, bounds, rows):
+                assert column.tobytes() == (lo + (hi - lo) * row).tobytes()
+        n_grid = plan.grid_axis ** 2
+        for column, row in zip(plan.scalar_pairs(dom), self._rows(plan, 2)):
+            assert column[n_grid:].tobytes() == (xy[0] + (xy[1] - xy[0]) * row).tobytes()
+
+    def test_drawn_once_per_plan(self, monkeypatch):
+        draws = []
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: draws.append(seed) or default_rng(seed))
+        plan = SamplePlan(grid_axis=3, grid_t=2, n_random=20, seed=9)
+        dom = Interval(0.5, 2.0)
+        for _ in range(3):
+            plan.triple_blocks(dom), plan.pair_t_blocks(dom), plan.scalar_pairs(dom)
+        assert draws == [9]
+        plan.with_seed(10).triples(dom)
+        assert draws == [9, 10]
+
+
+# ---------------------------------------------------------------------------
+# The block reducer against the flat kernel.
+
+def flat_compare(lhs, rhs, valid, forward=True, tol=None, what=None):
+    """The flat comparison kernel: relative margin of lhs <= rhs (lhs >= rhs
+    when not forward) over whole arrays, +inf where unusable, and with tol
+    the violating indices in sample order; with what, the usable-half rule."""
+    if what is not None:
+        n_valid = int(np.count_nonzero(valid))
+        if n_valid < MIN_USABLE_FRACTION * valid.size:
+            raise DomainError(f"only {n_valid}/{valid.size} samples usable for {what}")
+    lhs, rhs = np.where(valid, lhs, 0.0), np.where(valid, rhs, 0.0)
+    margin = np.where(valid, (rhs - lhs) if forward else (lhs - rhs), np.inf)
+    rel = margin / rel_scale(lhs, rhs)
+    return rel, None if tol is None else (rel < -tol).nonzero()[0]
+
+
+def _bits(values):
+    """Every number of a nested result as its float64 bytes."""
+    if isinstance(values, (tuple, list)):
+        return [_bits(v) for v in values]
+    if isinstance(values, str):
+        return values
+    return np.float64(values).tobytes()
+
+
+def _outcome(run):
+    """run()'s result in bits, or the message of the DomainError it raised."""
+    try:
+        return _bits(run())
+    except DomainError as exc:
+        return str(exc)
+
+
+def _box(f):
+    try:
+        f.sampling_domain(BOX)
+        return BOX
+    except ValueError:
+        return None
+
+
+TOL = 1e-9
+
+
+def flat_theorem(tid, h, f, sense, plan):
+    xyz = plan.triples(f.sampling_domain(_box(f)))
+    lhs, rhs, valid = _sides_arrays(tid, h, f, *xyz)
+    rel, bad = flat_compare(lhs, rhs, valid, sense == BASE_SENSE[tid], TOL,
+                            f"theorem {tid.value} on {f.name}")
+    side = np.exp if tid.value[1] == "G" else (lambda v: v)
+    witnesses = [(i, *(c[i] for c in xyz), side(lhs[i]), side(rhs[i])) for i in bad[:8]]
+    return rel.min(), valid.sum(), valid.size - valid.sum(), witnesses
+
+
+def block_theorem(tid, h, f, sense, plan):
+    rep = verify_theorem(tid, h, f, sense, plan, TOL, _box(f))
+    return rep.min_margin, rep.triples_tested, rep.skipped, [
+        (w.index, w.x, w.y, w.z, w.lhs, w.rhs) for w in rep.witnesses]
+
+
+def flat_class(spec, f, plan):
+    xyt = plan.pairs_with_t(f.sampling_domain(_box(f)))
+    lhs, rhs, valid = _gap_arrays(spec, f, *xyt)
+    rel, bad = flat_compare(lhs, rhs, valid, spec.sense == "convex", TOL,
+                            f"{spec.label} on {f.name}")
+    witness = [(i, *(c[i] for c in xyt), lhs[i], rhs[i]) for i in bad[:1]]
+    return rel.min(), valid.sum(), valid.size - valid.sum(), witness
+
+
+def block_class(spec, f, plan):
+    v = verify_class(spec, f, plan, TOL, _box(f))
+    w = v.witness
+    return v.min_margin, v.samples_tested, v.skipped, [
+        (w.index, w.x, w.y, w.t, w.lhs, w.rhs)] if w else []
+
+
+def flat_chain(corollary, h, f, plan):
+    xyz = plan.triples(f.sampling_domain(_box(f)))
+    with np.errstate(all="ignore"):
+        sides = _chain_sides(corollary, weight_eval(h, 1.5), weight_eval(h, 0.5), f, *xyz)
+    links = []
+    for name, lhs, rhs in zip(_chain_links(corollary), sides[0::2], sides[1::2]):
+        valid = np.isfinite(lhs) & np.isfinite(rhs)
+        rel, bad = flat_compare(lhs, rhs, valid, tol=TOL,
+                                what=f"link {name!r} of {corollary} on {f.name}")
+        links.append((rel.min(), valid.sum(), valid.size - valid.sum(),
+                      [(i, *(c[i] for c in xyz), lhs[i], rhs[i]) for i in bad[:1]]))
+    return links
+
+
+def block_chain(corollary, h, f, plan):
+    rep = chained_check(corollary, h, f, plan, TOL, _box(f), enforce_hypotheses=False)
+    return [(link.min_margin, link.samples, link.skipped,
+             [(w.index, w.x, w.y, w.z, w.lhs, w.rhs)] if (w := link.witness) else [])
+            for link in rep.links]
+
+
+@pytest.mark.parametrize("h", WEIGHTS, ids=lambda h: h.name)
+class TestReducerEqualsFlat:
+    """Min margin, usable and skipped counts, witness indices, coordinates
+    and sides of every verdict equal the flat kernel's bit for bit; so does
+    the usable-half DomainError message."""
+
+    def test_theorems(self, plan, h):
+        refuted = 0
+        for f in FS.values():
+            for tid in TheoremId:
+                for sense in ("convex", "concave"):
+                    want = _outcome(lambda: flat_theorem(tid, h, f, sense, plan))
+                    assert _outcome(lambda: block_theorem(tid, h, f, sense, plan)) == want
+                    refuted += isinstance(want, list) and bool(want[3])
+        assert refuted > 0
+
+    def test_classes(self, plan, h):
+        refuted = 0
+        for f in FS.values():
+            for arg, val in PAIRS:
+                for sense in ("convex", "concave"):
+                    spec = ConvexitySpec(arg, val, h, sense)
+                    want = _outcome(lambda: flat_class(spec, f, plan))
+                    assert _outcome(lambda: block_class(spec, f, plan)) == want
+                    refuted += isinstance(want, list) and bool(want[3])
+        assert refuted > 0
+
+    def test_chain_links(self, plan, h):
+        refuted = 0
+        for f in FS.values():
+            for corollary in _CHAINS:
+                want = _outcome(lambda: flat_chain(corollary, h, f, plan))
+                assert _outcome(lambda: block_chain(corollary, h, f, plan)) == want
+                refuted += isinstance(want, list) and any(link[3] for link in want)
+        assert refuted > 0
+
+
+def test_equality_families_equal_flat(plan):
+    for family, (tid, f) in EQUALITY_FAMILIES.items():
+        def flat():
+            lhs, rhs, valid = _sides_arrays(tid, identity_weight(), f,
+                                            *plan.triples(f.sampling_domain(_box(f))))
+            rel, _ = flat_compare(lhs, rhs, valid, what=f"family {family}")
+            return np.abs(rel[valid]).max(), valid.sum()
+        assert _outcome(lambda: equality_max_residual(family, plan, _box(f))) == \
+            _outcome(flat)
+
+
+class TestReducerEdges:
+    WIDE = Interval(0.1, 10.0, closed_lo=True, closed_hi=True)
+
+    def test_witnesses_span_the_block_boundary(self):
+        # on a 2-point grid, 6 of the 8 grid triples are off the diagonal, so
+        # the 8 witnesses are 6 grid points, then the first 2 tail violations
+        plan = SamplePlan(grid_axis=2, n_random=50, seed=4)
+        rep = verify_theorem(TheoremId.AA, identity_weight(), FS["square"], "concave",
+                             plan, TOL, self.WIDE)
+        indices = [w.index for w in rep.witnesses]
+        assert indices == sorted(indices) and len(indices) == 8
+        assert sum(i < 8 for i in indices) == 6
+        assert _bits(block_theorem(TheoremId.AA, identity_weight(), FS["square"],
+                                   "concave", plan)) == \
+            _bits(flat_theorem(TheoremId.AA, identity_weight(), FS["square"],
+                               "concave", plan))
+
+    @pytest.mark.parametrize("sizes", [dict(grid_axis=0, n_random=500),
+                                       dict(grid_axis=9, n_random=0)],
+                             ids=["no-grid", "no-random"])
+    def test_usable_half_with_an_empty_block(self, sizes):
+        # log(v - 2) is finite only above 2
+        shifted = PointFunction("shifted", lambda v: v - 2.0, Interval(0.0, 3.0))
+        plan = SamplePlan(**sizes)
+        n = plan.grid_axis ** 3 + plan.n_random
+        with pytest.raises(DomainError, match=rf"only [1-9]\d*/{n} samples usable") as got:
+            block_theorem(TheoremId.AG, identity_weight(), shifted, "convex", plan)
+        assert str(got.value) == _outcome(
+            lambda: flat_theorem(TheoremId.AG, identity_weight(), shifted,
+                                 "convex", plan))
+
+
+def test_verifiers_never_join_the_sample_blocks(monkeypatch):
+    """No verdict builds a full-plan joined array. chained_check still reads
+    its hypothesis pairs (s, t) through the flat scalar_pairs view, so only
+    joins of the three-coordinate streams are refused."""
+    evaluate, flat = SampleBlocks.evaluate, SampleBlocks.flat
+
+    def refuse(method):
+        def guarded(self, *args):
+            assert len(self.grid) != 3, "a verifier joined the sample blocks"
+            return method(self, *args)
+        return guarded
+
+    monkeypatch.setattr(SampleBlocks, "evaluate", refuse(evaluate))
+    monkeypatch.setattr(SampleBlocks, "flat", refuse(flat))
+    plan = PLANS["small"]
+    wide = Interval(0.1, 10.0, closed_lo=True, closed_hi=True)
+    with pytest.raises(AssertionError, match="joined"):
+        plan.triples(wide)
+    assert not verify_theorem(TheoremId.AA, identity_weight(), FS["square"],
+                              "concave", plan, box=wide).holds
+    spec = ConvexitySpec(MeanKind.ARITHMETIC, MeanKind.ARITHMETIC, identity_weight(),
+                         "concave")
+    assert not verify_class(spec, FS["square"], plan, box=wide).holds
+    assert chained_check("cor4.2", identity_weight(), FS["square"], plan, box=wide).holds
+    for family in EQUALITY_FAMILIES:
+        assert equality_max_residual(family, plan)[0] < 1e-12
