@@ -189,6 +189,9 @@ def _build_box(args, f):
 def _build_weight(args):
     builder = WEIGHT_BUILDERS[args.weight]
     if args.weight_param is not None:
+        if not math.isfinite(args.weight_param):
+            raise MeanConvexError(
+                f"--weight-param must be finite, got {args.weight_param:g}")
         return builder(args.weight_param)
     try:
         return builder()
@@ -276,8 +279,6 @@ def _cmd_search(args) -> int:
     budget = args.budget
     if budget < 1:
         raise MeanConvexError(f"--budget must be at least 1, got {budget}")
-    margin_of = lambda x, y, z: theorem_margins(
-        tid, h, f, np.array([x]), np.array([y]), np.array([z]), sense)[0]
 
     best = None
     batch = 8192
@@ -292,7 +293,7 @@ def _cmd_search(args) -> int:
             idx = np.flatnonzero(bad)
             norms = np.maximum.reduce([np.abs(x[idx]), np.abs(y[idx]), np.abs(z[idx])])
             i = idx[int(np.argmin(norms))]
-            best = [float(x[i]), float(y[i]), float(z[i])]
+            best, margin = [float(x[i]), float(y[i]), float(z[i])], margins[i]
     if best is None:
         print(f"no violation found for theorem {tid.value} ({sense}) on "
               f"{f.name} within {used} evaluations")
@@ -300,25 +301,33 @@ def _cmd_search(args) -> int:
     # coordinate-descent shrink: pull coordinates toward the domain's low
     # edge while the violation persists. A pass depends only on best, so a
     # pass that leaves best unchanged would repeat itself: stop there.
+    # Coordinate i moves only on its own turn, so every trial of a pass is a
+    # point of the lattice values[0] x values[1] x values[2], each axis the
+    # three steps and then best's own coordinate (index 3), and one call
+    # evaluates the whole lattice. The budget counts scan points and the
+    # trials the walk reaches, never the lattice points it does not reach.
     while used < budget:
-        start = list(best)
+        values = [[lo + step * (c - lo) for step in (0.5, 0.8, 0.95)] + [c]
+                  for c in best]
+        lattice = theorem_margins(tid, h, f, *np.ix_(*values), sense)
+        at = (3, 3, 3)
         for i in range(3):
-            for step in (0.5, 0.8, 0.95):
+            for k in range(3):
                 if used >= budget:
                     break
-                trial = list(best)
-                trial[i] = lo + step * (trial[i] - lo)
+                trial = (*at[:i], k, *at[i + 1:])
                 used += 1
-                if margin_of(*trial) < -args.tol:
-                    best = trial
+                if lattice[trial] < -args.tol:
+                    at, margin = trial, lattice[trial]
                     break
+        start, best = best, [v[k] for v, k in zip(values, at)]
         if best == start:
             break
     wl, wr = popoviciu_sides(tid, h, f, *best)
     witness = {"x": best[0], "y": best[1], "z": best[2], "t": None,
                "lhs": wl, "rhs": wr}
     _write_report(args, f"theorem {tid.value}", f, h, sense, {"budget": args.budget},
-                  "refuted", float(margin_of(*best)), [witness], 0, used)
+                  "refuted", float(margin), [witness], 0, used)
     print(f"violation of theorem {tid.value} ({sense}) on {f.name}: "
           f"x={best[0]:.17g}, y={best[1]:.17g}, z={best[2]:.17g}, "
           f"lhs={wl:.17g}, rhs={wr:.17g} ({used} evaluations)")
@@ -397,8 +406,11 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=[t.value for t in TheoremId])
     ps.add_argument("--sense", choices=["convex", "concave"], default=None)
     ps.add_argument("--budget", type=int, default=100_000,
-                    help="cap on side evaluations; the witness shrink also "
-                         "stops at the first pass that leaves it unchanged")
+                    help="cap on evaluations: scan points plus the shrink "
+                         "trials reached (a pass computes its 4x4x4 trial "
+                         "lattice at once, but unreached points are not "
+                         "counted); the witness shrink also stops at the "
+                         "first pass that leaves it unchanged")
     _add_function_args(ps)
     _add_weight_args(ps)
     _add_sampling_args(ps)
@@ -444,8 +456,9 @@ def main(argv=None) -> int:
     if args.command == "verify" and args.arg and not args.val:
         parser.error("--val is required with --arg")
     try:
-        if not getattr(args, "tol", 0.0) >= 0.0:
-            raise MeanConvexError(f"--tol must be a number >= 0, got {args.tol:g}")
+        tol = getattr(args, "tol", 0.0)
+        if not (math.isfinite(tol) and tol >= 0.0):
+            raise MeanConvexError(f"--tol must be a finite number >= 0, got {tol:g}")
         _check_output_paths(args)
         return args.handler(args)
     except (MeanConvexError, KeyError) as exc:

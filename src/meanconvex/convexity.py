@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DomainError, InapplicableSpecError
 from .intervals import Interval
 from .means import MeanKind
-from .sampling import SamplePlan, rel_scale
+from .sampling import SamplePlan
 from .weights import (DEFAULT_TOL, WeightFunction, constant_weight, power_weight,
                       reciprocal_weight)
 
@@ -45,13 +45,18 @@ def _margin(lhs, rhs, valid, claim: str = "<="):
     means violated.
     """
     with np.errstate(all="ignore"):  # unusable samples may hold inf or nan
-        if claim == "<=":
-            gap = rhs - lhs
-        elif claim == ">=":
+        if claim == ">=":
             gap = lhs - rhs
         else:
-            gap = -np.abs(rhs - lhs)
-        return np.where(valid, gap / rel_scale(lhs, rhs), np.inf)
+            gap = rhs - lhs
+            if claim == "==":
+                np.negative(np.abs(gap, out=gap), out=gap)
+        # rel_scale(lhs, rhs), computed in place
+        scale = np.maximum(np.abs(lhs), np.abs(rhs))
+        np.maximum(1.0, scale, out=scale)
+        np.divide(gap, scale, out=gap)
+        np.copyto(gap, np.inf, where=~valid)
+    return gap
 
 
 @dataclass(frozen=True)

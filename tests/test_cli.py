@@ -228,6 +228,11 @@ class TestBadInput:
          "--hi", "10", *FAST],
     ]
 
+    WEIGHT_PARAMS = [
+        ["verify", "--arg", "A", "--val", "A", "--fn", "square", "--weight", "power",
+         "--weight-param", value] for value in ("nan", "inf")
+    ]
+
     @pytest.mark.parametrize("argv", [
         ["verify", "--theorem", "AA", "--fn", "square", "--lo", "20"],
         ["verify", "--theorem", "AA", "--fn", "square", "--lo", "5", "--hi", "1"],
@@ -251,6 +256,13 @@ class TestBadInput:
         ["search", "--theorem", "AA", "--fn", "square", "--tol", "-1"],
         ["classify", "--fn", "square", "--tol", "-1"],
         ["audit", "--tol", "-1"],
+        # an infinite tolerance would pass every claim and miss every violation
+        ["verify", "--theorem", "AA", "--fn", "square", "--lo", "0.1", "--hi", "10",
+         "--sense", "concave", "--tol", "inf"],
+        ["audit", "--tol", "inf"],
+        ["search", "--theorem", "AA", "--fn", "square", "--sense", "concave",
+         "--tol", "inf"],
+        *WEIGHT_PARAMS,
         # an output path in a missing directory, refused before any computation
         ["verify", "--theorem", "AA", "--fn", "square", "--lo", "0.1", "--hi", "10",
          "--json", f"{MISSING_DIR}/report.json"],
@@ -274,6 +286,11 @@ class TestBadInput:
                                  flag, str(path))
             assert (code, out) == (2, "")
             assert err.startswith(f"error: {flag} {path}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", WEIGHT_PARAMS, ids=" ".join)
+    def test_nonfinite_weight_param_named(self, capsys, argv):
+        _, _, err = run(capsys, *argv)
+        assert err == f"error: --weight-param must be finite, got {argv[-1]}\n"
 
     @pytest.mark.parametrize("argv", NONPOSITIVE, ids=" ".join)
     def test_nonpositive_f_named(self, capsys, argv):

@@ -9,6 +9,7 @@ margin, after no more evaluations than the reference.
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 
@@ -19,7 +20,8 @@ from meanconvex import cli
 from meanconvex.catalog import builtin_functions
 from meanconvex.intervals import Interval
 from meanconvex.popoviciu import TheoremId, theorem_margins
-from meanconvex.weights import DEFAULT_TOL, identity_weight
+from meanconvex.weights import (DEFAULT_TOL, identity_weight, power_weight,
+                                reciprocal_weight)
 
 # (label, theorem, function, sense, box)
 CASES = [
@@ -150,3 +152,104 @@ def test_shrink_stops_long_before_a_large_budget(monkeypatch, capsys):
     capsys.readouterr()
     assert code == 0
     assert len(calls) < 1000
+
+
+# ---------------------------------------------------------------------------
+# One theorem_margins call per pass: a pass reads every trial's margin off a
+# 4x4x4 lattice of the three steps and the start on each axis.
+
+STEPS = (0.5, 0.8, 0.95)
+
+
+def _one_point_margin(tid, h, f, sense):
+    return lambda x, y, z: float(theorem_margins(
+        TheoremId(tid), h, f, np.array([x]), np.array([y]), np.array([z]),
+        sense)[0])
+
+
+@pytest.mark.parametrize("fn", sorted(builtin_functions()))
+def test_lattice_margins_equal_one_point_margins(fn):
+    # the lattice shortcut walks the reference only if no entry depends on
+    # where in the array it was computed
+    f = builtin_functions()[fn]
+    lo, hi = f.sampling_domain(None).sampling_bounds()
+    values = [[lo + s * (c - lo) for s in STEPS] + [c]
+              for c in (lo + (hi - lo) * w for w in (0.3, 0.6, 0.9))]
+    finite = 0
+    for tid, h, sense in itertools.product(
+            TheoremId, (identity_weight(), power_weight(2.0), reciprocal_weight()),
+            ("convex", "concave")):
+        lattice = theorem_margins(tid, h, f, *np.ix_(*values), sense)
+        margin = _one_point_margin(tid, h, f, sense)
+        points = [margin(*p) for p in itertools.product(*values)]
+        assert lattice.shape == (4, 4, 4)
+        assert lattice.tobytes() == np.array(points).tobytes(), (tid, h.name, sense)
+        finite += int(np.isfinite(lattice).sum())
+    assert finite > 0
+
+
+@pytest.mark.parametrize("label,tid,fn,sense,box", CASES, ids=[c[0] for c in CASES])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_one_lattice_call_per_pass(label, tid, fn, sense, box, seed, tmp_path,
+                                   capsys, monkeypatch):
+    calls = []
+    real = cli.theorem_margins
+
+    def recording(tid, h, f, x, y, z, sense):
+        calls.append((x, y, z))
+        return real(tid, h, f, x, y, z, sense)
+
+    monkeypatch.setattr(cli, "theorem_margins", recording)
+    doc, _ = _search(tmp_path, tid, fn, sense, box, seed, 100_000, capsys)
+    shapes = [np.broadcast_shapes(*(np.shape(a) for a in c)) for c in calls]
+    n_scan = sum(len(s) == 1 for s in shapes)
+    assert [s[0] for s in shapes[:n_scan - 1]] == [8192] * (n_scan - 1)
+    assert shapes[n_scan:] == [(4, 4, 4)] * (len(calls) - n_scan)
+    assert len(calls) > n_scan and min(np.prod(s) for s in shapes) > 1
+    # each pass starts from the witness the previous pass left, and the last
+    # pass leaves the witness unchanged: the lattices are the passes
+    starts = [[float(x[3, 0, 0]), float(y[0, 3, 0]), float(z[0, 0, 3])]
+              for x, y, z in calls[n_scan:]]
+    for (x, y, z), start, after in zip(calls[n_scan:], starts, starts[1:]):
+        assert after != start
+        assert after in [[a, b, c] for a in x.ravel() for b in y.ravel()
+                         for c in z.ravel()]
+    w = doc["witnesses"][0]
+    assert starts[-1] == [w["x"], w["y"], w["z"]]
+
+
+@pytest.mark.parametrize("label,tid,fn,sense,box", CASES, ids=[c[0] for c in CASES])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_budget_ends_inside_a_later_coordinate(label, tid, fn, sense, box, seed,
+                                               tmp_path, capsys):
+    f = builtin_functions()[fn]
+    one_point = _one_point_margin(tid, identity_weight(), f, sense)
+    trials = []
+
+    def margin(x, y, z):
+        trials.append(((x, y, z), one_point(x, y, z)))
+        return trials[-1][1]
+
+    # the reference would walk on to 100,000: stop it where the search stops
+    _, stop = _search(tmp_path, tid, fn, sense, box, seed, 100_000, capsys)
+    reference_search(tid, fn, sense, box, seed, stop, margin)
+    scan = stop - len(trials)
+    doc, _ = _search(tmp_path, tid, fn, sense, box, seed, scan, capsys)
+    best = [doc["witnesses"][0][k] for k in "xyz"]
+    # the evaluation count after each trial, by the coordinate it moves
+    ends = {1: [], 2: []}
+    for n, (trial, m) in enumerate(trials, start=scan + 1):
+        moved = [i for i in range(3) if trial[i] != best[i]]
+        if moved in ([1], [2]):
+            ends[moved[0]].append(n)
+        if m < -DEFAULT_TOL:
+            best = list(trial)
+    assert ends[1] and ends[2]
+    for budget in {*ends[1][:2], ends[1][-1], *ends[2][:2], ends[2][-1]}:
+        best, used, stalled = reference_search(tid, fn, sense, box, seed, budget,
+                                               one_point)
+        doc, printed = _search(tmp_path, tid, fn, sense, box, seed, budget, capsys)
+        w = doc["witnesses"][0]
+        assert [w["x"], w["y"], w["z"]] == best
+        assert doc["min_margin"] == one_point(*best)
+        assert printed == doc["samples"] == (used if stalled is None else stalled)
