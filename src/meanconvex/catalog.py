@@ -150,7 +150,7 @@ _PROBES = [
     ("AG", "cosh", _BOX_01_5, "both", "direction measured, not asserted", "reciprocal"),
     ("AA", "square", _BOX_01_10, "both", "direction measured, not asserted", "squared"),
 ]
-_WEIGHTS = {"reciprocal": reciprocal_weight, "squared": lambda: power_weight(2.0)}
+_WEIGHTS = {"reciprocal": reciprocal_weight(), "squared": power_weight(2.0)}
 
 # Identity-weight chained corollaries: (corollary, f, box, reason).
 _CHAIN_CASES = [
@@ -180,7 +180,7 @@ def _class(key, f, pair, sense, box, reason) -> CatalogEntry:
 
 def _theorem(fs, tid, fname, box, sense, reason, weight=None) -> CatalogEntry:
     tid, probe = TheoremId(tid), sense == "both"
-    h = _WEIGHTS[weight]() if weight else identity_weight()
+    h = _WEIGHTS[weight] if weight else identity_weight()
     key = tid.value + (f"-{weight}-weight" if weight else "") + "-" + fname.replace("_", "-")
     if not probe and sense != BASE_SENSE[tid]:
         key += "-flipped"

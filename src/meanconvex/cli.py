@@ -21,6 +21,7 @@ import argparse
 import csv
 import dataclasses
 import functools
+import inspect
 import json
 import math
 import os
@@ -31,7 +32,7 @@ import numpy as np
 
 from .catalog import (_AUDIT_PLAN, _positivity_violation, builtin_functions,
                       make_function, run_audit)
-from .convexity import ConvexitySpec, verify_class
+from .convexity import DEFAULT_BOX, ConvexitySpec, verify_class
 from .errors import DomainError, MeanConvexError
 from .intervals import Interval
 from .means import MeanEvalContext, MeanKind, check_am_gm_hm, mean_classic, mean_eval
@@ -143,13 +144,16 @@ def _add_plan_args(p: argparse.ArgumentParser) -> None:
                    help="random samples after the grid")
 
 
-def _add_function_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--fn", required=True, choices=sorted(builtin_functions()),
-                   help="test function")
-    p.add_argument("--p", type=float, help="exponent for --fn power")
-    p.add_argument("--a", type=float, help="slope for --fn affine")
-    p.add_argument("--b", type=float, help="intercept for --fn affine")
-    p.add_argument("--c", type=float, help="value for --fn const")
+# Each function parameter flag: the one --fn that takes it, and what it sets.
+_FN_PARAMS = {"p": ("power", "exponent"), "a": ("affine", "slope"),
+              "b": ("affine", "intercept"), "c": ("const", "value")}
+
+
+def _add_function_args(p: argparse.ArgumentParser, default=None) -> None:
+    p.add_argument("--fn", required=default is None, default=default,
+                   choices=sorted(builtin_functions()), help="test function")
+    for flag, (fn, what) in _FN_PARAMS.items():
+        p.add_argument(f"--{flag}", type=float, help=f"{what} for --fn {fn}")
 
 
 def _add_weight_args(p: argparse.ArgumentParser) -> None:
@@ -174,33 +178,39 @@ def _build_plan(args, **sizes) -> SamplePlan:
 
 
 def _build_box(args, f):
-    """The --lo/--hi box (None without either) and f's sampling domain in it."""
-    lo = args.lo if args.lo is not None else -10.0
-    hi = args.hi if args.hi is not None else 10.0
+    """The --lo/--hi box (None without either) and f's bounded sampling domain."""
+    lo = args.lo if args.lo is not None else DEFAULT_BOX[0]
+    hi = args.hi if args.hi is not None else DEFAULT_BOX[1]
     box = None
     try:
         if args.lo is not None or args.hi is not None:
             box = Interval(lo, hi, closed_lo=True, closed_hi=True)
-        return box, f.sampling_domain(box)
+        dom = f.sampling_domain(box)
+        dom.sampling_bounds()
+        return box, dom
     except ValueError as exc:
         raise DomainError(f"sampling box [{lo:g}, {hi:g}] on {f.name}: {exc}") from None
 
 
 def _build_weight(args):
-    builder = WEIGHT_BUILDERS[args.weight]
-    if args.weight_param is not None:
-        if not math.isfinite(args.weight_param):
-            raise MeanConvexError(
-                f"--weight-param must be finite, got {args.weight_param:g}")
-        return builder(args.weight_param)
+    builder, param = WEIGHT_BUILDERS[args.weight], args.weight_param
+    given = () if param is None else (param,)
     try:
-        return builder()
+        inspect.signature(builder).bind(*given)
     except TypeError:
-        raise MeanConvexError(f"--weight {args.weight} needs --weight-param") from None
+        misuse = "needs" if param is None else "takes no"
+        raise MeanConvexError(f"--weight {args.weight} {misuse} --weight-param") from None
+    if given and not math.isfinite(param):
+        raise MeanConvexError(f"--weight-param must be finite, got {param:g}")
+    return builder(*given)
 
 
 def _build_fn(args):
-    return make_function(args.fn, p=args.p, a=args.a, b=args.b, c=args.c)
+    params = {flag: getattr(args, flag) for flag in _FN_PARAMS}
+    for flag, (fn, _) in _FN_PARAMS.items():
+        if params[flag] is not None and args.fn != fn:
+            raise MeanConvexError(f"--{flag} goes only with --fn {fn}")
+    return make_function(args.fn, **params)
 
 
 # --------------------------------------------------------------------------
@@ -424,12 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
                     default="additive")
     pc.add_argument("--power-exponent", type=float, default=None,
                     help="analytic class of x^k instead of sampling")
-    pc.add_argument("--fn", choices=sorted(builtin_functions()),
-                    default="identity")
-    pc.add_argument("--p", type=float)
-    pc.add_argument("--a", type=float)
-    pc.add_argument("--b", type=float)
-    pc.add_argument("--c", type=float)
+    _add_function_args(pc, default="identity")
     _add_sampling_args(pc)
     _add_plan_args(pc)
     pc.set_defaults(handler=_cmd_classify)

@@ -241,22 +241,21 @@ def verify_class(spec: ConvexitySpec, f: PointFunction,
                    cmp.min_margin, w, cmp.skipped)
 
 
-_EXTENDED_WEIGHTS = {
-    "Q": lambda s: reciprocal_weight(),
-    "P": lambda s: constant_weight(1.0),
-    "K_s2": lambda s: power_weight(s),
-}
+_EXTENDED_WEIGHTS = {"Q": reciprocal_weight(), "P": constant_weight()}
 
 
 def verify_extended_class(class_tag: str, arg_mean: MeanKind, f: PointFunction,
                           plan: SamplePlan | None = None, tol: float = DEFAULT_TOL,
                           s: float = 0.5, box: Optional[Interval] = None) -> Verdict:
     """Godunova-Levin (Q), P-function, and s-convex (K_s2) membership checks."""
-    if class_tag not in _EXTENDED_WEIGHTS:
+    if class_tag == "K_s2":
+        if not 0.0 < s <= 1.0:
+            raise DomainError("s-convexity requires s in (0, 1]")
+        h = power_weight(s)
+    elif class_tag in _EXTENDED_WEIGHTS:
+        h = _EXTENDED_WEIGHTS[class_tag]
+    else:
         raise InapplicableSpecError(f"unknown extended class {class_tag!r}")
-    if class_tag == "K_s2" and not 0.0 < s <= 1.0:
-        raise DomainError("s-convexity requires s in (0, 1]")
-    h = _EXTENDED_WEIGHTS[class_tag](s)
     spec = ConvexitySpec(arg_mean, arg_mean, h, "convex")
     return verify_class(spec, f, plan, tol, box)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -13,25 +14,17 @@ from .sampling import SamplePlan, rel_scale
 
 DEFAULT_TOL = 1e-9
 
-FAMILIES = ("identity", "power", "reciprocal", "constant")
-
 
 @dataclass(frozen=True)
 class WeightFunction:
-    """A positive weight on [0, 2].
+    """A positive weight on [0, 2], equal to another weight of the same name.
 
-    Must be strictly positive on (0, 1) and evaluable at 1/2 and 3/2; the
-    reciprocal family has a pole at 0.
+    Must be strictly positive on (0, 1) and evaluable at 1/2 and 3/2.
+    weight_eval rejects a pole (1/t at t = 0, say) by its value alone.
     """
 
     name: str
-    family: str
     fn: Callable[[np.ndarray], np.ndarray] = field(compare=False)
-    param: Optional[float] = None
-
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown weight family {self.family!r}")
 
     def __call__(self, t):
         """Vectorized raw evaluation (no domain checks)."""
@@ -39,28 +32,26 @@ class WeightFunction:
 
 
 def identity_weight() -> WeightFunction:
-    return WeightFunction("identity", "identity", lambda t: t)
+    return WeightFunction("identity", lambda t: t)
 
 
 def power_weight(r: float) -> WeightFunction:
-    return WeightFunction(f"power:{r:g}", "power", lambda t: t**r, param=r)
+    return WeightFunction(f"power:{r:g}", lambda t: t**r)
 
 
 def reciprocal_weight() -> WeightFunction:
-    return WeightFunction("reciprocal", "reciprocal", lambda t: 1.0 / t)
+    return WeightFunction("reciprocal", lambda t: 1.0 / t)
 
 
 def constant_weight(c: float = 1.0) -> WeightFunction:
-    return WeightFunction(
-        f"constant:{c:g}", "constant",
-        lambda t: np.full_like(np.asarray(t, dtype=float), c), param=c)
+    return WeightFunction(f"constant:{c:g}", lambda t: np.full_like(t, c))
 
 
 WEIGHT_BUILDERS = {
-    "identity": lambda param=None: identity_weight(),
-    "power": lambda param: power_weight(float(param)),
-    "reciprocal": lambda param=None: reciprocal_weight(),
-    "constant": lambda param=1.0: constant_weight(float(param)),
+    "identity": identity_weight,
+    "power": power_weight,
+    "reciprocal": reciprocal_weight,
+    "constant": constant_weight,
 }
 
 
@@ -68,12 +59,9 @@ def weight_eval(h: WeightFunction, t: float) -> float:
     """Evaluate h at t in [0, 2], rejecting poles and nonpositive values."""
     if not 0.0 <= t <= 2.0:
         raise DomainError(f"weight argument {t} outside [0, 2]")
-    if h.family == "reciprocal" and t == 0.0:
-        raise DomainError("reciprocal weight has a pole at t=0")
-    if h.family == "power" and h.param is not None and h.param < 0 and t == 0.0:
-        raise DomainError("negative-exponent power weight has a pole at t=0")
-    value = float(h(t))
-    if not np.isfinite(value):
+    with np.errstate(all="ignore"):
+        value = float(h(t))
+    if not math.isfinite(value):
         raise DomainError(f"weight {h.name} not finite at t={t}")
     if 0.0 < t < 1.0 and value <= 0.0:
         raise DomainError(f"weight {h.name} nonpositive at interior point t={t}")

@@ -9,6 +9,7 @@ import pytest
 
 from meanconvex import cli
 from meanconvex.cli import main
+from meanconvex.weights import WEIGHT_BUILDERS
 
 FAST = ["--grid", "7", "--grid-t", "5", "--random", "200"]
 
@@ -144,6 +145,13 @@ class TestClassifyCommand:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    def test_domain_clamps_infinite_edge(self, capsys):
+        # square lives on (0, inf), so a box from -inf samples (0, 3]
+        code, out, _ = run(capsys, "classify", "--fn", "square", "--lo=-inf",
+                           "--hi", "3", "--grid", "7", "--random", "200")
+        assert code == 0
+        assert out.startswith("square on [0, 3]: superadditive")
+
     def test_analytic_power_table(self, capsys):
         code, out, _ = run(capsys, "classify", "--power-exponent", "2")
         assert code == 0
@@ -233,6 +241,29 @@ class TestBadInput:
          "--weight-param", value] for value in ("nan", "inf")
     ]
 
+    # a sampling domain left unbounded by an infinite --lo or --hi
+    INFINITE_EDGES = [
+        ["verify", "--theorem", "AA", "--fn", "square", "--lo", "1", "--hi", "inf",
+         "--grid", "3", "--random", "5"],
+        ["search", "--theorem", "AA", "--fn", "square", "--sense", "concave",
+         "--hi", "inf"],
+        ["verify", "--arg", "A", "--val", "A", "--fn", "cosh", "--lo=-inf", "--hi", "3"],
+        ["classify", "--fn", "exp", "--lo=-inf"],
+    ]
+    # a function parameter flag that the chosen --fn does not take
+    STRAY_FN_PARAMS = [
+        ["verify", "--theorem", "AA", "--fn", "square", "--p", "3", "--lo", "0.1",
+         "--hi", "10", *FAST],
+        ["verify", "--theorem", "AA", "--fn", "power", "--a", "3", "--lo", "0.1",
+         "--hi", "10", *FAST],
+        ["search", "--theorem", "AA", "--fn", "affine", "--c", "2"],
+        ["classify", "--fn", "const", "--b", "1"],
+        ["classify", "--p", "2"],
+    ]
+    # the weights whose builder refuses the --weight-param given (or missing)
+    WEIGHT_MISUSE = {("identity", True): "takes no", ("reciprocal", True): "takes no",
+                     ("power", False): "needs"}
+
     @pytest.mark.parametrize("argv", [
         ["verify", "--theorem", "AA", "--fn", "square", "--lo", "20"],
         ["verify", "--theorem", "AA", "--fn", "square", "--lo", "5", "--hi", "1"],
@@ -270,6 +301,8 @@ class TestBadInput:
         ["search", "--theorem", "AA", "--fn", "square", "--sense", "concave",
          "--csv", f"{MISSING_DIR}/witness.csv"],
         *NONPOSITIVE,
+        *INFINITE_EDGES,
+        *STRAY_FN_PARAMS,
     ], ids=" ".join)
     def test_exits_two(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -291,6 +324,34 @@ class TestBadInput:
     def test_nonfinite_weight_param_named(self, capsys, argv):
         _, _, err = run(capsys, *argv)
         assert err == f"error: --weight-param must be finite, got {argv[-1]}\n"
+
+    @pytest.mark.parametrize("param", [[], ["--weight-param", "2"]],
+                             ids=["no-param", "param-2"])
+    @pytest.mark.parametrize("weight", sorted(WEIGHT_BUILDERS))
+    def test_weight_param_as_builder_takes_it(self, capsys, weight, param):
+        code, out, err = run(capsys, "verify", "--theorem", "AA", "--fn", "square",
+                             "--lo", "0.1", "--hi", "10", *FAST, "--weight", weight,
+                             *param)
+        misuse = self.WEIGHT_MISUSE.get((weight, bool(param)))
+        if misuse:
+            assert (code, out) == (2, "")
+            assert err == f"error: --weight {weight} {misuse} --weight-param\n"
+        else:
+            assert code in (0, 1)
+            assert f"[{weight}" in out
+
+    @pytest.mark.parametrize("argv", INFINITE_EDGES, ids=" ".join)
+    def test_infinite_edge_named(self, capsys, argv):
+        _, _, err = run(capsys, *argv)
+        assert re.match(r"error: sampling box \[-?\S+, -?\S+\] on \w+: cannot sample "
+                        r"an unbounded interval", err)
+
+    @pytest.mark.parametrize("argv", STRAY_FN_PARAMS, ids=" ".join)
+    def test_stray_fn_param_named(self, capsys, argv):
+        _, _, err = run(capsys, *argv)
+        flag = next(a for a in argv if a in ("--p", "--a", "--b", "--c"))
+        owner = {"--p": "power", "--a": "affine", "--b": "affine", "--c": "const"}[flag]
+        assert err == f"error: {flag} goes only with --fn {owner}\n"
 
     @pytest.mark.parametrize("argv", NONPOSITIVE, ids=" ".join)
     def test_nonpositive_f_named(self, capsys, argv):

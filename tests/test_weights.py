@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,6 +38,22 @@ class TestWeightEval:
 
     def test_constant(self):
         assert weight_eval(constant_weight(3.0), 0.7) == 3.0
+
+    @pytest.mark.parametrize("h,t", [(reciprocal_weight(), 0.0),
+                                     (power_weight(-1.0), 0.0),
+                                     (power_weight(3000.0), 2.0)],
+                             ids=["reciprocal", "power:-1", "power:3000-overflow"])
+    def test_pole_named_without_warning(self, h, t):
+        # a pole or overflow is found from h's value alone, with no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=rf"^weight {h.name} not finite at t={t}$"):
+                weight_eval(h, t)
+
+
+def test_weights_equal_by_name():
+    assert power_weight(2.0) == power_weight(2)
+    assert power_weight(2.0) != power_weight(3.0)
 
 
 class TestPowerWeightClass:
