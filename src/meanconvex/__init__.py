@@ -16,7 +16,7 @@ from .popoviciu import (BASE_SENSE, EQUALITY_FAMILIES, ChainedReport,
                         equality_max_residual, equality_residual, hlawka_check,
                         hlawka_margins, popoviciu_sides, theorem_margins,
                         two_point_reduction, verify_theorem)
-from .sampling import SamplePlan, rel_scale
+from .sampling import SamplePlan
 from .weights import (AdditivityClass, WeightFunction, classify_additivity,
                       classify_multiplicativity, constant_weight,
                       identity_weight, power_weight, power_weight_class,

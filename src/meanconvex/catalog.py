@@ -20,9 +20,9 @@ from .convexity import (ConvexitySpec, PointFunction, verify_class,
 from .errors import MeanConvexError
 from .intervals import Interval
 from .means import MeanKind
-from .popoviciu import (EQUALITY_FAMILIES, BASE_SENSE, TheoremId, chained_check,
-                        equality_max_residual, hlawka_margins, verify_theorem)
-from .sampling import SamplePlan
+from .popoviciu import (EQUALITY_FAMILIES, BASE_SENSE, TheoremId, _hlawka_sides,
+                        chained_check, equality_max_residual, verify_theorem)
+from .sampling import SamplePlan, _compare
 from .weights import (DEFAULT_TOL, identity_weight, power_weight,
                       reciprocal_weight)
 
@@ -106,6 +106,8 @@ _BOX_01_10 = Interval(0.1, 10.0, closed_lo=True, closed_hi=True)
 _BOX_01_5 = Interval(0.1, 5.0, closed_lo=True, closed_hi=True)
 _BOX_1_4 = Interval(1.0, 4.0, closed_lo=True, closed_hi=True)
 _BOX_2_8 = Interval(2.0, 8.0, closed_lo=True, closed_hi=True)
+_BOX_0_100 = Interval(0.0, 100.0, closed_lo=True, closed_hi=True)
+_BOX_HLAWKA = Interval(-100.0, 100.0, closed_lo=True, closed_hi=True)
 
 _FALSE = "deliberately false"  # the reason of a claim the audit must refute
 
@@ -233,10 +235,12 @@ def builtin_claims() -> list[CatalogEntry]:
           for cor, f, box, reason in _CHAIN_CASES],
         CatalogEntry("hlawka/random", "hlawka",
                      "|x|+|y|+|z|+|x+y+z| >= |x+z|+|z+y|+|x+y| on random triples",
-                     "holds", {"mode": "random"}),
+                     "holds", {"box": _BOX_HLAWKA, "claim": ">="}),
+        # negating x, y and z is exact and leaves both sides bit for bit the
+        # same, so the positive orthant stands for both same-sign orthants
         CatalogEntry("hlawka/same-sign", "hlawka",
                      "Hlawka's inequality is an equality when x, y, z share a sign",
-                     "equality", {"mode": "same-sign"}),
+                     "equality", {"box": _BOX_0_100, "claim": "=="}),
         *[_theorem(fs, *row) for row in _PROBES],
         *[_class(f"domain/{label or f.name.replace('_', '-')}-{pair}", f, pair, sense,
                  box, "f is not positive on its domain, yet the value mean needs f > 0")
@@ -322,22 +326,19 @@ def _audit_chain(entry, plan, tol):
 
 
 def _audit_hlawka(entry, plan, tol):
-    rng = np.random.default_rng(plan.seed)
-    n = max(plan.n_random, 10_000)
-    if entry.payload["mode"] == "random":
-        x, y, z = rng.uniform(-100.0, 100.0, size=(3, n))
-        margins = hlawka_margins(x, y, z)
-        scale = np.maximum(1.0, np.abs(x) + np.abs(y) + np.abs(z))
-        worst = float(np.min(margins / scale))
-        return ("holds" if worst >= -1e-12 else "refuted",
-                f"min relative margin {worst:.3e}", worst, n, 0)
-    x, y, z = rng.uniform(0.0, 100.0, size=(3, n))
-    sign = np.where(rng.random(n) < 0.5, 1.0, -1.0)
-    margins = hlawka_margins(sign * x, sign * y, sign * z)
-    scale = np.maximum(1.0, np.abs(x) + np.abs(y) + np.abs(z))
-    resid = float(np.max(np.abs(margins) / scale))
-    return ("equality" if resid <= 1e-12 else "not-equality",
-            f"max relative residual {resid:.3e}", resid, n, 0)
+    box, claim = entry.payload["box"], entry.payload["claim"]
+    blocks = plan.triple_blocks(box)
+    cmp = _compare(blocks.map(_hlawka_sides), claim, "Hlawka's inequality", tol)
+    if claim == "==":
+        outcome = "not-equality" if cmp.violations else "equality"
+        margin, detail = -cmp.min_margin, f"max relative residual {-cmp.min_margin:.3e}"
+    else:
+        outcome = "refuted" if cmp.violations else "holds"
+        margin, detail = cmp.min_margin, f"min relative margin {cmp.min_margin:.3e}"
+    if cmp.violations:
+        x, y, z = blocks.point(cmp.violations[0][0])
+        detail = f"violated at ({x:.6g}, {y:.6g}, {z:.6g})"
+    return outcome, detail, margin, cmp.samples, cmp.skipped
 
 
 def _audit_probe(entry, plan, tol):

@@ -4,15 +4,8 @@ The defining inequality compares f at a two-point argument mean against a
 weighted value-mean combination of f(x), f(y). Weight placements differ per
 (argument mean, value mean) pair and are taken verbatim from the printed
 case equations: three value-mean shapes, with h(t) and h(1 - t) swapped under
-a harmonic argument mean; see _VALUE_MEANS.
-
-Every verdict in the package compares its sides through one kernel,
-_compare. It takes the sides block by block (the grid, then the random
-tail), turns each block into relative margins with _margin, reduces them on
-the block's own shape to a usable count, a minimum and the first violations,
-and combines the blocks in sample order; the usable-sample rule applies to
-the summed counts. _margin is the one margin formula; theorem_margins uses
-it for per-point margins.
+a harmonic argument mean; see _VALUE_MEANS. verify_class reduces the sides
+through sampling._compare, the comparison kernel every verdict shares.
 """
 
 from __future__ import annotations
@@ -26,78 +19,12 @@ import numpy as np
 from .errors import DomainError, InapplicableSpecError
 from .intervals import Interval
 from .means import MeanKind
-from .sampling import SamplePlan
+from .sampling import SamplePlan, _compare
 from .weights import (DEFAULT_TOL, WeightFunction, constant_weight, power_weight,
-                      reciprocal_weight)
-
-# A verdict needs at least this fraction of usable (non-skipped) samples.
-MIN_USABLE_FRACTION = 0.5
+                      reciprocal_weight, weight_eval)
 
 # Default box used to bound sampling when a function's domain is unbounded.
 DEFAULT_BOX = (-10.0, 10.0)
-
-
-def _margin(lhs, rhs, valid, claim: str = "<="):
-    """Relative margin of the claim lhs <= rhs, lhs >= rhs or lhs == rhs.
-
-    The margin is rhs - lhs, lhs - rhs or -|rhs - lhs| over
-    max(1, |lhs|, |rhs|), and +inf where a sample is not usable; negative
-    means violated.
-    """
-    with np.errstate(all="ignore"):  # unusable samples may hold inf or nan
-        if claim == ">=":
-            gap = lhs - rhs
-        else:
-            gap = rhs - lhs
-            if claim == "==":
-                np.negative(np.abs(gap, out=gap), out=gap)
-        # rel_scale(lhs, rhs), computed in place
-        scale = np.maximum(np.abs(lhs), np.abs(rhs))
-        np.maximum(1.0, scale, out=scale)
-        np.divide(gap, scale, out=gap)
-        np.copyto(gap, np.inf, where=~valid)
-    return gap
-
-
-@dataclass(frozen=True)
-class Comparison:
-    """A claim reduced over all sample blocks."""
-
-    samples: int  # usable samples
-    skipped: int
-    min_margin: float
-    violations: list[tuple[int, float, float]]  # (index, lhs, rhs), sample order
-
-
-def _compare(blocks, claim: str, what: str, tol: Optional[float] = None,
-             limit: int = 1) -> Comparison:
-    """Compare lhs and rhs of a claim over the blocks of a sample stream.
-
-    blocks are (offset, shape, (lhs, rhs, valid)) per block, grid first, as
-    SampleBlocks.map gives them. Each block's margins are reduced on the
-    block's shape; with tol, up to `limit` samples violating the claim by
-    more than tol are kept, in sample order, with their lhs and rhs. Raises
-    DomainError, naming the claim `what`, when fewer than
-    MIN_USABLE_FRACTION of all samples are usable.
-    """
-    usable = total = 0
-    lowest = np.inf
-    violations = []
-    for offset, shape, (lhs, rhs, valid) in blocks:
-        rel = np.broadcast_to(_margin(lhs, rhs, valid, claim), shape)
-        if not rel.size:
-            continue
-        total += rel.size
-        usable += int(np.count_nonzero(np.broadcast_to(valid, shape)))
-        block_min = float(rel.min())
-        lowest = min(lowest, block_min)
-        if tol is not None and block_min < -tol and len(violations) < limit:
-            bad = np.flatnonzero(rel < -tol)[:limit - len(violations)]
-            lhs, rhs = np.broadcast_to(lhs, shape), np.broadcast_to(rhs, shape)
-            violations += [(offset + int(i), lhs.flat[i], rhs.flat[i]) for i in bad]
-    if usable < MIN_USABLE_FRACTION * total:
-        raise DomainError(f"only {usable}/{total} samples usable for {what}")
-    return Comparison(usable, total - usable, lowest, violations)
 
 
 @dataclass(frozen=True)
@@ -226,10 +153,12 @@ def verify_class(spec: ConvexitySpec, f: PointFunction,
 
     Convex sense requires lhs <= rhs within relative tolerance; concave the
     reverse. Returns the smallest-index witness on refutation. A verdict is
-    "on samples" only, never a proof.
+    "on samples" only, never a proof. Raises DomainError when h is not
+    positive and finite at t = 1/2, as verify_theorem does.
     """
     plan = plan or SamplePlan()
     blocks = plan.pair_t_blocks(f.sampling_domain(box))
+    weight_eval(spec.h, 0.5)
     cmp = _compare(blocks.map(partial(_gap_arrays, spec, f)),
                    "<=" if spec.sense == "convex" else ">=",
                    f"{spec.label} on {f.name}", tol)

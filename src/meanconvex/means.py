@@ -13,7 +13,10 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, EvaluationError
+from .sampling import _margin
 from .weights import DEFAULT_TOL, WeightFunction, weight_eval
 
 
@@ -86,8 +89,5 @@ def check_am_gm_hm(h: WeightFunction, t: float, a: float, b: float,
     hm = mean_eval(MeanEvalContext(MeanKind.HARMONIC, h, t), a, b)
     gm = mean_eval(MeanEvalContext(MeanKind.GEOMETRIC, h, t), a, b)
     am = mean_eval(MeanEvalContext(MeanKind.ARITHMETIC, h, t), a, b)
-    margin_hg = gm - hm
-    margin_ga = am - gm
-    scale = max(1.0, abs(hm), abs(gm), abs(am))
-    holds = margin_hg >= -tol * scale and margin_ga >= -tol * scale
-    return ChainVerdict(hm, gm, am, margin_hg, margin_ga, holds)
+    rel = _margin(np.array([hm, gm]), np.array([gm, am]), np.True_)  # H <= G, G <= A
+    return ChainVerdict(hm, gm, am, gm - hm, am - gm, bool(rel.min() >= -tol))

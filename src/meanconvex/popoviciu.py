@@ -21,12 +21,12 @@ from typing import Optional
 
 import numpy as np
 
-from .convexity import PointFunction, Witness, _compare, _margin
+from .convexity import PointFunction, Witness
 from .errors import DomainError, HypothesisMismatchError
 from .intervals import Interval
-from .sampling import SamplePlan
+from .sampling import SamplePlan, _compare, _margin
 from .weights import (DEFAULT_TOL, WeightFunction, classify_additivity,
-                      classify_multiplicativity, identity_weight, weight_eval)
+                      classify_multiplicativity, weight_eval)
 
 
 class TheoremId(enum.Enum):
@@ -95,13 +95,13 @@ def _theorem_sides(tid: TheoremId, h32: float, h12: float, f: PointFunction,
             means)
 
 
-def _sides_arrays(tid: TheoremId, h: WeightFunction, f: PointFunction, x, y, z):
+def _sides_arrays(tid: TheoremId, h32: float, h12: float, f: PointFunction,
+                  x, y, z):
     """Vectorized (lhs, rhs, valid) in the theorem's comparison domain.
 
-    Product theorems return log-domain sides.
+    h32 = h(3/2) and h12 = h(1/2), as weight_eval gives them; product
+    theorems return log-domain sides.
     """
-    h32 = weight_eval(h, 1.5)
-    h12 = weight_eval(h, 0.5)
     with np.errstate(all="ignore"):
         lhs, rhs, means = _theorem_sides(tid, h32, h12, f, x, y, z)
         valid = np.isfinite(lhs) & np.isfinite(rhs)
@@ -116,7 +116,8 @@ def popoviciu_sides(tid: TheoremId, h: WeightFunction, f: PointFunction,
     if not all(f.domain.contains(v) for v in (x, y, z)):
         raise DomainError(f"({x}, {y}, {z}) not inside domain of {f.name}")
     arr = lambda v: np.array([float(v)])
-    lhs, rhs, valid = _sides_arrays(tid, h, f, arr(x), arr(y), arr(z))
+    lhs, rhs, valid = _sides_arrays(tid, weight_eval(h, 1.5), weight_eval(h, 0.5), f,
+                                    arr(x), arr(y), arr(z))
     if not valid[0]:
         raise DomainError(
             f"triple ({x}, {y}, {z}) not evaluable for theorem {tid.value} on {f.name}")
@@ -169,7 +170,8 @@ def verify_theorem(tid: TheoremId, h: WeightFunction, f: PointFunction,
         raise ValueError(f"sense must be convex|concave, got {sense!r}")
     plan = plan or SamplePlan()
     blocks = plan.triple_blocks(f.sampling_domain(box))
-    cmp = _compare(blocks.map(partial(_sides_arrays, tid, h, f)), _claim(tid, sense),
+    kernel = partial(_sides_arrays, tid, weight_eval(h, 1.5), weight_eval(h, 0.5), f)
+    cmp = _compare(blocks.map(kernel), _claim(tid, sense),
                    f"theorem {tid.value} on {f.name}", tol, limit=8)
     product = tid.value[1] == "G"
     witnesses = []
@@ -183,6 +185,8 @@ def verify_theorem(tid: TheoremId, h: WeightFunction, f: PointFunction,
 
 # ---------------------------------------------------------------------------
 # Equality families: corollary identities exact for every admissible triple.
+
+_IDENTITY_H = (1.5, 0.5)  # h(3/2), h(1/2) of the identity weight
 
 EQUALITY_FAMILIES = {
     "affine-AA": (TheoremId.AA, PointFunction(
@@ -214,8 +218,7 @@ def equality_residual(family: str, x: float, y: float, z: float) -> float:
         if not f.domain.contains(v):
             raise DomainError(f"{v} outside the {family} domain")
     arr = lambda v: np.array([float(v)])
-    lhs, rhs, valid = _sides_arrays(tid, identity_weight(), f,
-                                    arr(x), arr(y), arr(z))
+    lhs, rhs, valid = _sides_arrays(tid, *_IDENTITY_H, f, arr(x), arr(y), arr(z))
     if not valid[0]:
         raise DomainError(f"triple not evaluable for family {family}")
     return float(abs(lhs[0] - rhs[0]))
@@ -230,9 +233,8 @@ def theorem_margins(tid: TheoremId, h: WeightFunction, f: PointFunction,
     """
     if sense is None:
         sense = BASE_SENSE[tid]
-    lhs, rhs, valid = _sides_arrays(tid, h, f, np.asarray(x, dtype=float),
-                                    np.asarray(y, dtype=float),
-                                    np.asarray(z, dtype=float))
+    lhs, rhs, valid = _sides_arrays(tid, weight_eval(h, 1.5), weight_eval(h, 0.5), f,
+                                    *(np.asarray(v, dtype=float) for v in (x, y, z)))
     return _margin(lhs, rhs, valid, _claim(tid, sense))
 
 
@@ -247,7 +249,7 @@ def equality_max_residual(family: str, plan: SamplePlan | None = None,
     tid, f = EQUALITY_FAMILIES[family]
     plan = plan or SamplePlan()
     blocks = plan.triple_blocks(f.sampling_domain(box))
-    cmp = _compare(blocks.map(partial(_sides_arrays, tid, identity_weight(), f)), "==",
+    cmp = _compare(blocks.map(partial(_sides_arrays, tid, *_IDENTITY_H, f)), "==",
                    f"family {family}")
     return -cmp.min_margin, cmp.samples
 
@@ -422,8 +424,7 @@ def chained_check(corollary: str, h: WeightFunction, f: PointFunction,
         if not h_class.satisfies(_CHAIN_H_HYPOTHESIS):
             raise HypothesisMismatchError(f"{corollary} requires h {_CHAIN_H_HYPOTHESIS}; "
                                           f"sampled class is {h_class.tag}")
-    h32 = weight_eval(h, 1.5)
-    h12 = weight_eval(h, 0.5)
+    h32, h12 = weight_eval(h, 1.5), weight_eval(h, 0.5)
     blocks = plan.triple_blocks(dom)
     with np.errstate(all="ignore"):
         sides = blocks.map(partial(_chain_sides, corollary, h32, h12, f))
@@ -451,8 +452,13 @@ def hlawka_check(x: float, y: float, z: float) -> tuple[float, float, float]:
     return lhs, rhs, lhs - rhs
 
 
-def hlawka_margins(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Vectorized Hlawka margin for bulk sampling."""
+def _hlawka_sides(x, y, z):
+    """(lhs, rhs, valid) of Hlawka's inequality lhs >= rhs, elementwise."""
     lhs = np.abs(x) + np.abs(y) + np.abs(z) + np.abs(x + y + z)
     rhs = np.abs(x + z) + np.abs(z + y) + np.abs(x + y)
-    return lhs - rhs
+    return _finite_sides(lhs, rhs)
+
+
+def hlawka_margins(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Vectorized Hlawka margin lhs - rhs for bulk sampling."""
+    return np.subtract(*_hlawka_sides(x, y, z)[:2])

@@ -1,15 +1,20 @@
-"""Deterministic sampling plans: Cartesian grids plus seeded random points.
+"""Deterministic sampling plans and the one comparison kernel.
 
 A plan yields its samples as two blocks (SampleBlocks): the Cartesian grid
 as an open mesh of its axes (np.ix_, so each axis keeps only its own
 points), then the seeded random tail as flat columns. A side kernel runs on
 each block once; a term that reads only some axes, such as f(x) or
 f((x + z) / 2), costs one evaluation per distinct point instead of one per
-sample. Verifiers reduce each block's margins on the block's own shape and
-combine the reductions, so no full-plan array is built. Samples are
-numbered in one order, grid first in C order, then random, so that the
-"smallest-index witness" reported by a verifier is reproducible; the flat
-views triples, pairs_with_t and scalar_pairs list them in that order.
+sample. Samples are numbered in one order, grid first in C order, then
+random, so that the "smallest-index witness" reported by a verifier is
+reproducible; the flat views triples, pairs_with_t and scalar_pairs list
+them in that order.
+
+Every verdict in the package, additivity classes and Hlawka included,
+compares its sides through _compare: _margin turns each block into relative
+margins (it is the one margin formula), each block is reduced on its own
+shape, and the reductions are combined in sample order, so no full-plan
+array is built.
 """
 
 from __future__ import annotations
@@ -17,12 +22,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
+from .errors import DomainError
 from .intervals import Interval
 
 T_EPS = 1e-6
+
+# A verdict needs at least this fraction of usable (non-skipped) samples.
+MIN_USABLE_FRACTION = 0.5
 
 
 @dataclass(frozen=True)
@@ -33,7 +43,7 @@ class SampleBlocks:
     (n, 1, 1)); tail holds one flat column per coordinate. Sample i is grid
     point np.unravel_index(i, grid_shape) for i below the grid size, else
     tail row i - grid size. Verifiers reduce the blocks one at a time
-    (map); only the flat views join them (evaluate).
+    (map); only the flat views join them (flat).
     """
 
     grid: tuple[np.ndarray, ...]
@@ -52,23 +62,10 @@ class SampleBlocks:
         return [(0, shape, kernel(*self.grid)),
                 (math.prod(shape), self.tail[0].shape, kernel(*self.tail))]
 
-    def evaluate(self, kernel) -> tuple[np.ndarray, ...]:
-        """Run kernel(*coordinates), which returns a sequence of elementwise
-        arrays, on both blocks and join each result into one flat array in
-        sample order: the grid broadcast to its full shape and raveled in C
-        order, then the tail."""
-        (_, shape, grid), (n_grid, (n_tail,), tail) = self.map(kernel)
-        joined = []
-        for g, r in zip(grid, tail):
-            out = np.empty(n_grid + n_tail, np.result_type(g, r))
-            out[:n_grid].reshape(shape)[...] = g
-            out[n_grid:] = r
-            joined.append(out)
-        return tuple(joined)
-
     def flat(self) -> tuple[np.ndarray, ...]:
         """One flat column per coordinate, in sample order."""
-        return self.evaluate(lambda *coordinates: coordinates)
+        return tuple(np.concatenate([g.ravel(), r])
+                     for g, r in zip(np.broadcast_arrays(*self.grid), self.tail))
 
     def point(self, i: int) -> tuple[float, ...]:
         """The coordinates of sample i."""
@@ -135,6 +132,11 @@ class SamplePlan:
         xyz = self._spatial(domain)
         return self._blocks(xyz, xyz, xyz)
 
+    def pair_blocks(self, domain: Interval) -> SampleBlocks:
+        """(s, t) blocks: grid_axis^2 grid, then random."""
+        st = self._spatial(domain)
+        return self._blocks(st, st)
+
     def pairs_with_t(self, domain: Interval) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Ordered (x, y, t) samples: grid_axis^2 * grid_t grid, then random."""
         return self.pair_t_blocks(domain).flat()
@@ -144,11 +146,81 @@ class SamplePlan:
         return self.triple_blocks(domain).flat()
 
     def scalar_pairs(self, domain: Interval) -> tuple[np.ndarray, np.ndarray]:
-        """Ordered (s, t) pairs for additivity/multiplicativity checks."""
-        st = self._spatial(domain)
-        return self._blocks(st, st).flat()
+        """Ordered (s, t) pairs: grid_axis^2 grid, then random."""
+        return self.pair_blocks(domain).flat()
 
 
-def rel_scale(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Comparison scale max(1, |lhs|, |rhs|) used by all tolerance checks."""
-    return np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+def _margin(lhs, rhs, valid, claim: str = "<="):
+    """Relative margin of the claim lhs <= rhs, lhs >= rhs or lhs == rhs.
+
+    The margin is rhs - lhs, lhs - rhs or -|rhs - lhs| over
+    max(1, |lhs|, |rhs|), and +inf where a sample is not usable; negative
+    means violated.
+    """
+    with np.errstate(all="ignore"):  # unusable samples may hold inf or nan
+        if claim == ">=":
+            gap = lhs - rhs
+        else:
+            gap = rhs - lhs
+            if claim == "==":
+                np.negative(np.abs(gap, out=gap), out=gap)
+        scale = np.maximum(np.abs(lhs), np.abs(rhs))
+        np.maximum(1.0, scale, out=scale)
+        np.divide(gap, scale, out=gap)
+    return np.where(valid, gap, np.inf)
+
+
+@dataclass(frozen=True)
+class Comparison:
+    """A claim reduced over all sample blocks."""
+
+    samples: int  # usable samples
+    skipped: int
+    min_margin: float
+    violations: list[tuple[int, float, float]]  # (index, lhs, rhs), sample order
+
+
+def _broadcast(a: np.ndarray, shape) -> np.ndarray:
+    """a broadcast to shape, without a broadcast_to call where it has it."""
+    return a if a.shape == shape else np.broadcast_to(a, shape)
+
+
+def _compare(blocks, claim: str, what: str, tol: Optional[float] = None,
+             limit: int = 1) -> Comparison:
+    """Compare lhs and rhs of a claim over the blocks of a sample stream.
+
+    blocks are (offset, shape, (lhs, rhs, valid[, applicable])) per block,
+    grid first, as SampleBlocks.map gives them; a sample outside the optional
+    applicable mask is not counted at all. Each block's margins are reduced
+    on the block's shape; with tol, up to `limit` samples violating the claim
+    by more than tol are kept, in sample order, with their lhs and rhs (for
+    "==", `limit` with lhs above rhs and `limit` below). Raises DomainError,
+    naming the claim `what`, when fewer than MIN_USABLE_FRACTION of the
+    counted samples are usable.
+    """
+    usable = total = 0
+    lowest = np.inf
+    found = ([], [])  # kept violations by side; only "==" has a second side
+    for offset, shape, (lhs, rhs, valid, *applicable) in blocks:
+        rel = _broadcast(_margin(lhs, rhs, valid, claim), shape)
+        if not rel.size:
+            continue
+        total += (int(np.count_nonzero(_broadcast(applicable[0], shape)))
+                  if applicable else rel.size)
+        usable += int(np.count_nonzero(_broadcast(valid, shape)))
+        block_min = float(rel.min())
+        lowest = min(lowest, block_min)
+        if tol is None or block_min >= -tol:
+            continue
+        bad = rel < -tol
+        lhs, rhs = _broadcast(lhs, shape), _broadcast(rhs, shape)
+        masks = (bad & (lhs > rhs), bad & (lhs < rhs)) if claim == "==" else (bad,)
+        for kept, mask in zip(found, masks):
+            room = limit - len(kept)
+            if room > 0:  # argmax finds one violation without listing them all
+                index = np.flatnonzero(mask)[:room] if room > 1 else [mask.argmax()]
+                kept += [(offset + int(i), lhs.flat[i], rhs.flat[i])
+                         for i in index if mask.flat[i]]
+    if usable < MIN_USABLE_FRACTION * total:
+        raise DomainError(f"only {usable}/{total} samples usable for {what}")
+    return Comparison(usable, total - usable, lowest, sorted(found[0] + found[1]))

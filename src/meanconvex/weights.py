@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import DomainError
 from .intervals import Interval
-from .sampling import SamplePlan, rel_scale
+from .sampling import SamplePlan, _compare
 
 DEFAULT_TOL = 1e-9
 
@@ -98,55 +98,45 @@ class AdditivityClass:
         raise ValueError(f"unknown hypothesis {hypothesis!r}")
 
 
-def _classify(g, domain: Interval, plan: SamplePlan, tol: float,
-              combine, split, empty_msg: str) -> AdditivityClass:
-    s, t = plan.scalar_pairs(domain)
-    comb = combine(s, t)
+def _classify(g, domain: Interval, plan: SamplePlan, tol: float, op,
+              noun: str) -> AdditivityClass:
+    """Compare g(op(s, t)) against op(g(s), g(t)) over the plan's (s, t)
+    blocks: g(s) and g(t) on the grid axes, g(op(s, t)) on the open mesh.
+    Only pairs with op(s, t) in the sampling bounds count, and at least half
+    of them must be usable."""
     lo, hi = domain.sampling_bounds()
-    ok = (comb >= lo) & (comb <= hi)
-    if not ok.any():
-        raise DomainError(empty_msg)
-    s, t, comb = s[ok], t[ok], comb[ok]
+
+    def sides(s, t):
+        at = op(s, t)
+        applicable = (at >= lo) & (at <= hi)
+        whole = np.asarray(g(at), dtype=float)
+        parts = op(np.asarray(g(s), dtype=float), np.asarray(g(t), dtype=float))
+        return whole, parts, applicable & np.isfinite(whole) & np.isfinite(parts), \
+            applicable
+
+    blocks = plan.pair_blocks(domain)
     with np.errstate(all="ignore"):
-        whole = np.asarray(g(comb), dtype=float)
-        parts = split(np.asarray(g(s), dtype=float), np.asarray(g(t), dtype=float))
-    finite = np.isfinite(whole) & np.isfinite(parts)
-    s, t, whole, parts = s[finite], t[finite], whole[finite], parts[finite]
-    if whole.size == 0:
-        raise DomainError("no evaluable sample pairs")
-    diff = whole - parts
-    band = tol * rel_scale(whole, parts)
-    gt = diff > band
-    lt = diff < -band
-    witness_gt = (float(s[np.argmax(gt)]), float(t[np.argmax(gt)])) if gt.any() else None
-    witness_lt = (float(s[np.argmax(lt)]), float(t[np.argmax(lt)])) if lt.any() else None
-    if witness_gt and witness_lt:
-        tag = "mixed"
-    elif witness_gt:
-        tag = "superadditive"
-    elif witness_lt:
-        tag = "subadditive"
-    else:
-        tag = "additive"
-    return AdditivityClass(tag, witness_gt, witness_lt, samples_tested=int(whole.size))
+        cmp = _compare(blocks.map(sides), "==", f"pair {noun}s on [{lo:g}, {hi:g}]", tol)
+    if not cmp.samples + cmp.skipped:
+        raise DomainError(f"no sampled pair has {noun} in domain")
+    # "==" keeps the first violation on each side
+    gt = next((blocks.point(i) for i, whole, parts in cmp.violations if whole > parts), None)
+    lt = next((blocks.point(i) for i, whole, parts in cmp.violations if whole < parts), None)
+    tag = ("mixed" if gt and lt else "superadditive" if gt else
+           "subadditive" if lt else "additive")
+    return AdditivityClass(tag, gt, lt, samples_tested=cmp.samples)
 
 
 def classify_additivity(g, domain: Interval, plan: SamplePlan | None = None,
                         tol: float = DEFAULT_TOL) -> AdditivityClass:
     """Compare g(s+t) against g(s)+g(t) over sampled pairs with s+t in domain."""
-    return _classify(g, domain, plan or SamplePlan(), tol,
-                     combine=lambda s, t: s + t,
-                     split=lambda a, b: a + b,
-                     empty_msg="no sampled pair has sum in domain")
+    return _classify(g, domain, plan or SamplePlan(), tol, np.add, "sum")
 
 
 def classify_multiplicativity(f, domain: Interval, plan: SamplePlan | None = None,
                               tol: float = DEFAULT_TOL) -> AdditivityClass:
     """Compare f(s*t) against f(s)*f(t); tags read as sub/super-multiplicative."""
-    return _classify(f, domain, plan or SamplePlan(), tol,
-                     combine=lambda s, t: s * t,
-                     split=lambda a, b: a * b,
-                     empty_msg="no sampled pair has product in domain")
+    return _classify(f, domain, plan or SamplePlan(), tol, np.multiply, "product")
 
 
 def power_weight_class(k: float) -> AdditivityClass:

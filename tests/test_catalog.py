@@ -144,3 +144,16 @@ class TestRunAudit:
 
     def test_deterministic(self):
         assert run_audit(PLAN) == run_audit(PLAN)
+
+    def test_hlawka_rows_honour_tol(self, findings):
+        # at the default tol both rows pass; at tol 0 the float rounding of
+        # the sides fails them, and the detail names the first such triple
+        hlawka = {f.key: f for f in findings if f.kind == "hlawka"}
+        assert [(f.outcome, f.samples) for f in hlawka.values()] == \
+            [("holds", 9**3 + 500), ("equality", 9**3 + 500)]
+        exact = {f.key: f for f in run_audit(PLAN, tol=0.0) if f.kind == "hlawka"}
+        assert [f.outcome for f in exact.values()] == ["refuted", "not-equality"]
+        for f in exact.values():
+            x, y, z = map(float, f.detail.removeprefix("violated at (").rstrip(")")
+                          .split(", "))
+            assert all(abs(v) <= 100.0 for v in (x, y, z))

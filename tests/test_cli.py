@@ -276,6 +276,9 @@ class TestBadInput:
         ["verify", "--theorem", "AA", "--fn", "square", "--grid", "0", "--random", "0"],
         ["classify", "--fn", "square", "--grid", "-1"],
         ["verify", "--theorem", "AA", "--fn", "square", "--weight", "power"],
+        # a class checks h > 0 at t = 1/2 as a theorem does
+        ["verify", "--arg", "A", "--val", "A", "--fn", "square", "--weight", "constant",
+         "--weight-param", "-1"],
         ["means", "--weight", "power", "--x", "1", "--y", "4"],
         ["search", "--theorem", "AA", "--fn", "square", "--sense", "concave",
          "--budget", "0"],

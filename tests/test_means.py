@@ -78,6 +78,13 @@ class TestMeanChain:
         with pytest.raises(DomainError):
             check_am_gm_hm(ID, 0.0, 1.0, 2.0)
 
+    def test_each_link_on_its_own_scale(self):
+        # H exceeds G (which underflows to 0) by 1e-7; A near 1e5 must not
+        # widen the tolerance of the H <= G link
+        v = check_am_gm_hm(power_weight(-1.0), 1e-6, 0.001, 0.1)
+        assert v.g_mean < v.h_mean < 1e-6 and v.a_mean > 1e4
+        assert not v.holds
+
 
 @settings(max_examples=100, deadline=None)
 @given(t=st.floats(min_value=1e-3, max_value=1.0 - 1e-3),

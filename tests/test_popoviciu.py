@@ -126,7 +126,8 @@ class TestDerivedSides:
             # a tenth past each end, so that unusable triples are compared too
             pad = 0.1 * (hi - lo)
             x, y, z = rng.uniform(lo - pad, hi + pad, size=(3, 2000))
-            got = popoviciu._sides_arrays(tid, h, f, x, y, z)
+            got = popoviciu._sides_arrays(tid, weight_eval(h, 1.5), weight_eval(h, 0.5),
+                                          f, x, y, z)
             want = _ref_sides_arrays(tid, h, f, x, y, z)
             for g, w in zip(got, want):
                 assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), f.name
@@ -187,7 +188,7 @@ class TestVerifyTheorem:
         sides = popoviciu._sides_arrays
 
         def counting(*args):
-            calls.append((args[0], np.broadcast_shapes(*(np.shape(a) for a in args[3:]))))
+            calls.append((args[0], np.broadcast_shapes(*(np.shape(a) for a in args[4:]))))
             return sides(*args)
 
         monkeypatch.setattr(popoviciu, "_sides_arrays", counting)

@@ -1,16 +1,20 @@
-"""The factored sample path equals the flat one bit for bit.
+"""The factored sample path equals a flat reference bit for bit.
 
 Verifiers run their side kernels on SampleBlocks: once on the grid's open
-mesh of axes and once on the random tail. The reference is the same kernel
-on the flat streams plan.triples / plan.pairs_with_t. lhs, rhs and the valid
-mask must agree byte for byte, and witness coordinates must be the flat
-stream's sample at the witness index. The verdicts reduce each block on its
-own shape; the reference for them is the flat comparison kernel below, run
-on the whole stream at once.
+mesh of axes and once on the random tail. The reference streams are built
+here, apart from the module under test: the grid as np.meshgrid(...,
+indexing="ij") raveled in C order, then the rows of
+default_rng(seed).random((3, n_random)) scaled to each coordinate's bounds.
+lhs, rhs and the valid mask must agree byte for byte, and witness
+coordinates must be the reference sample at the witness index. The verdicts
+reduce each block on its own shape; the reference for them is the flat
+comparison kernel below, run on the whole stream at once.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import os
 from functools import partial
 
 import numpy as np
@@ -18,13 +22,14 @@ import pytest
 
 from meanconvex import (BASE_SENSE, ConvexitySpec, DomainError, EQUALITY_FAMILIES,
                         Interval, MeanKind, PointFunction, SamplePlan, TheoremId,
-                        chained_check, equality_max_residual, identity_weight,
+                        chained_check, classify_additivity, classify_multiplicativity,
+                        constant_weight, equality_max_residual, identity_weight,
                         power_weight, reciprocal_weight, verify_class,
                         verify_theorem, weight_eval)
-from meanconvex.catalog import builtin_functions
-from meanconvex.convexity import MIN_USABLE_FRACTION, _gap_arrays
+from meanconvex.catalog import _AUDIT_PLAN, builtin_functions
+from meanconvex.convexity import _gap_arrays
 from meanconvex.popoviciu import _CHAINS, _chain_links, _chain_sides, _sides_arrays
-from meanconvex.sampling import T_EPS, SampleBlocks, rel_scale
+from meanconvex.sampling import MIN_USABLE_FRACTION, T_EPS, SampleBlocks
 
 FS = builtin_functions()
 WEIGHTS = [identity_weight(), power_weight(2.0), reciprocal_weight()]
@@ -38,6 +43,7 @@ PLANS = {
 # sides are compared too
 BOX = Interval(-3.0, 3.0, closed_lo=True, closed_hi=True)
 PAIRS = [(MeanKind(a), MeanKind(v)) for a in "AGH" for v in "AGH"]
+UNIT = Interval(0.0, 1.0)  # the domain on which chained_check classifies h
 
 
 def _domain(f):
@@ -45,6 +51,44 @@ def _domain(f):
         return f.sampling_domain(BOX)
     except ValueError:  # the box misses f's domain
         return f.sampling_domain()
+
+
+# ---------------------------------------------------------------------------
+# Reference sample streams, built without SamplePlan's own joins.
+
+def reference_stream(plan, *bounds, t_axis=False):
+    """One flat column per coordinate, in sample order: the grid of
+    np.linspace axes as an "ij" meshgrid raveled in C order, then the plan's
+    random rows scaled to each coordinate's [lo, hi). With t_axis, the last
+    coordinate is the weight parameter t on its own grid."""
+    axes = [np.linspace(lo, hi, plan.grid_axis) for lo, hi in bounds]
+    if t_axis:
+        axes.append(np.linspace(T_EPS, 1.0 - T_EPS, plan.grid_t))
+        bounds = [*bounds, (T_EPS, 1.0 - T_EPS)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    rows = np.random.default_rng(plan.seed).random((3, plan.n_random))
+    return tuple(np.concatenate([m.ravel(), lo + (hi - lo) * row])
+                 for m, (lo, hi), row in zip(mesh, bounds, rows))
+
+
+def xyz_stream(plan, dom):
+    return reference_stream(plan, *[dom.sampling_bounds()] * 3)
+
+
+def xyt_stream(plan, dom):
+    return reference_stream(plan, *[dom.sampling_bounds()] * 2, t_axis=True)
+
+
+def st_stream(plan, dom):
+    return reference_stream(plan, *[dom.sampling_bounds()] * 2)
+
+
+def _joined(blocks, kernel):
+    """Each output of kernel on the blocks, broadcast to its block's shape,
+    raveled and joined in sample order."""
+    per_block = [[np.broadcast_to(out, shape).ravel() for out in outs]
+                 for _, shape, outs in blocks.map(kernel)]
+    return tuple(np.concatenate(columns) for columns in zip(*per_block))
 
 
 def _assert_bitwise(factored, flat):
@@ -62,10 +106,18 @@ def plan(request):
 class TestBlocks:
     def test_point_is_flat_sample(self, plan):
         dom = Interval(0.5, 2.0)
-        for blocks, flat in ((plan.triple_blocks(dom), plan.triples(dom)),
-                             (plan.pair_t_blocks(dom), plan.pairs_with_t(dom))):
+        for blocks, flat in ((plan.triple_blocks(dom), xyz_stream(plan, dom)),
+                             (plan.pair_t_blocks(dom), xyt_stream(plan, dom)),
+                             (plan.pair_blocks(dom), st_stream(plan, dom))):
             for i in range(flat[0].size):
                 assert blocks.point(i) == tuple(float(c[i]) for c in flat)
+
+    def test_flat_views_equal_reference(self, plan):
+        # the views the benchmark tracer wraps are plain joins of the blocks
+        dom = Interval(0.5, 2.0)
+        _assert_bitwise(plan.triples(dom), xyz_stream(plan, dom))
+        _assert_bitwise(plan.pairs_with_t(dom), xyt_stream(plan, dom))
+        _assert_bitwise(plan.scalar_pairs(dom), st_stream(plan, dom))
 
     def test_grid_is_open_mesh(self):
         blocks = PLANS["small"].pair_t_blocks(Interval(0.5, 2.0))
@@ -76,44 +128,44 @@ class TestBlocks:
 @pytest.mark.parametrize("h", WEIGHTS, ids=lambda h: h.name)
 class TestFactoredEqualsFlat:
     def test_theorem_sides(self, plan, h):
+        h32, h12 = weight_eval(h, 1.5), weight_eval(h, 0.5)
         for f in FS.values():
             dom = _domain(f)
             for tid in TheoremId:
-                factored = plan.triple_blocks(dom).evaluate(
-                    partial(_sides_arrays, tid, h, f))
-                _assert_bitwise(factored, _sides_arrays(tid, h, f, *plan.triples(dom)))
+                kernel = partial(_sides_arrays, tid, h32, h12, f)
+                _assert_bitwise(_joined(plan.triple_blocks(dom), kernel),
+                                kernel(*xyz_stream(plan, dom)))
 
     def test_class_sides(self, plan, h):
         for f in FS.values():
             dom = _domain(f)
             for arg, val in PAIRS:
-                spec = ConvexitySpec(arg, val, h)
-                factored = plan.pair_t_blocks(dom).evaluate(partial(_gap_arrays, spec, f))
-                _assert_bitwise(factored, _gap_arrays(spec, f, *plan.pairs_with_t(dom)))
+                kernel = partial(_gap_arrays, ConvexitySpec(arg, val, h), f)
+                _assert_bitwise(_joined(plan.pair_t_blocks(dom), kernel),
+                                kernel(*xyt_stream(plan, dom)))
 
     def test_chain_links(self, plan, h):
         h32, h12 = weight_eval(h, 1.5), weight_eval(h, 0.5)
         for f in FS.values():
             dom = _domain(f)
             for corollary in _CHAINS:
+                kernel = partial(_chain_sides, corollary, h32, h12, f)
                 with np.errstate(all="ignore"):
-                    factored = plan.triple_blocks(dom).evaluate(
-                        partial(_chain_sides, corollary, h32, h12, f))
-                    flat = _chain_sides(corollary, h32, h12, f, *plan.triples(dom))
+                    factored = _joined(plan.triple_blocks(dom), kernel)
+                    flat = kernel(*xyz_stream(plan, dom))
                 _assert_bitwise(factored, flat)
 
 
 def test_equality_families(plan):
     for tid, f in EQUALITY_FAMILIES.values():
         dom = _domain(f)
-        factored = plan.triple_blocks(dom).evaluate(
-            partial(_sides_arrays, tid, identity_weight(), f))
-        _assert_bitwise(factored, _sides_arrays(tid, identity_weight(), f,
-                                                *plan.triples(dom)))
+        kernel = partial(_sides_arrays, tid, 1.5, 0.5, f)
+        _assert_bitwise(_joined(plan.triple_blocks(dom), kernel),
+                        kernel(*xyz_stream(plan, dom)))
 
 
 class TestWitnessCoordinates:
-    """Every witness names the flat stream's sample at its index."""
+    """Every witness names the reference stream's sample at its index."""
 
     PLAN = SamplePlan(grid_axis=7, grid_t=5, n_random=300, seed=11)
     WIDE = Interval(0.1, 10.0, closed_lo=True, closed_hi=True)
@@ -124,7 +176,7 @@ class TestWitnessCoordinates:
 
     def test_theorem_witnesses(self):
         seen = 0
-        flat = self.PLAN.triples(FS["cosh"].sampling_domain(self.WIDE))
+        flat = xyz_stream(self.PLAN, FS["cosh"].sampling_domain(self.WIDE))
         for tid in TheoremId:
             for sense in ("convex", "concave"):
                 rep = verify_theorem(tid, identity_weight(), FS["cosh"], sense,
@@ -142,7 +194,7 @@ class TestWitnessCoordinates:
                     spec = ConvexitySpec(arg, val, h, sense)
                     verdict = verify_class(spec, FS["cosh"], self.PLAN, box=self.WIDE)
                     if verdict.witness:
-                        flat = self.PLAN.pairs_with_t(FS["cosh"].sampling_domain(self.WIDE))
+                        flat = xyt_stream(self.PLAN, FS["cosh"].sampling_domain(self.WIDE))
                         self._check(verdict.witness, flat, "xyt")
                         origins.add(verdict.witness.index < self.PLAN.grid_axis**2
                                     * self.PLAN.grid_t)
@@ -153,13 +205,14 @@ class TestWitnessCoordinates:
         spec = ConvexitySpec(MeanKind.ARITHMETIC, MeanKind.ARITHMETIC,
                              identity_weight(), "concave")
         verdict = verify_class(spec, FS["square"], plan, box=self.WIDE)
-        flat = plan.pairs_with_t(FS["square"].sampling_domain(self.WIDE))
+        flat = xyt_stream(plan, FS["square"].sampling_domain(self.WIDE))
         self._check(verdict.witness, flat, "xyt")
         rep = verify_theorem(TheoremId.AA, identity_weight(), FS["square"],
                              "concave", plan, box=self.WIDE)
         assert rep.witnesses
         for w in rep.witnesses:
-            self._check(w, plan.triples(FS["square"].sampling_domain(self.WIDE)), "xyz")
+            self._check(w, xyz_stream(plan, FS["square"].sampling_domain(self.WIDE)),
+                        "xyz")
 
     def test_chain_witnesses(self):
         seen = 0
@@ -167,7 +220,7 @@ class TestWitnessCoordinates:
             for f in (FS["square"], FS["sqrt"], FS["exp"]):
                 rep = chained_check(corollary, identity_weight(), f, self.PLAN,
                                     box=self.WIDE, enforce_hypotheses=False)
-                flat = self.PLAN.triples(f.sampling_domain(self.WIDE))
+                flat = xyz_stream(self.PLAN, f.sampling_domain(self.WIDE))
                 for link in rep.links:
                     if link.witness:
                         self._check(link.witness, flat, "xyz")
@@ -190,7 +243,9 @@ class TestRandomBlock:
         xy = dom.sampling_bounds()
         rows = self._rows(plan, 3)
         for blocks, bounds in ((plan.triple_blocks(dom), [xy, xy, xy]),
-                               (plan.pair_t_blocks(dom), [xy, xy, (T_EPS, 1 - T_EPS)])):
+                               (plan.pair_t_blocks(dom), [xy, xy, (T_EPS, 1 - T_EPS)]),
+                               (plan.pair_blocks(dom), [xy, xy])):
+            assert len(blocks.tail) == len(bounds)
             for column, (lo, hi), row in zip(blocks.tail, bounds, rows):
                 assert column.tobytes() == (lo + (hi - lo) * row).tobytes()
         n_grid = plan.grid_axis ** 2
@@ -206,6 +261,7 @@ class TestRandomBlock:
         dom = Interval(0.5, 2.0)
         for _ in range(3):
             plan.triple_blocks(dom), plan.pair_t_blocks(dom), plan.scalar_pairs(dom)
+            classify_additivity(np.square, dom, plan)
         assert draws == [9]
         plan.with_seed(10).triples(dom)
         assert draws == [9, 10]
@@ -214,17 +270,19 @@ class TestRandomBlock:
 # ---------------------------------------------------------------------------
 # The block reducer against the flat kernel.
 
-def flat_compare(lhs, rhs, valid, forward=True, tol=None, what=None):
+def flat_compare(lhs, rhs, valid, forward=True, tol=None, what=None, applicable=None):
     """The flat comparison kernel: relative margin of lhs <= rhs (lhs >= rhs
     when not forward) over whole arrays, +inf where unusable, and with tol
-    the violating indices in sample order; with what, the usable-half rule."""
+    the violating indices in sample order; with what, the usable-half rule
+    over the applicable samples (all of them without a mask)."""
     if what is not None:
         n_valid = int(np.count_nonzero(valid))
-        if n_valid < MIN_USABLE_FRACTION * valid.size:
-            raise DomainError(f"only {n_valid}/{valid.size} samples usable for {what}")
+        n = valid.size if applicable is None else int(np.count_nonzero(applicable))
+        if n_valid < MIN_USABLE_FRACTION * n:
+            raise DomainError(f"only {n_valid}/{n} samples usable for {what}")
     lhs, rhs = np.where(valid, lhs, 0.0), np.where(valid, rhs, 0.0)
     margin = np.where(valid, (rhs - lhs) if forward else (lhs - rhs), np.inf)
-    rel = margin / rel_scale(lhs, rhs)
+    rel = margin / np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
     return rel, None if tol is None else (rel < -tol).nonzero()[0]
 
 
@@ -232,7 +290,7 @@ def _bits(values):
     """Every number of a nested result as its float64 bytes."""
     if isinstance(values, (tuple, list)):
         return [_bits(v) for v in values]
-    if isinstance(values, str):
+    if isinstance(values, str) or values is None:
         return values
     return np.float64(values).tobytes()
 
@@ -257,8 +315,8 @@ TOL = 1e-9
 
 
 def flat_theorem(tid, h, f, sense, plan):
-    xyz = plan.triples(f.sampling_domain(_box(f)))
-    lhs, rhs, valid = _sides_arrays(tid, h, f, *xyz)
+    xyz = xyz_stream(plan, f.sampling_domain(_box(f)))
+    lhs, rhs, valid = _sides_arrays(tid, weight_eval(h, 1.5), weight_eval(h, 0.5), f, *xyz)
     rel, bad = flat_compare(lhs, rhs, valid, sense == BASE_SENSE[tid], TOL,
                             f"theorem {tid.value} on {f.name}")
     side = np.exp if tid.value[1] == "G" else (lambda v: v)
@@ -273,7 +331,7 @@ def block_theorem(tid, h, f, sense, plan):
 
 
 def flat_class(spec, f, plan):
-    xyt = plan.pairs_with_t(f.sampling_domain(_box(f)))
+    xyt = xyt_stream(plan, f.sampling_domain(_box(f)))
     lhs, rhs, valid = _gap_arrays(spec, f, *xyt)
     rel, bad = flat_compare(lhs, rhs, valid, spec.sense == "convex", TOL,
                             f"{spec.label} on {f.name}")
@@ -288,8 +346,48 @@ def block_class(spec, f, plan):
         (w.index, w.x, w.y, w.t, w.lhs, w.rhs)] if w else []
 
 
+def flat_classify(g, dom, plan, op, noun):
+    """The flat additivity (op = np.add) or multiplicativity (np.multiply)
+    classification: g(op(s, t)) against op(g(s), g(t)) on the applicable
+    pairs of the reference (s, t) stream, with the first pair of each
+    violated direction in sample order."""
+    s, t = st_stream(plan, dom)
+    lo, hi = dom.sampling_bounds()
+    at = op(s, t)
+    applicable = (at >= lo) & (at <= hi)
+    if not applicable.any():
+        raise DomainError(f"no sampled pair has {noun} in domain")
+    with np.errstate(all="ignore"):
+        whole, parts = g(at), op(g(s), g(t))
+    valid = applicable & np.isfinite(whole) & np.isfinite(parts)
+    rel, _ = flat_compare(whole, parts, valid, what=f"pair {noun}s on [{lo:g}, {hi:g}]",
+                          applicable=applicable)
+    above = np.flatnonzero(rel < -TOL)  # g(s∘t) above the split: superadditive
+    below = np.flatnonzero(valid & (rel > TOL))
+    gt = (float(s[above[0]]), float(t[above[0]])) if above.size else None
+    lt = (float(s[below[0]]), float(t[below[0]])) if below.size else None
+    tag = ("mixed" if gt and lt else "superadditive" if gt else
+           "subadditive" if lt else "additive")
+    return tag, gt, lt, int(valid.sum())
+
+
+def block_classify(classify, g, dom, plan):
+    cls = classify(g, dom, plan, TOL)
+    return cls.tag, cls.witness_gt, cls.witness_lt, cls.samples_tested
+
+
+CLASSIFY = {"additive": (classify_additivity, np.add, "sum"),
+            "multiplicative": (classify_multiplicativity, np.multiply, "product")}
+
+
 def flat_chain(corollary, h, f, plan):
-    xyz = plan.triples(f.sampling_domain(_box(f)))
+    # chained_check classifies f and h before it samples the links
+    dom = f.sampling_domain(_box(f))
+    op, noun = (np.multiply, "product") if _CHAINS[corollary][0].endswith(
+        "multiplicative") else (np.add, "sum")
+    flat_classify(f.fn, dom, plan, op, noun)
+    flat_classify(h, UNIT, plan, np.add, "sum")
+    xyz = xyz_stream(plan, dom)
     with np.errstate(all="ignore"):
         sides = _chain_sides(corollary, weight_eval(h, 1.5), weight_eval(h, 0.5), f, *xyz)
     links = []
@@ -343,14 +441,71 @@ class TestReducerEqualsFlat:
                 want = _outcome(lambda: flat_chain(corollary, h, f, plan))
                 assert _outcome(lambda: block_chain(corollary, h, f, plan)) == want
                 refuted += isinstance(want, list) and any(link[3] for link in want)
+                if plan is PLANS["no-random"] and f.name == "exp_reciprocal" and \
+                        _CHAINS[corollary][0].endswith("additive"):
+                    # exp(1/v) overflows at the grid's first point, so 9 of
+                    # the 15 pairs whose sum stays in the box are not usable
+                    assert want.startswith("only 6/15 samples usable for pair sums")
         assert refuted > 0
+
+
+@pytest.mark.parametrize("mode", list(CLASSIFY))
+@pytest.mark.parametrize("plan", [*PLANS.values(), _AUDIT_PLAN],
+                         ids=[*PLANS, "audit"])
+class TestClassifyEqualsFlat:
+    """Tag, both witnesses and samples_tested of every classification equal
+    the flat kernel's bit for bit; so does the DomainError message."""
+
+    def test_catalog_functions(self, plan, mode):
+        classify, op, noun = CLASSIFY[mode]
+        tags = set()
+        for f in FS.values():
+            dom = _domain(f)
+            want = _outcome(lambda: flat_classify(f.fn, dom, plan, op, noun))
+            assert _outcome(lambda: block_classify(classify, f.fn, dom, plan)) == want
+            tags.add(want[0])
+        assert len(tags) > 2  # the cases reach several verdicts
+
+    def test_weights_on_unit_interval(self, plan, mode):
+        classify, op, noun = CLASSIFY[mode]
+        for h in (*WEIGHTS, constant_weight(), power_weight(0.5)):
+            want = _outcome(lambda: flat_classify(h, UNIT, plan, op, noun))
+            assert _outcome(lambda: block_classify(classify, h, UNIT, plan)) == want
+
+
+class TestClassifyUsableHalf:
+    """Only applicable pairs, with s∘t inside the box, count toward the
+    usable-half rule; a pair whose s∘t leaves the box is not skipped."""
+
+    def test_raises_when_most_applicable_pairs_overflow(self):
+        plan = SamplePlan(grid_axis=6, grid_t=4, n_random=0)
+        f = FS["exp_reciprocal"]
+        with pytest.raises(DomainError, match=r"only 6/15 samples usable"):
+            classify_additivity(f.fn, f.sampling_domain(BOX), plan)
+
+    # (plan, samples_tested of square additive, of square multiplicative, of
+    # h additive); a pair whose sum leaves the box counts for nothing
+    COUNTS = [(SamplePlan(), 5538, 3654, 5538), (_AUDIT_PLAN, 1080, 735, 1080),
+              (SamplePlan(grid_axis=6, grid_t=4, n_random=0), 15, 13, 15)]
+
+    @pytest.mark.parametrize("plan,add,mul,h_add", COUNTS,
+                             ids=["default", "audit", "no-random"])
+    def test_inapplicable_pairs_do_not_count(self, plan, add, mul, h_add):
+        square = FS["square"]
+        n = plan.grid_axis ** 2 + plan.n_random
+        dom = square.sampling_domain()  # (0, 10]
+        got = (classify_additivity(square.fn, dom, plan).samples_tested,
+               classify_multiplicativity(square.fn, dom, plan).samples_tested,
+               classify_additivity(identity_weight(), UNIT, plan).samples_tested)
+        assert got == (add, mul, h_add)
+        assert max(got) < 0.6 * n  # fewer than half of the drawn pairs apply
 
 
 def test_equality_families_equal_flat(plan):
     for family, (tid, f) in EQUALITY_FAMILIES.items():
         def flat():
-            lhs, rhs, valid = _sides_arrays(tid, identity_weight(), f,
-                                            *plan.triples(f.sampling_domain(_box(f))))
+            lhs, rhs, valid = _sides_arrays(tid, 1.5, 0.5, f,
+                                            *xyz_stream(plan, f.sampling_domain(_box(f))))
             rel, _ = flat_compare(lhs, rhs, valid, what=f"family {family}")
             return np.abs(rel[valid]).max(), valid.sum()
         assert _outcome(lambda: equality_max_residual(family, plan, _box(f))) == \
@@ -390,28 +545,36 @@ class TestReducerEdges:
 
 
 def test_verifiers_never_join_the_sample_blocks(monkeypatch):
-    """No verdict builds a full-plan joined array. chained_check still reads
-    its hypothesis pairs (s, t) through the flat scalar_pairs view, so only
-    joins of the three-coordinate streams are refused."""
-    evaluate, flat = SampleBlocks.evaluate, SampleBlocks.flat
+    """No verdict builds a full-plan joined array: classification reads its
+    (s, t) pairs as blocks too, so a join of any stream is refused."""
+    def guarded(self):
+        raise AssertionError("a verifier joined the sample blocks")
 
-    def refuse(method):
-        def guarded(self, *args):
-            assert len(self.grid) != 3, "a verifier joined the sample blocks"
-            return method(self, *args)
-        return guarded
-
-    monkeypatch.setattr(SampleBlocks, "evaluate", refuse(evaluate))
-    monkeypatch.setattr(SampleBlocks, "flat", refuse(flat))
+    monkeypatch.setattr(SampleBlocks, "flat", guarded)
     plan = PLANS["small"]
     wide = Interval(0.1, 10.0, closed_lo=True, closed_hi=True)
-    with pytest.raises(AssertionError, match="joined"):
-        plan.triples(wide)
+    for view in (plan.triples, plan.pairs_with_t, plan.scalar_pairs):
+        with pytest.raises(AssertionError, match="joined"):
+            view(wide)
     assert not verify_theorem(TheoremId.AA, identity_weight(), FS["square"],
                               "concave", plan, box=wide).holds
     spec = ConvexitySpec(MeanKind.ARITHMETIC, MeanKind.ARITHMETIC, identity_weight(),
                          "concave")
     assert not verify_class(spec, FS["square"], plan, box=wide).holds
     assert chained_check("cor4.2", identity_weight(), FS["square"], plan, box=wide).holds
+    assert classify_multiplicativity(np.cosh, wide, plan).tag == "mixed"
     for family in EQUALITY_FAMILIES:
         assert equality_max_residual(family, plan)[0] < 1e-12
+
+
+def test_tracer_hooks_resolve():
+    """Every public function the benchmark tracer wraps still exists under
+    the name it looks up, so `bench/run.py --trace` can install its spans."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "bench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("_bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [name for name, (owner, attr) in tracing.WRAPPED.items()
+               if not callable(getattr(owner, attr, None))]
+    assert tracing.WRAPPED and not missing
