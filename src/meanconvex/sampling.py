@@ -200,7 +200,7 @@ def _compare(blocks, claim: str, what: str, tol: Optional[float] = None,
     """
     usable = total = 0
     lowest = np.inf
-    found = ([], [])  # kept violations by side; only "==" has a second side
+    found = ([], []) if claim == "==" else ([],)  # kept violations by side
     for offset, shape, (lhs, rhs, valid, *applicable) in blocks:
         rel = _broadcast(_margin(lhs, rhs, valid, claim), shape)
         if not rel.size:
@@ -210,7 +210,7 @@ def _compare(blocks, claim: str, what: str, tol: Optional[float] = None,
         usable += int(np.count_nonzero(_broadcast(valid, shape)))
         block_min = float(rel.min())
         lowest = min(lowest, block_min)
-        if tol is None or block_min >= -tol:
+        if tol is None or block_min >= -tol or all(len(kept) >= limit for kept in found):
             continue
         bad = rel < -tol
         lhs, rhs = _broadcast(lhs, shape), _broadcast(rhs, shape)
@@ -223,4 +223,4 @@ def _compare(blocks, claim: str, what: str, tol: Optional[float] = None,
                          for i in index if mask.flat[i]]
     if usable < MIN_USABLE_FRACTION * total:
         raise DomainError(f"only {usable}/{total} samples usable for {what}")
-    return Comparison(usable, total - usable, lowest, sorted(found[0] + found[1]))
+    return Comparison(usable, total - usable, lowest, sorted(sum(found, [])))
