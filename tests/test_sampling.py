@@ -463,7 +463,7 @@ class TestClassifyEqualsFlat:
             dom = _domain(f)
             want = _outcome(lambda: flat_classify(f.fn, dom, plan, op, noun))
             assert _outcome(lambda: block_classify(classify, f.fn, dom, plan)) == want
-            tags.add(want[0])
+            tags.add(want[0] if isinstance(want, list) else "error")
         assert len(tags) > 2  # the cases reach several verdicts
 
     def test_weights_on_unit_interval(self, plan, mode):
