@@ -1,4 +1,4 @@
-"""Built-in function registry and the claim audit.
+"""Built-in functions by name, built from convexity.FUNCTIONS; the claim audit.
 
 The audit replays a catalog of concrete claims -- membership in a mean-pair
 convexity class, a three-point inequality, an exact-equality family, a
@@ -10,13 +10,13 @@ never raises: every discrepancy becomes a finding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
-from .convexity import (ConvexitySpec, PointFunction, verify_class,
-                        verify_extended_class)
+from .convexity import (_POS, _REALS, FUNCTIONS, ConvexitySpec, PointFunction,
+                        verify_class, verify_extended_class)
 from .errors import MeanConvexError
 from .intervals import Interval
 from .means import MeanKind
@@ -26,32 +26,10 @@ from .sampling import SamplePlan, _compare
 from .weights import (DEFAULT_TOL, identity_weight, power_weight,
                       reciprocal_weight)
 
-_POS = Interval(0.0, np.inf)
-_REALS = Interval(-np.inf, np.inf)
-
 
 def builtin_functions() -> dict[str, PointFunction]:
-    """Named test functions with their stated domains and positivity claims."""
-    return {f.name: f for f in (
-        PointFunction("identity", lambda v: v, _POS),
-        PointFunction("affine", lambda v: 2.0 * v + 3.0, _POS),
-        PointFunction("square", np.square, _POS),
-        PointFunction("neg_square", lambda v: -np.square(v), _POS, positive_on_domain=False),
-        PointFunction("sqrt", np.sqrt, _POS),
-        PointFunction("power", lambda v: v**2.0, _POS),
-        PointFunction("const", lambda v: np.full_like(np.asarray(v, dtype=float), 2.0),
-                      _REALS),
-        PointFunction("exp", np.exp, _REALS),
-        PointFunction("exp_neg", lambda v: np.exp(-v), _REALS),
-        PointFunction("log", np.log, Interval(1.0, np.inf)),
-        PointFunction("neg_log", lambda v: -np.log(v), Interval(0.0, 1.0)),
-        PointFunction("cosh", np.cosh, _REALS),
-        PointFunction("arcsin", np.arcsin, Interval(0.0, 1.0)),
-        PointFunction("arctan", np.arctan, _POS),
-        PointFunction("reciprocal", lambda v: 1.0 / v, _POS),
-        PointFunction("reciprocal_log", lambda v: 1.0 / np.log(v), Interval(1.0, np.inf)),
-        PointFunction("exp_reciprocal", lambda v: np.exp(1.0 / v), _POS),
-    )}
+    """Every function of the FUNCTIONS table, with its domain and positivity claim."""
+    return {name: PointFunction(name, *row) for name, row in FUNCTIONS.items()}
 
 
 def make_function(name: str, p: Optional[float] = None,
@@ -73,11 +51,9 @@ def make_function(name: str, p: Optional[float] = None,
         return PointFunction(f"const[{c:g}]", lambda v: np.full_like(
             np.asarray(v, dtype=float), c), _REALS,
             positive_on_domain=c > 0)
-    table = builtin_functions()
-    if name not in table:
-        raise KeyError(f"unknown function {name!r}; "
-                       f"choose from {sorted(table)}")
-    return table[name]
+    if name not in FUNCTIONS:
+        raise KeyError(f"unknown function {name!r}; choose from {sorted(FUNCTIONS)}")
+    return PointFunction(name, *FUNCTIONS[name])
 
 
 @dataclass(frozen=True)
@@ -210,10 +186,10 @@ def builtin_claims() -> list[CatalogEntry]:
     fs = builtin_functions()
     domain_cases = [  # (f, pair, sense, box, key label)
         (fs["neg_square"], "AG", "convex", _BOX_01_10, None),
-        (PointFunction("log", np.log, Interval(0.0, 1.0), positive_on_domain=False),
+        (replace(fs["log"], domain=Interval(0.0, 1.0), positive_on_domain=False),
          "GG", "convex", None, "log-unit"),
-        (PointFunction("neg_log", lambda v: -np.log(v), Interval(1.0, 10.0),
-                       positive_on_domain=False), "AH", "concave", None, None),
+        (replace(fs["neg_log"], domain=Interval(1.0, 10.0), positive_on_domain=False),
+         "AH", "concave", None, None),
     ]
     return [
         *[_class(f"class/{f.replace('_', '-')}-{pair}-{sense}", fs[f], pair, sense,

@@ -30,12 +30,11 @@ import time
 
 import numpy as np
 
-from .catalog import (_AUDIT_PLAN, _positivity_violation, builtin_functions,
-                      make_function, run_audit)
-from .convexity import DEFAULT_BOX, ConvexitySpec, verify_class
+from .catalog import _AUDIT_PLAN, _positivity_violation, make_function, run_audit
+from .convexity import DEFAULT_BOX, FUNCTIONS, ConvexitySpec, verify_class
 from .errors import DomainError, MeanConvexError
 from .intervals import Interval
-from .means import MeanEvalContext, MeanKind, check_am_gm_hm, mean_classic, mean_eval
+from .means import MeanKind, check_am_gm_hm, mean_classic
 from .popoviciu import (BASE_SENSE, TheoremId, popoviciu_sides,
                         theorem_margins, verify_theorem)
 from .sampling import SamplePlan
@@ -151,7 +150,7 @@ _FN_PARAMS = {"p": ("power", "exponent"), "a": ("affine", "slope"),
 
 def _add_function_args(p: argparse.ArgumentParser, default=None) -> None:
     p.add_argument("--fn", required=default is None, default=default,
-                   choices=sorted(builtin_functions()), help="test function")
+                   choices=sorted(FUNCTIONS), help="test function")
     for flag, (fn, what) in _FN_PARAMS.items():
         p.add_argument(f"--{flag}", type=float, help=f"{what} for --fn {fn}")
 
@@ -164,9 +163,11 @@ def _add_weight_args(p: argparse.ArgumentParser) -> None:
 
 
 def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    return int(os.environ.get("MEANCONVEX_SEED", "42"))
+    source, text = ("--seed", str(args.seed)) if args.seed is not None else \
+        ("MEANCONVEX_SEED", os.environ.get("MEANCONVEX_SEED", "42"))
+    if not text.isdecimal():
+        raise MeanConvexError(f"{source} must be an integer >= 0, got {text!r}")
+    return int(text)
 
 
 def _build_plan(args, **sizes) -> SamplePlan:
@@ -210,6 +211,8 @@ def _build_fn(args):
     for flag, (fn, _) in _FN_PARAMS.items():
         if params[flag] is not None and args.fn != fn:
             raise MeanConvexError(f"--{flag} goes only with --fn {fn}")
+        if params[flag] is not None and not math.isfinite(params[flag]):
+            raise MeanConvexError(f"--{flag} must be finite, got {params[flag]:g}")
     return make_function(args.fn, **params)
 
 
@@ -366,12 +369,11 @@ def _cmd_classify(args) -> int:
 
 def _cmd_means(args) -> int:
     h = _build_weight(args)
-    for kind in MeanKind:
-        value = mean_eval(MeanEvalContext(kind, h, args.t), args.x, args.y)
+    chain = check_am_gm_hm(h, args.t, args.x, args.y)  # all three means, or an error
+    for kind, value in zip(MeanKind, (chain.a_mean, chain.g_mean, chain.h_mean)):
         print(f"{kind.value}-mean [{h.name}, t={args.t:g}]"
               f"({args.x:g}, {args.y:g}) = {value:.17g} "
               f"(classic {mean_classic(kind, args.x, args.y):.17g})")
-    chain = check_am_gm_hm(h, args.t, args.x, args.y)
     state = "holds" if chain.holds else "violated"
     print(f"harmonic <= geometric <= arithmetic: {state} "
           f"(margins {chain.margin_hg:.3e}, {chain.margin_ga:.3e})")

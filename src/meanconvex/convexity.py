@@ -54,6 +54,30 @@ class PointFunction:
         return dom
 
 
+_POS, _REALS = Interval(0.0, np.inf), Interval(-np.inf, np.inf)
+
+# The built-in functions, one row each: name -> (fn, domain, positive_on_domain).
+FUNCTIONS = {
+    "identity": (lambda v: v, _POS, True),
+    "affine": (lambda v: 2.0 * v + 3.0, _POS, True),
+    "square": (np.square, _POS, True),
+    "neg_square": (lambda v: -np.square(v), _POS, False),
+    "sqrt": (np.sqrt, _POS, True),
+    "power": (lambda v: v**2.0, _POS, True),
+    "const": (lambda v: np.full_like(np.asarray(v, dtype=float), 2.0), _REALS, True),
+    "exp": (np.exp, _REALS, True),
+    "exp_neg": (lambda v: np.exp(-v), _REALS, True),
+    "log": (np.log, Interval(1.0, np.inf), True),
+    "neg_log": (lambda v: -np.log(v), Interval(0.0, 1.0), True),
+    "cosh": (np.cosh, _REALS, True),
+    "arcsin": (np.arcsin, Interval(0.0, 1.0), True),
+    "arctan": (np.arctan, _POS, True),
+    "reciprocal": (lambda v: 1.0 / v, _POS, True),
+    "reciprocal_log": (lambda v: 1.0 / np.log(v), Interval(1.0, np.inf), True),
+    "exp_reciprocal": (lambda v: np.exp(1.0 / v), _POS, True),
+}
+
+
 @dataclass(frozen=True)
 class ConvexitySpec:
     """One mean-pair convexity class: argument mean, value mean, weight, sense."""

@@ -38,26 +38,33 @@ class MeanEvalContext:
 
 
 def mean_eval(ctx: MeanEvalContext, a: float, b: float) -> float:
-    """Generalized mean of positive a, b with weights h(t), h(1-t)."""
-    if a <= 0 or b <= 0:
-        raise DomainError("means are defined for positive arguments only")
+    """Finite generalized mean of positive finite a, b, weights h(t), h(1-t)."""
+    if not (0 < a < math.inf and 0 < b < math.inf):  # NaN fails too
+        raise DomainError("means are defined for positive finite arguments only")
     ht = weight_eval(ctx.h, ctx.t)
     h1t = weight_eval(ctx.h, 1.0 - ctx.t)
     if ctx.kind is MeanKind.ARITHMETIC:
-        return h1t * a + ht * b
-    if ctx.kind is MeanKind.GEOMETRIC:
+        value = h1t * a + ht * b
+    elif ctx.kind is MeanKind.GEOMETRIC:
         # log domain: products of many near-zero factors appear downstream
-        return math.exp(h1t * math.log(a) + ht * math.log(b))
-    denom = ht * a + h1t * b
-    if denom == 0:
-        raise EvaluationError("harmonic denominator vanished")
-    return a * b / denom
+        try:
+            value = math.exp(h1t * math.log(a) + ht * math.log(b))
+        except OverflowError:
+            value = math.inf
+    else:
+        denom = ht * a + h1t * b
+        if denom == 0:
+            raise EvaluationError("harmonic denominator vanished")
+        value = a * b / denom
+    if not math.isfinite(value):
+        raise EvaluationError(f"{ctx.kind.value}-mean of {a:g} and {b:g} overflows")
+    return value
 
 
 def mean_classic(kind: MeanKind, a: float, b: float) -> float:
     """Unweighted two-point mean; equals mean_eval at h=identity, t=1/2."""
-    if a <= 0 or b <= 0:
-        raise DomainError("means are defined for positive arguments only")
+    if not (0 < a < math.inf and 0 < b < math.inf):
+        raise DomainError("means are defined for positive finite arguments only")
     if kind is MeanKind.ARITHMETIC:
         return (a + b) / 2.0
     if kind is MeanKind.GEOMETRIC:

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .convexity import PointFunction, Witness
+from .convexity import FUNCTIONS, PointFunction, Witness
 from .errors import DomainError, HypothesisMismatchError
 from .intervals import Interval
 from .sampling import SamplePlan, _compare, _margin
@@ -188,21 +188,12 @@ def verify_theorem(tid: TheoremId, h: WeightFunction, f: PointFunction,
 
 _IDENTITY_H = (1.5, 0.5)  # h(3/2), h(1/2) of the identity weight
 
+# Family key "<f>-<theorem>" ("_" in f read as "-") -> (theorem, built-in f).
 EQUALITY_FAMILIES = {
-    "affine-AA": (TheoremId.AA, PointFunction(
-        "affine", lambda v: 2.0 * v + 3.0, Interval(0.0, np.inf))),
-    "reciprocal-AH": (TheoremId.AH, PointFunction(
-        "reciprocal", lambda v: 1.0 / v, Interval(0.0, np.inf))),
-    "log-GA": (TheoremId.GA, PointFunction(
-        "log", np.log, Interval(1.0, np.inf))),
-    "reciprocal-log-GH": (TheoremId.GH, PointFunction(
-        "reciprocal_log", lambda v: 1.0 / np.log(v), Interval(1.0, np.inf))),
-    "reciprocal-HA": (TheoremId.HA, PointFunction(
-        "reciprocal", lambda v: 1.0 / v, Interval(0.0, np.inf))),
-    "exp-reciprocal-HG": (TheoremId.HG, PointFunction(
-        "exp_reciprocal", lambda v: np.exp(1.0 / v), Interval(0.0, np.inf))),
-    "identity-HH": (TheoremId.HH, PointFunction(
-        "identity", lambda v: v, Interval(0.0, np.inf))),
+    f"{name.replace('_', '-')}-{tid}": (TheoremId(tid), PointFunction(name, *FUNCTIONS[name]))
+    for name, tid in [("affine", "AA"), ("reciprocal", "AH"), ("log", "GA"),
+                      ("reciprocal_log", "GH"), ("reciprocal", "HA"),
+                      ("exp_reciprocal", "HG"), ("identity", "HH")]
 }
 
 

@@ -146,8 +146,7 @@ def power_weight_class(k: float) -> AdditivityClass:
     each single term and x^k is subadditive throughout; k in (0, 1] gives
     subadditivity by concavity, k = 1 additivity, and k > 1 superadditivity.
     """
-    if k == 1:
-        return AdditivityClass("additive")
-    if k < 1:
-        return AdditivityClass("subadditive")
-    return AdditivityClass("superadditive")
+    if not math.isfinite(k):
+        raise DomainError(f"power exponent must be finite, got {k:g}")
+    return AdditivityClass("additive" if k == 1 else "subadditive" if k < 1
+                           else "superadditive")

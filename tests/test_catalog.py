@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from meanconvex import Interval, SamplePlan
+from meanconvex import EQUALITY_FAMILIES, Interval, SamplePlan, catalog, cli
 from meanconvex.catalog import (AuditFinding, _positivity_violation,
                                 builtin_claims, builtin_functions,
                                 make_function, run_audit)
+from meanconvex.convexity import FUNCTIONS
 
 PLAN = SamplePlan(grid_axis=9, grid_t=5, n_random=500)
 
@@ -67,6 +68,68 @@ class TestMakeFunction:
     def test_unknown_name(self):
         with pytest.raises(KeyError):
             make_function("sinh")
+
+
+class TestFunctionTable:
+    """Every built-in PointFunction is built from the FUNCTIONS table, through
+    the name catalog.PointFunction at call time."""
+
+    @staticmethod
+    def patch_point_function(monkeypatch):
+        """Mark the fn of every PointFunction that catalog builds, as a tracer
+        does; returns the names built, in order."""
+        built, real = [], catalog.PointFunction
+
+        def marked_point_function(name, fn, domain, positive_on_domain=True):
+            built.append(name)
+
+            def marked(v):
+                return fn(v)
+            marked.marked = True
+            return real(name, marked, domain, positive_on_domain)
+        monkeypatch.setattr(catalog, "PointFunction", marked_point_function)
+        return built
+
+    @pytest.mark.parametrize("name", sorted(FUNCTIONS))
+    def test_make_function_builds_only_the_one_asked_for(self, monkeypatch, name):
+        built = self.patch_point_function(monkeypatch)
+        make_function(name)
+        assert built == [name]
+
+    @pytest.mark.parametrize("name", sorted(FUNCTIONS))
+    def test_built_from_the_table_row(self, name):
+        f = make_function(name)
+        assert (f.name, f.fn, f.domain, f.positive_on_domain) == (name, *FUNCTIONS[name])
+        assert builtin_functions()[name].fn is FUNCTIONS[name][0]
+
+    def test_equality_families_name_table_functions(self):
+        for _, f in EQUALITY_FAMILIES.values():
+            assert f.fn is FUNCTIONS[f.name][0]
+            assert (f.domain, f.positive_on_domain) == FUNCTIONS[f.name][1:]
+
+    def test_domain_cases_take_table_fn(self):
+        cases = {e.key: e.payload["f"] for e in builtin_claims()
+                 if e.key in ("domain/log-unit-GG", "domain/neg-log-AH")}
+        assert [(f.name, f.domain.lo, f.domain.hi) for f in cases.values()] == \
+            [("log", 0.0, 1.0), ("neg_log", 1.0, 10.0)]
+        for f in cases.values():
+            assert f.fn is FUNCTIONS[f.name][0]
+            assert not f.positive_on_domain
+
+    def test_every_function_built_through_catalog_name(self, monkeypatch):
+        # the benchmark tracer patches catalog.PointFunction to time each f
+        self.patch_point_function(monkeypatch)
+        fs = [*builtin_functions().values(),
+              *(make_function(name) for name in FUNCTIONS),
+              make_function("power", p=3.0), make_function("affine", a=1.0),
+              make_function("const", c=5.0)]
+        fs += [e.payload["f"] for e in builtin_claims() if "f" in e.payload]
+        assert all(getattr(f.fn, "marked", False) for f in fs)
+
+    def test_parser_builds_no_function(self, monkeypatch):
+        built = self.patch_point_function(monkeypatch)
+        cli.build_parser()
+        assert built == []
 
 
 class TestBuiltinClaims:

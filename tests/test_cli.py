@@ -260,6 +260,25 @@ class TestBadInput:
         ["classify", "--fn", "const", "--b", "1"],
         ["classify", "--p", "2"],
     ]
+    # a negative seed, which numpy's generator refuses
+    NEGATIVE_SEEDS = [
+        ["verify", "--theorem", "AA", "--fn", "square", "--lo", "0.1", "--hi", "10",
+         "--seed", "-1", *FAST],
+        ["audit", "--seed", "-1"],
+        ["search", "--theorem", "AA", "--fn", "square", "--sense", "concave",
+         "--seed", "-1"],
+        ["classify", "--fn", "sqrt", "--lo", "0.01", "--hi", "1", "--seed", "-1"],
+    ]
+    # a non-finite function parameter
+    NONFINITE_FN_PARAMS = [
+        ["search", "--theorem", "AA", "--fn", "power", "--p", "inf", "--sense",
+         "concave", "--budget", "50"],
+        ["verify", "--theorem", "AA", "--fn", "const", "--c", "nan", "--lo", "0.1",
+         "--hi", "10", *FAST],
+        ["verify", "--arg", "A", "--val", "A", "--fn", "affine", "--a", "inf",
+         "--lo", "0.1", "--hi", "10", *FAST],
+        ["classify", "--fn", "affine", "--b", "nan"],
+    ]
     # the weights whose builder refuses the --weight-param given (or missing)
     WEIGHT_MISUSE = {("identity", True): "takes no", ("reciprocal", True): "takes no",
                      ("power", False): "needs"}
@@ -306,12 +325,49 @@ class TestBadInput:
         *NONPOSITIVE,
         *INFINITE_EDGES,
         *STRAY_FN_PARAMS,
+        *NEGATIVE_SEEDS,
+        # a non-finite --p once ran the search and reported no violation (the
+        # other NONFINITE_FN_PARAMS exited 2 already, but blamed the samples)
+        NONFINITE_FN_PARAMS[0],
+        # a geometric mean past the largest float
+        ["means", "--weight", "power", "--weight-param", "-1", "--t", "1e-6",
+         "--x", "0.001", "--y", "1000"],
+        ["means", "--x", "nan", "--y", "4"],
+        ["means", "--x", "inf", "--y", "4"],
+        ["classify", "--power-exponent", "nan"],
+        ["classify", "--power-exponent", "inf"],
     ], ids=" ".join)
     def test_exits_two(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", ["-1", "abc", ""])
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--theorem", "AA", "--fn", "square", "--lo", "0.1", "--hi", "10",
+         *FAST],
+        ["audit"],
+        ["search", "--theorem", "AA", "--fn", "square", "--sense", "concave"],
+        ["classify", "--fn", "sqrt", "--lo", "0.01", "--hi", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_bad_seed_environment_named(self, capsys, monkeypatch, argv, value):
+        monkeypatch.setenv("MEANCONVEX_SEED", value)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: MEANCONVEX_SEED must be an integer >= 0, got {value!r}\n"
+
+    @pytest.mark.parametrize("argv", NEGATIVE_SEEDS, ids=" ".join)
+    def test_negative_seed_named(self, capsys, argv):
+        _, _, err = run(capsys, *argv)
+        assert err == "error: --seed must be an integer >= 0, got '-1'\n"
+
+    @pytest.mark.parametrize("argv", NONFINITE_FN_PARAMS, ids=" ".join)
+    def test_nonfinite_fn_param_named(self, capsys, argv):
+        _, _, err = run(capsys, *argv)
+        flag = next(a for a in argv if a in ("--p", "--a", "--b", "--c"))
+        value = argv[argv.index(flag) + 1]
+        assert err == f"error: {flag} must be finite, got {value}\n"
 
     def test_output_path_checked_before_computation(self, capsys, monkeypatch,
                                                      tmp_path):

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meanconvex import (DomainError, MeanEvalContext, MeanKind, check_am_gm_hm,
-                        identity_weight, mean_classic, mean_eval, power_weight,
-                        reciprocal_weight)
+                        EvaluationError, identity_weight, mean_classic, mean_eval,
+                        power_weight, reciprocal_weight)
 
 A, G, H = MeanKind.ARITHMETIC, MeanKind.GEOMETRIC, MeanKind.HARMONIC
 ID = identity_weight()
@@ -52,6 +52,20 @@ class TestWeightedMeans:
     def test_positive_arguments_only(self):
         with pytest.raises(DomainError):
             mean_eval(MeanEvalContext(A, ID, 0.5), 0.0, 1.0)
+
+    @pytest.mark.parametrize("a", [math.nan, math.inf])
+    def test_finite_arguments_only(self, a):
+        for kind in MeanKind:
+            with pytest.raises(DomainError):
+                mean_eval(MeanEvalContext(kind, ID, 0.5), a, 4.0)
+            with pytest.raises(DomainError):
+                mean_classic(kind, 4.0, a)
+
+    @pytest.mark.parametrize("kind,x,y", [(G, 0.001, 1000.0), (A, 1e303, 1e303)])
+    def test_overflow_is_an_evaluation_error(self, kind, x, y):
+        # h(t) = 1/t is 1e6 at t = 1e-6, so the weighted mean leaves the floats
+        with pytest.raises(EvaluationError, match="overflows"):
+            mean_eval(MeanEvalContext(kind, power_weight(-1.0), 1e-6), x, y)
 
     def test_endpoint_needs_defined_weight(self):
         # 1/t has a pole at t = 0, so the endpoint evaluation must refuse

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -71,6 +72,11 @@ class TestPowerWeightClass:
     ])
     def test_table(self, k, tag):
         assert power_weight_class(k).tag == tag
+
+    @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_exponent_refused(self, k):
+        with pytest.raises(DomainError, match="power exponent must be finite"):
+            power_weight_class(k)
 
     @pytest.mark.parametrize("k", [-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])
     def test_matches_sampling_on_unit_interval(self, k):
