@@ -9,6 +9,7 @@ from meanconvex import (ConvexitySpec, DomainError, InapplicableSpecError,
                         identity_weight, power_weight, reciprocal_weight,
                         verify_class, verify_extended_class)
 from meanconvex.catalog import builtin_functions, make_function
+from meanconvex.convexity import _gap_arrays
 
 A, G, H = MeanKind.ARITHMETIC, MeanKind.GEOMETRIC, MeanKind.HARMONIC
 ID = identity_weight()
@@ -49,6 +50,61 @@ class TestDefiningGap:
             defining_gap(spec(A, A), FS["square"], -1.0, 2.0, 0.5)
         with pytest.raises(DomainError):
             defining_gap(spec(A, A), FS["square"], 1.0, 2.0, 1.0)
+
+
+# The defining inequality's sides, written out apart from the module under
+# test: the argument mean weights x by t, and the value mean puts (h(t), h(1-t))
+# on (f(x), f(y)), swapped under a harmonic argument mean.
+def _ref_arg_mean(kind, x, y, t):
+    if kind is A:
+        return t * x + (1.0 - t) * y
+    if kind is G:
+        return x**t * y ** (1.0 - t)
+    return x * y / (t * x + (1.0 - t) * y)
+
+
+_REF_VALUE_MEANS = {
+    A: lambda wx, wy, fx, fy: wx * fx + wy * fy,
+    G: lambda wx, wy, fx, fy: fx**wx * fy**wy,
+    H: lambda wx, wy, fx, fy: fx * fy / (wy * fx + wx * fy),
+}
+
+
+def _ref_gap_arrays(spec, f, x, y, t):
+    with np.errstate(all="ignore"):
+        m = _ref_arg_mean(spec.arg_mean, x, y, t)
+        ht = np.asarray(spec.h(t), dtype=float)
+        h1t = np.asarray(spec.h(1.0 - t), dtype=float)
+        lhs = np.asarray(f(m), dtype=float)
+        wx, wy = (h1t, ht) if spec.arg_mean is H else (ht, h1t)
+        rhs = _REF_VALUE_MEANS[spec.val_mean](
+            wx, wy, np.asarray(f(x), dtype=float), np.asarray(f(y), dtype=float))
+        valid = f.domain.contains_array(m) & np.isfinite(m) & np.isfinite(lhs) \
+            & np.isfinite(rhs) & np.isfinite(ht) & np.isfinite(h1t)
+    return lhs, rhs, valid
+
+
+class TestDerivedSides:
+    @pytest.mark.parametrize("arg", [A, G, H])
+    @pytest.mark.parametrize("val", [A, G, H])
+    @pytest.mark.parametrize("h", [ID, power_weight(2.0), reciprocal_weight()],
+                             ids=lambda h: h.name)
+    def test_bitwise_equal_to_reference(self, arg, val, h):
+        rng = np.random.default_rng(21)
+        usable = []
+        for f in FS.values():
+            lo, hi = f.sampling_domain().sampling_bounds()
+            # a tenth past each end, so that unusable pairs are compared too
+            pad = 0.1 * (hi - lo)
+            x, y = rng.uniform(lo - pad, hi + pad, size=(2, 2000))
+            t = rng.uniform(0.0, 1.0, size=2000)
+            got = _gap_arrays(spec(arg, val, h=h), f, x, y, t)
+            want = _ref_gap_arrays(spec(arg, val, h=h), f, x, y, t)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), f.name
+            usable.append(got[2].mean())
+        # both usable and unusable pairs took part
+        assert 0.0 < np.mean(usable) < 1.0
 
 
 class TestVerifyClass:

@@ -13,7 +13,7 @@ from meanconvex import (BASE_SENSE, EQUALITY_FAMILIES, DomainError,
                         power_weight, theorem_margins, two_point_reduction,
                         verify_theorem)
 from meanconvex import popoviciu, reciprocal_weight, weight_eval
-from meanconvex.catalog import builtin_functions, make_function
+from meanconvex.catalog import _AUDIT_PLAN, builtin_functions, make_function
 
 ID = identity_weight()
 FS = builtin_functions()
@@ -102,10 +102,21 @@ def _ref_point_side(tid, h32, h12, f, c, x, y, z):
     return h12 * (1.0 / f(x) + 1.0 / f(y) + 1.0 / f(z)) + h32 / f(c)
 
 
+def _ref_pair_and_central(tid, x, y, z):
+    """The three pair means (xz, yz, xy) and the central mean of tid's argument mean."""
+    fam = tid.value[0]
+    if fam == "A":
+        return (x + z) / 2.0, (y + z) / 2.0, (x + y) / 2.0, (x + y + z) / 3.0
+    if fam == "G":
+        return np.sqrt(x * z), np.sqrt(y * z), np.sqrt(x * y), np.cbrt(x * y * z)
+    return (2.0 * x * z / (x + z), 2.0 * y * z / (y + z), 2.0 * x * y / (x + y),
+            3.0 * x * y * z / (x * y + y * z + x * z))
+
+
 def _ref_sides_arrays(tid, h, f, x, y, z):
     h32, h12 = weight_eval(h, 1.5), weight_eval(h, 0.5)
     with np.errstate(all="ignore"):
-        m1, m2, m3, c = popoviciu._pair_and_central(tid, x, y, z)
+        m1, m2, m3, c = _ref_pair_and_central(tid, x, y, z)
         lhs = _ref_pair_side(tid, f, m1, m2, m3)
         rhs = _ref_point_side(tid, h32, h12, f, c, x, y, z)
         valid = np.isfinite(lhs) & np.isfinite(rhs)
@@ -278,6 +289,34 @@ class TestChainedCheck:
                                 enforce_hypotheses=False)
             assert rep.corollary == name
             assert len(rep.links) >= 2
+
+
+class TestChainTable:
+    """Each corollary's middle link is its parent theorem's pair of sides,
+    read from the same arrays the theorem verifier compares."""
+
+    @pytest.mark.parametrize("h", [ID, power_weight(2.0), reciprocal_weight()],
+                             ids=lambda h: h.name)
+    def test_middle_link_is_the_parent_theorem(self, h):
+        h32, h12 = weight_eval(h, 1.5), weight_eval(h, 0.5)
+        bitwise = lambda a, b: a.shape == b.shape and a.tobytes() == b.tobytes()
+        for f in FS.values():
+            blocks = _AUDIT_PLAN.triple_blocks(f.sampling_domain())
+            for corollary, row in popoviciu._CHAINS.items():
+                parent, prefix = row[1], row[2]
+                for xyz in (blocks.grid, blocks.tail):
+                    with np.errstate(all="ignore"):
+                        sides = popoviciu._chain_sides(corollary, h32, h12, f, *xyz)
+                        theorem = lambda tid: popoviciu._sides_arrays(tid, h32, h12, f, *xyz)
+                        if corollary == "HG-chain":
+                            want = theorem(TheoremId.HA)[0], np.exp(theorem(TheoremId.HG)[1])
+                        else:
+                            want = theorem(parent)[:2]
+                    assert len(sides) == 2 * len(popoviciu._chain_links(corollary))
+                    j = 2 if prefix else 0
+                    lhs, rhs = (np.atleast_1d(s) for s in sides[j:j + 2])
+                    assert bitwise(lhs, want[0]), (corollary, f.name)
+                    assert bitwise(rhs, np.atleast_1d(want[1])), (corollary, f.name)
 
 
 class TestUsableFraction:
