@@ -1,11 +1,12 @@
 """Mean-pair convexity predicates and sampling-based verdicts.
 
-The defining inequality compares f at a two-point argument mean against a
-weighted value-mean combination of f(x), f(y). Weight placements differ per
-(argument mean, value mean) pair and are taken verbatim from the printed
-case equations: three value-mean shapes, with h(t) and h(1 - t) swapped under
-a harmonic argument mean; see _VALUE_MEANS. verify_class reduces the sides
-through sampling._compare, the comparison kernel every verdict shares.
+The defining inequality compares f at a two-point argument mean M(x, y)
+against a value mean N(f(x), f(y)); both are read from means.WEIGHTED_MEANS.
+The placements are taken verbatim from the printed case equations: the
+argument mean puts t on x and 1 - t on y, the value mean h(t) on f(x) and
+h(1 - t) on f(y). Under a harmonic argument mean both pairs are swapped, to
+(1 - t, t) and (h(1 - t), h(t)). verify_class reduces the sides through
+sampling._compare, the comparison kernel every verdict shares.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError, InapplicableSpecError
 from .intervals import Interval
-from .means import MeanKind
+from .means import WEIGHTED_MEANS, MeanKind
 from .sampling import SamplePlan, _compare
 from .weights import (DEFAULT_TOL, WeightFunction, constant_weight, power_weight,
                       reciprocal_weight, weight_eval)
@@ -120,40 +121,21 @@ class Verdict:
         return self.status == "holds-on-samples"
 
 
-def _arg_mean_arrays(kind: MeanKind, x, y, t):
-    """Argument mean M(t; x, y) with t weighting x, per the case equations."""
-    if kind is MeanKind.ARITHMETIC:
-        return t * x + (1.0 - t) * y
-    if kind is MeanKind.GEOMETRIC:
-        return x**t * y ** (1.0 - t)
-    return x * y / (t * x + (1.0 - t) * y)
-
-
-# rhs of the defining inequality per value mean, with weight wx on f(x) and
-# wy on f(y). The printed case equations place (wx, wy) = (h(t), h(1-t)) for
-# the arithmetic and geometric argument means and swap them for the harmonic.
-_VALUE_MEANS = {
-    MeanKind.ARITHMETIC: lambda wx, wy, fx, fy: wx * fx + wy * fy,
-    MeanKind.GEOMETRIC: lambda wx, wy, fx, fy: fx**wx * fy**wy,
-    MeanKind.HARMONIC: lambda wx, wy, fx, fy: fx * fy / (wy * fx + wx * fy),
-}
-
-
 def _gap_arrays(spec: ConvexitySpec, f: PointFunction, x, y, t):
     """Vectorized (lhs, rhs, valid-mask) of the defining inequality."""
     with np.errstate(all="ignore"):
-        m = _arg_mean_arrays(spec.arg_mean, x, y, t)
-        ht = np.asarray(spec.h(t), dtype=float)
-        h1t = np.asarray(spec.h(1.0 - t), dtype=float)
+        wt, wh = (t, 1.0 - t), (spec.h(t), spec.h(1.0 - t))
+        if spec.arg_mean is MeanKind.HARMONIC:  # as the printed case equations do
+            wt, wh = wt[::-1], wh[::-1]
+        m = WEIGHTED_MEANS[spec.arg_mean](*wt, x, y)
         lhs = np.asarray(f(m), dtype=float)
-        wx, wy = (h1t, ht) if spec.arg_mean is MeanKind.HARMONIC else (ht, h1t)
-        rhs = _VALUE_MEANS[spec.val_mean](
-            wx, wy, np.asarray(f(x), dtype=float), np.asarray(f(y), dtype=float))
+        rhs = WEIGHTED_MEANS[spec.val_mean](
+            *wh, np.asarray(f(x), dtype=float), np.asarray(f(y), dtype=float))
     m, lhs, rhs = np.atleast_1d(m), np.atleast_1d(lhs), np.atleast_1d(rhs)
     with np.errstate(invalid="ignore"):
         in_domain = f.domain.contains_array(m) & np.isfinite(m)
     valid = in_domain & np.isfinite(lhs) & np.isfinite(rhs) \
-        & np.isfinite(np.atleast_1d(ht)) & np.isfinite(np.atleast_1d(h1t))
+        & np.isfinite(wh[0]) & np.isfinite(wh[1])
     return lhs, rhs, valid
 
 

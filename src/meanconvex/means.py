@@ -1,10 +1,8 @@
 """Classical and weight-generalized arithmetic/geometric/harmonic means.
 
-Weight placements follow the printed generalized-mean formulas verbatim:
-the arithmetic and geometric forms put h(t) on the second argument, the
-harmonic form puts h(t) on the first argument in the denominator. No
-"correction" is applied; the three-point inequalities are proved against
-these exact placements.
+Every A/G/H mean formula of the package is written once, in the three tables
+below; convexity, popoviciu and the chain links read them from here. Only
+mean_eval's geometric branch, in log domain, is written apart.
 """
 
 from __future__ import annotations
@@ -26,6 +24,33 @@ class MeanKind(enum.Enum):
     HARMONIC = "H"
 
 
+# Two-point means with weight wa on a and wb on b. mean_eval reads them with
+# (wa, wb) = (h(1 - t), h(t)), the placements of the printed generalized means:
+# h(t) on the second argument of A and G, on the first in the H denominator.
+# No "correction" is applied; the three-point inequalities are proved against
+# these exact placements. The class case equations place the weights their
+# own way (see convexity).
+WEIGHTED_MEANS = {
+    MeanKind.ARITHMETIC: lambda wa, wb, a, b: wa * a + wb * b,
+    MeanKind.GEOMETRIC: lambda wa, wb, a, b: a**wa * b**wb,
+    MeanKind.HARMONIC: lambda wa, wb, a, b: a * b / (wb * a + wa * b),
+}
+
+# Unweighted two-point means.
+CLASSIC_MEANS = {
+    MeanKind.ARITHMETIC: lambda a, b: (a + b) / 2.0,
+    MeanKind.GEOMETRIC: lambda a, b: np.sqrt(a * b),
+    MeanKind.HARMONIC: lambda a, b: 2.0 * a * b / (a + b),
+}
+
+# Unweighted three-point (central) means.
+CENTRAL_MEANS = {
+    MeanKind.ARITHMETIC: lambda x, y, z: (x + y + z) / 3.0,
+    MeanKind.GEOMETRIC: lambda x, y, z: np.cbrt(x * y * z),
+    MeanKind.HARMONIC: lambda x, y, z: 3.0 * x * y * z / (x * y + y * z + x * z),
+}
+
+
 @dataclass(frozen=True)
 class MeanEvalContext:
     kind: MeanKind
@@ -43,19 +68,14 @@ def mean_eval(ctx: MeanEvalContext, a: float, b: float) -> float:
         raise DomainError("means are defined for positive finite arguments only")
     ht = weight_eval(ctx.h, ctx.t)
     h1t = weight_eval(ctx.h, 1.0 - ctx.t)
-    if ctx.kind is MeanKind.ARITHMETIC:
-        value = h1t * a + ht * b
-    elif ctx.kind is MeanKind.GEOMETRIC:
+    if ctx.kind is MeanKind.GEOMETRIC:
         # log domain: products of many near-zero factors appear downstream
         try:
             value = math.exp(h1t * math.log(a) + ht * math.log(b))
         except OverflowError:
             value = math.inf
     else:
-        denom = ht * a + h1t * b
-        if denom == 0:
-            raise EvaluationError("harmonic denominator vanished")
-        value = a * b / denom
+        value = WEIGHTED_MEANS[ctx.kind](h1t, ht, a, b)
     if not math.isfinite(value):
         raise EvaluationError(f"{ctx.kind.value}-mean of {a:g} and {b:g} overflows")
     return value
@@ -65,11 +85,7 @@ def mean_classic(kind: MeanKind, a: float, b: float) -> float:
     """Unweighted two-point mean; equals mean_eval at h=identity, t=1/2."""
     if not (0 < a < math.inf and 0 < b < math.inf):
         raise DomainError("means are defined for positive finite arguments only")
-    if kind is MeanKind.ARITHMETIC:
-        return (a + b) / 2.0
-    if kind is MeanKind.GEOMETRIC:
-        return math.sqrt(a * b)
-    return 2.0 * a * b / (a + b)
+    return float(CLASSIC_MEANS[kind](a, b))
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,13 @@
 """Three-point (Popoviciu-type) inequalities for the nine mean pairs.
 
 A theorem id MN is fixed by its mean pair. The argument mean M gives the
-pair and central means; the value mean N says how f enters both sides:
-sums of f (N = A), products of f (N = G, evaluated and compared in log
-domain), or sums of 1/f (N = H). The HH left side is implemented in the
-reciprocal-sum form of its derivation; the printed statement's plain-sum
-left side is dimensionally inconsistent with its own right side.
+pair and central means, read from the classic and central tables of means;
+the value mean N says how f enters both sides: sums of f (N = A), products
+of f (N = G, evaluated and compared in log domain), or sums of 1/f (N = H).
+The chained corollaries reuse their parent theorem's means. The HH left
+side is implemented in the reciprocal-sum form of its derivation; the
+printed statement's plain-sum left side is dimensionally inconsistent with
+its own right side.
 
 Direction convention: each theorem states its inequality for one "base"
 sense (concave when N = H, else convex); the opposite sense reverses the
@@ -15,6 +17,7 @@ printed direction.
 from __future__ import annotations
 
 import enum
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional
@@ -24,6 +27,7 @@ import numpy as np
 from .convexity import FUNCTIONS, PointFunction, Witness
 from .errors import DomainError, HypothesisMismatchError
 from .intervals import Interval
+from .means import CENTRAL_MEANS, CLASSIC_MEANS, MeanKind
 from .sampling import SamplePlan, _compare, _margin
 from .weights import (DEFAULT_TOL, WeightFunction, classify_additivity,
                       classify_multiplicativity, weight_eval)
@@ -51,15 +55,10 @@ def _claim(tid: TheoremId, sense: str) -> str:
 
 
 def _pair_and_central(tid: TheoremId, x, y, z):
-    """The three pairwise argument means and the central three-point mean."""
-    fam = tid.value[0]
-    if fam == "A":
-        return (x + z) / 2.0, (y + z) / 2.0, (x + y) / 2.0, (x + y + z) / 3.0
-    if fam == "G":
-        return np.sqrt(x * z), np.sqrt(y * z), np.sqrt(x * y), np.cbrt(x * y * z)
-    sxy = x * y + y * z + x * z
-    return (2.0 * x * z / (x + z), 2.0 * y * z / (y + z),
-            2.0 * x * y / (x + y), 3.0 * x * y * z / sxy)
+    """The pair means of (x, z), (y, z), (x, y) and the central three-point mean."""
+    kind = MeanKind(tid.value[0])
+    pair = CLASSIC_MEANS[kind]
+    return pair(x, z), pair(y, z), pair(x, y), CENTRAL_MEANS[kind](x, y, z)
 
 
 # How f enters a side, by the value mean: the term of an f-value fv at unit
@@ -84,15 +83,10 @@ def _point_side(tid: TheoremId, h32: float, h12: float, f: PointFunction, c, x, 
     return _VALUE_TERMS[tid.value[1]][1](h32, f(c)) + h12 * _pair_side(tid, f, x, y, z)
 
 
-def _theorem_sides(tid: TheoremId, h32: float, h12: float, f: PointFunction,
-                   x, y, z):
-    """(lhs, rhs, argument means) of the theorem in its comparison domain.
-
-    h32 = h(3/2) and h12 = h(1/2); product theorems give log-domain sides.
-    """
-    means = m1, m2, m3, c = _pair_and_central(tid, x, y, z)
-    return (_pair_side(tid, f, m1, m2, m3), _point_side(tid, h32, h12, f, c, x, y, z),
-            means)
+def _theorem_sides(tid: TheoremId, f: PointFunction, m, x, y, z, h32: float, h12: float):
+    """(lhs, rhs) of the theorem in its comparison domain, from its argument
+    means m = (m1, m2, m3, c); product theorems give log-domain sides."""
+    return _pair_side(tid, f, *m[:3]), _point_side(tid, h32, h12, f, m[3], x, y, z)
 
 
 def _sides_arrays(tid: TheoremId, h32: float, h12: float, f: PointFunction,
@@ -103,7 +97,8 @@ def _sides_arrays(tid: TheoremId, h32: float, h12: float, f: PointFunction,
     theorems return log-domain sides.
     """
     with np.errstate(all="ignore"):
-        lhs, rhs, means = _theorem_sides(tid, h32, h12, f, x, y, z)
+        means = _pair_and_central(tid, x, y, z)
+        lhs, rhs = _theorem_sides(tid, f, means, x, y, z, h32, h12)
         valid = np.isfinite(lhs) & np.isfinite(rhs)
         for arg in means:
             valid &= np.isfinite(arg) & f.domain.contains_array(arg)
@@ -273,111 +268,106 @@ class ChainedReport:
         return all(link.holds for link in self.links)
 
 
+# Links that several corollaries share.
+_POINT_SUM = ("point sum collapsed to f(x+y+z)",
+              lambda f, m, x, y, z, h32, h12: h32 * f(m[3]) + h12 * f(x + y + z))
+_POINT_PRODUCT = ("point product collapsed to f(xyz)",
+                  lambda f, m, x, y, z, h32, h12: h32 * np.log(f(m[3]))
+                  + h12 * np.log(f(x * y * z)))
+_SUMMED_PAIR_MEANS = ("f of the summed pair means <= sum",
+                      lambda f, m, x, y, z: f(m[0] + m[1] + m[2]))
+
+
+def _half_harmonic(f, m, x, y, z):
+    """Twice the sum of f at the half-harmonic means xz/(x+z), yz/(y+z), xy/(x+y)."""
+    return 2.0 * (f(x * z / (x + z)) + f(y * z / (y + z)) + f(x * y / (x + y)))
+
+
 # Every chained corollary requires h superadditive.
 _CHAIN_H_HYPOTHESIS = "superadditive"
 
-# corollary -> (f hypothesis, parent theorem, prefix link, suffix link). The
-# f hypothesis also names the kind, additive or multiplicative, of the class
-# check on f. The middle link is the parent theorem's two sides. A prefix
-# (name, lhs(f, x, y, z)) ends at the parent's left side; a suffix
-# (name, rhs(f, x, y, z, h32, h12)) starts from its right side. Product-form
-# links compare logs.
+# A corollary's row: its f hypothesis, which also names the kind, additive or
+# multiplicative, of the class check on f; its parent theorem; its links. A
+# link is (name, formula), and every formula reads the parent's argument means
+# m = (m1, m2, m3, c) of _pair_and_central. A prefix lhs(f, m, x, y, z) ends at
+# the middle link's left side; a suffix rhs(f, m, x, y, z, h32, h12) starts
+# from its right side. The middle link is the parent theorem's two sides
+# unless the row gives its own sides(f, m, x, y, z, h32, h12) -> (lhs, rhs).
+# Product-form links compare logs.
+_Chain = namedtuple("_Chain", "f_hyp parent prefix suffix middle", defaults=(None,) * 3)
 _CHAINS = {
-    "cor4.1": ("subadditive", TheoremId.AA,
-               ("f(x+y+z) <= sum of midpoint values",
-                lambda f, x, y, z: f(x + y + z)),
-               ("central term split to thirds",
-                lambda f, x, y, z, h32, h12: h32 * (f(x / 3) + f(y / 3) + f(z / 3))
-                + h12 * (f(x) + f(y) + f(z)))),
-    "cor4.2": ("superadditive", TheoremId.AA, None,
-               ("point sum collapsed to f(x+y+z)",
-                lambda f, x, y, z, h32, h12: h32 * f((x + y + z) / 3)
-                + h12 * f(x + y + z))),
-    "cor8.1": ("submultiplicative", TheoremId.AG,
-               ("f of the midpoint product <= product of midpoint values",
-                lambda f, x, y, z: np.log(f((x + z) * (y + z) * (x + y) / 8.0))),
-               None),
-    "cor8.2": ("supermultiplicative", TheoremId.AG, None,
-               ("point product collapsed to f(xyz)",
-                lambda f, x, y, z, h32, h12: h32 * np.log(f((x + y + z) / 3.0))
-                + h12 * np.log(f(x * y * z)))),
-    "cor9.1": ("superadditive", TheoremId.AG,
-               ("half-point sums <= midpoint values",
-                lambda f, x, y, z: np.log((f(x / 2) + f(z / 2)) * (f(y / 2) + f(z / 2))
-                                          * (f(x / 2) + f(y / 2)))),
-               None),
-    "cor9.2": ("subadditive", TheoremId.AG, None,
-               ("central value split to thirds",
-                lambda f, x, y, z, h32, h12: h32 * np.log(f(x / 3) + f(y / 3) + f(z / 3))
-                + h12 * (np.log(f(x)) + np.log(f(y)) + np.log(f(z))))),
-    "cor16.1": ("superadditive", TheoremId.GA, None,
-                ("point sum collapsed to f(x+y+z)",
-                 lambda f, x, y, z, h32, h12: h32 * f(np.cbrt(x * y * z))
-                 + h12 * f(x + y + z))),
-    "cor16.2": ("subadditive", TheoremId.GA,
-                ("f of the summed pair means <= sum",
-                 lambda f, x, y, z: f(np.sqrt(x * z) + np.sqrt(y * z) + np.sqrt(x * y))),
-                None),
-    "cor20.1": ("supermultiplicative", TheoremId.GG, None,
-                ("point product collapsed to f(xyz)",
-                 lambda f, x, y, z, h32, h12: h32 * np.log(f(np.cbrt(x * y * z)))
-                 + h12 * np.log(f(x * y * z)))),
-    "cor20.2": ("submultiplicative", TheoremId.GG,
-                ("f(xyz) <= product of pair-mean values",
-                 lambda f, x, y, z: np.log(f(x * y * z))),
-                ("central value split to cube roots",
-                 lambda f, x, y, z, h32, h12: h32 * (np.log(f(np.cbrt(x)))
-                                                     + np.log(f(np.cbrt(y)))
-                                                     + np.log(f(np.cbrt(z))))
-                 + h12 * (np.log(f(x)) + np.log(f(y)) + np.log(f(z))))),
-    "cor27.1": ("superadditive", TheoremId.HA,
-                ("doubled half-harmonic values <= pair-mean values",
-                 lambda f, x, y, z: 2.0 * (f(x * z / (x + z)) + f(y * z / (y + z))
-                                           + f(x * y / (x + y)))),
-                ("point sum collapsed to f(x+y+z)",
-                 lambda f, x, y, z, h32, h12: h32 * f(
-                     3.0 * x * y * z / (x * y + y * z + x * z)) + h12 * f(x + y + z))),
-    "cor27.2": ("subadditive", TheoremId.HA,
-                ("f of the summed pair means <= sum",
-                 lambda f, x, y, z: f(2 * x * z / (x + z) + 2 * y * z / (y + z)
-                                      + 2 * x * y / (x + y))),
-                ("tripled central value",
-                 lambda f, x, y, z, h32, h12: 3.0 * h32 * f(x * y * z / (x * y + y * z + x * z))
-                 + h12 * (f(x) + f(y) + f(z)))),
-    # as printed, the middle link compares a sum with a product; see _chain_sides
-    "HG-chain": ("superadditive", TheoremId.HG,
-                 ("doubled half-harmonic values <= pair-mean value sum",
-                  lambda f, x, y, z: 2.0 * (f(x * z / (x + z)) + f(y * z / (y + z))
-                                            + f(x * y / (x + y)))),
-                 None),
+    "cor4.1": _Chain("subadditive", TheoremId.AA,
+                     ("f(x+y+z) <= sum of midpoint values",
+                      lambda f, m, x, y, z: f(x + y + z)),
+                     ("central term split to thirds",
+                      lambda f, m, x, y, z, h32, h12: h32 * (f(x / 3) + f(y / 3) + f(z / 3))
+                      + h12 * (f(x) + f(y) + f(z)))),
+    "cor4.2": _Chain("superadditive", TheoremId.AA, suffix=_POINT_SUM),
+    "cor8.1": _Chain("submultiplicative", TheoremId.AG,
+                     ("f of the midpoint product <= product of midpoint values",
+                      lambda f, m, x, y, z: np.log(f((x + z) * (y + z) * (x + y) / 8.0)))),
+    "cor8.2": _Chain("supermultiplicative", TheoremId.AG, suffix=_POINT_PRODUCT),
+    "cor9.1": _Chain("superadditive", TheoremId.AG,
+                     ("half-point sums <= midpoint values",
+                      lambda f, m, x, y, z: np.log((f(x / 2) + f(z / 2))
+                                                   * (f(y / 2) + f(z / 2))
+                                                   * (f(x / 2) + f(y / 2))))),
+    "cor9.2": _Chain("subadditive", TheoremId.AG, None,
+                     ("central value split to thirds",
+                      lambda f, m, x, y, z, h32, h12: h32 * np.log(f(x / 3) + f(y / 3)
+                                                                   + f(z / 3))
+                      + h12 * (np.log(f(x)) + np.log(f(y)) + np.log(f(z))))),
+    "cor16.1": _Chain("superadditive", TheoremId.GA, suffix=_POINT_SUM),
+    "cor16.2": _Chain("subadditive", TheoremId.GA, _SUMMED_PAIR_MEANS),
+    "cor20.1": _Chain("supermultiplicative", TheoremId.GG, suffix=_POINT_PRODUCT),
+    "cor20.2": _Chain("submultiplicative", TheoremId.GG,
+                      ("f(xyz) <= product of pair-mean values",
+                       lambda f, m, x, y, z: np.log(f(x * y * z))),
+                      ("central value split to cube roots",
+                       lambda f, m, x, y, z, h32, h12: h32 * (np.log(f(np.cbrt(x)))
+                                                              + np.log(f(np.cbrt(y)))
+                                                              + np.log(f(np.cbrt(z))))
+                       + h12 * (np.log(f(x)) + np.log(f(y)) + np.log(f(z))))),
+    "cor27.1": _Chain("superadditive", TheoremId.HA,
+                      ("doubled half-harmonic values <= pair-mean values", _half_harmonic),
+                      _POINT_SUM),
+    "cor27.2": _Chain("subadditive", TheoremId.HA, _SUMMED_PAIR_MEANS,
+                      ("tripled central value",
+                       lambda f, m, x, y, z, h32, h12: 3.0 * h32 * f(
+                           x * y * z / (x * y + y * z + x * z))
+                       + h12 * (f(x) + f(y) + f(z)))),
+    # as printed, the middle link compares theorem HA's left side, a sum, with
+    # theorem HG's right side as a product
+    "HG-chain": _Chain("superadditive", TheoremId.HG,
+                       ("doubled half-harmonic values <= pair-mean value sum",
+                        _half_harmonic),
+                       middle=("pair-mean value sum <= theorem HG right side (as printed)",
+                               lambda f, m, x, y, z, h32, h12: (
+                                   _pair_side(TheoremId.HA, f, *m[:3]),
+                                   np.exp(_point_side(TheoremId.HG, h32, h12, f, m[3],
+                                                      x, y, z))))),
 }
 
 
 def _chain_links(corollary: str) -> list[str]:
     """The name of each link of a corollary, in link order."""
-    _, parent, prefix, suffix = _CHAINS[corollary]
-    middle = ("pair-mean value sum <= theorem HG right side (as printed)"
-              if corollary == "HG-chain" else f"theorem {parent.value}")
-    return [link[0] for link in (prefix, (middle,), suffix) if link]
+    row = _CHAINS[corollary]
+    middle = row.middle or (f"theorem {row.parent.value}",)
+    return [link[0] for link in (row.prefix, middle, row.suffix) if link]
 
 
 def _chain_sides(corollary: str, h32: float, h12: float, f: PointFunction, x, y, z):
     """lhs, rhs of each link of a corollary in link order, flattened to
     [lhs, rhs, lhs, rhs, ...], in comparison domain."""
-    _, parent, prefix, suffix = _CHAINS[corollary]
-    if corollary == "HG-chain":
-        # the plain sum of f at the harmonic pair means (theorem HA's left
-        # side) against theorem HG's right side as a product
-        m1, m2, m3, c = _pair_and_central(parent, x, y, z)
-        lhs = _pair_side(TheoremId.HA, f, m1, m2, m3)
-        rhs = np.exp(_point_side(parent, h32, h12, f, c, x, y, z))
-    else:
-        lhs, rhs, _ = _theorem_sides(parent, h32, h12, f, x, y, z)
+    row = _CHAINS[corollary]
+    m = _pair_and_central(row.parent, x, y, z)
+    middle = row.middle[1] if row.middle else partial(_theorem_sides, row.parent)
+    lhs, rhs = middle(f, m, x, y, z, h32, h12)
     sides = [lhs, rhs]
-    if prefix:
-        sides = [prefix[1](f, x, y, z), lhs] + sides
-    if suffix:
-        sides += [rhs, suffix[1](f, x, y, z, h32, h12)]
+    if row.prefix:
+        sides = [row.prefix[1](f, m, x, y, z), lhs] + sides
+    if row.suffix:
+        sides += [rhs, row.suffix[1](f, m, x, y, z, h32, h12)]
     return sides
 
 
@@ -400,7 +390,7 @@ def chained_check(corollary: str, h: WeightFunction, f: PointFunction,
         raise KeyError(f"unknown chained corollary {corollary!r}; "
                        f"choose from {sorted(_CHAINS)}")
     plan = plan or SamplePlan()
-    f_hyp = _CHAINS[corollary][0]
+    f_hyp = _CHAINS[corollary].f_hyp
     dom = f.sampling_domain(box)
     classify = (classify_multiplicativity if f_hyp.endswith("multiplicative")
                 else classify_additivity)
