@@ -369,11 +369,11 @@ def _cmd_classify(args) -> int:
 
 def _cmd_means(args) -> int:
     h = _build_weight(args)
-    chain = check_am_gm_hm(h, args.t, args.x, args.y)  # all three means, or an error
-    for kind, value in zip(MeanKind, (chain.a_mean, chain.g_mean, chain.h_mean)):
+    chain = check_am_gm_hm(h, args.t, args.x, args.y)  # each mean, or an error
+    classic = [mean_classic(kind, args.x, args.y) for kind in MeanKind]  # before output
+    for kind, value, c in zip(MeanKind, (chain.a_mean, chain.g_mean, chain.h_mean), classic):
         print(f"{kind.value}-mean [{h.name}, t={args.t:g}]"
-              f"({args.x:g}, {args.y:g}) = {value:.17g} "
-              f"(classic {mean_classic(kind, args.x, args.y):.17g})")
+              f"({args.x:g}, {args.y:g}) = {value:.17g} (classic {c:.17g})")
     state = "holds" if chain.holds else "violated"
     print(f"harmonic <= geometric <= arithmetic: {state} "
           f"(margins {chain.margin_hg:.3e}, {chain.margin_ga:.3e})")

@@ -62,6 +62,19 @@ class MeanEvalContext:
             raise DomainError(f"t={self.t} outside [0, 1]")
 
 
+def _in_float_range(kind: MeanKind, a: float, b: float, formula, zero_ok=False) -> float:
+    """formula() as a float. An inf, nan or 0 mean of positive floats shows that a
+    product, a denominator or the mean itself left the float range: an error."""
+    try:
+        value = formula()
+    except (OverflowError, ZeroDivisionError):
+        value = math.nan
+    if not (0.0 < value < math.inf or (zero_ok and value == 0.0)):
+        raise EvaluationError(f"{kind.value}-mean of {a:g} and {b:g} overflows or "
+                              "underflows in floats")
+    return float(value)
+
+
 def mean_eval(ctx: MeanEvalContext, a: float, b: float) -> float:
     """Finite generalized mean of positive finite a, b, weights h(t), h(1-t)."""
     if not (0 < a < math.inf and 0 < b < math.inf):  # NaN fails too
@@ -69,23 +82,18 @@ def mean_eval(ctx: MeanEvalContext, a: float, b: float) -> float:
     ht = weight_eval(ctx.h, ctx.t)
     h1t = weight_eval(ctx.h, 1.0 - ctx.t)
     if ctx.kind is MeanKind.GEOMETRIC:
-        # log domain: products of many near-zero factors appear downstream
-        try:
-            value = math.exp(h1t * math.log(a) + ht * math.log(b))
-        except OverflowError:
-            value = math.inf
-    else:
-        value = WEIGHTED_MEANS[ctx.kind](h1t, ht, a, b)
-    if not math.isfinite(value):
-        raise EvaluationError(f"{ctx.kind.value}-mean of {a:g} and {b:g} overflows")
-    return value
+        # log domain: products of many near-zero factors appear downstream, and
+        # an underflow to 0 is the correctly rounded mean
+        return _in_float_range(ctx.kind, a, b, lambda: math.exp(
+            h1t * math.log(a) + ht * math.log(b)), zero_ok=True)
+    return _in_float_range(ctx.kind, a, b, lambda: WEIGHTED_MEANS[ctx.kind](h1t, ht, a, b))
 
 
 def mean_classic(kind: MeanKind, a: float, b: float) -> float:
     """Unweighted two-point mean; equals mean_eval at h=identity, t=1/2."""
     if not (0 < a < math.inf and 0 < b < math.inf):
         raise DomainError("means are defined for positive finite arguments only")
-    return float(CLASSIC_MEANS[kind](a, b))
+    return _in_float_range(kind, a, b, lambda: CLASSIC_MEANS[kind](a, b))
 
 
 @dataclass(frozen=True)

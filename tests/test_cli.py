@@ -332,6 +332,12 @@ class TestBadInput:
         # a geometric mean past the largest float
         ["means", "--weight", "power", "--weight-param", "-1", "--t", "1e-6",
          "--x", "0.001", "--y", "1000"],
+        # a weighted or classic mean whose product or denominator leaves the
+        # float range, once printed as 0 or inf with exit 0
+        ["means", "--weight", "power", "--weight-param", "-1", "--t", "1e-6",
+         "--x", "1e303", "--y", "1e-300"],
+        ["means", "--x", "1e-200", "--y", "1e-200"],
+        ["means", "--x", "1e308", "--y", "1e-300"],
         ["means", "--x", "nan", "--y", "4"],
         ["means", "--x", "inf", "--y", "4"],
         ["classify", "--power-exponent", "nan"],

@@ -24,6 +24,19 @@ class TestClassicMeans:
         with pytest.raises(DomainError):
             mean_classic(G, 1.0, 0.0)
 
+    @pytest.mark.parametrize("kind,x,y", [
+        (G, 1e-200, 1e-200), (H, 1e-200, 1e-200),  # x * y underflows to 0
+        (G, 1e200, 1e200), (H, 1e200, 1e200),  # x * y overflows
+        (H, 1e308, 1e-300),  # 2x overflows; the true H is 2e-300
+        (A, 1e308, 1e308),  # x + y overflows
+    ])
+    def test_out_of_float_range(self, kind, x, y):
+        with pytest.raises(EvaluationError, match=f"{kind.value}-mean of"):
+            mean_classic(kind, x, y)
+
+    def test_returns_a_float(self):
+        assert all(type(mean_classic(kind, 1.0, 4.0)) is float for kind in MeanKind)
+
 
 class TestWeightedMeans:
     def test_midpoint_matches_classic(self):
@@ -66,6 +79,25 @@ class TestWeightedMeans:
         # h(t) = 1/t is 1e6 at t = 1e-6, so the weighted mean leaves the floats
         with pytest.raises(EvaluationError, match="overflows"):
             mean_eval(MeanEvalContext(kind, power_weight(-1.0), 1e-6), x, y)
+
+    @pytest.mark.parametrize("h,t,x,y", [
+        # h(t) * x overflows in the denominator; the true H is about 1e-306
+        (power_weight(-1.0), 1e-6, 1e303, 1e-300),
+        # x * y underflows to 0
+        (ID, 0.5, 1e-200, 1e-200),
+        # x * y overflows
+        (ID, 0.5, 1e200, 1e200),
+        # x * y is 1e-320, but both terms of the denominator underflow to 0
+        (power_weight(565.0), 0.5, 1e-160, 1e-160),
+    ])
+    def test_harmonic_out_of_float_range(self, h, t, x, y):
+        with pytest.raises(EvaluationError, match="H-mean of .* underflows in floats"):
+            mean_eval(MeanEvalContext(H, h, t), x, y)
+
+    def test_geometric_underflow_is_kept(self):
+        # 10^(-3e8) rounds to 0 correctly; the log-domain G does not raise
+        got = mean_eval(MeanEvalContext(G, power_weight(-1.0), 1e-6), 1e303, 1e-300)
+        assert got == 0.0
 
     def test_endpoint_needs_defined_weight(self):
         # 1/t has a pole at t = 0, so the endpoint evaluation must refuse
