@@ -124,10 +124,10 @@ class Verdict:
 def _gap_arrays(spec: ConvexitySpec, f: PointFunction, x, y, t):
     """Vectorized (lhs, rhs, valid-mask) of the defining inequality."""
     with np.errstate(all="ignore"):
-        wt, wh = (t, 1.0 - t), (spec.h(t), spec.h(1.0 - t))
-        if spec.arg_mean is MeanKind.HARMONIC:  # as the printed case equations do
-            wt, wh = wt[::-1], wh[::-1]
-        m = WEIGHTED_MEANS[spec.arg_mean](*wt, x, y)
+        # as the printed case equations do; no weight array outlives its mean
+        swap = spec.arg_mean is MeanKind.HARMONIC
+        m = WEIGHTED_MEANS[spec.arg_mean](*((1.0 - t, t) if swap else (t, 1.0 - t)), x, y)
+        wh = (spec.h(1.0 - t), spec.h(t)) if swap else (spec.h(t), spec.h(1.0 - t))
         lhs = np.asarray(f(m), dtype=float)
         rhs = WEIGHTED_MEANS[spec.val_mean](
             *wh, np.asarray(f(x), dtype=float), np.asarray(f(y), dtype=float))
