@@ -124,7 +124,7 @@ class Verdict:
 def _gap_arrays(spec: ConvexitySpec, f: PointFunction, x, y, t):
     """Vectorized (lhs, rhs, valid-mask) of the defining inequality."""
     with np.errstate(all="ignore"):
-        # as the printed case equations do; no weight array outlives its mean
+        # both weight pairs swap under a harmonic argument mean, as printed
         swap = spec.arg_mean is MeanKind.HARMONIC
         m = WEIGHTED_MEANS[spec.arg_mean](*((1.0 - t, t) if swap else (t, 1.0 - t)), x, y)
         wh = (spec.h(1.0 - t), spec.h(t)) if swap else (spec.h(t), spec.h(1.0 - t))

@@ -43,18 +43,12 @@ CLASSIC_MEANS = {
     MeanKind.HARMONIC: lambda a, b: 2.0 * a * b / (a + b),
 }
 
-def _central_harmonic(x, y, z):
-    """3xyz / (xy + yz + xz); the denominator comes first, so that on arrays
-    no more than two temporaries are alive at a time."""
-    s = x * y + y * z + x * z
-    return 3.0 * x * y * z / s
-
-
 # Unweighted three-point (central) means.
 CENTRAL_MEANS = {
     MeanKind.ARITHMETIC: lambda x, y, z: (x + y + z) / 3.0,
     MeanKind.GEOMETRIC: lambda x, y, z: np.cbrt(x * y * z),
-    MeanKind.HARMONIC: _central_harmonic,
+    # the denominator first: on arrays one temporary fewer is alive at a time
+    MeanKind.HARMONIC: lambda x, y, z: (s := x * y + y * z + x * z, 3.0 * x * y * z / s)[1],
 }
 
 
