@@ -21,7 +21,8 @@ from .errors import MeanConvexError
 from .intervals import Interval
 from .means import MeanKind
 from .popoviciu import (EQUALITY_FAMILIES, BASE_SENSE, TheoremId, _hlawka_sides,
-                        chained_check, equality_max_residual, verify_theorem)
+                        _witness, chained_check, equality_max_residual,
+                        verify_theorem)
 from .sampling import SamplePlan, _compare
 from .weights import (DEFAULT_TOL, identity_weight, power_weight,
                       reciprocal_weight)
@@ -241,6 +242,22 @@ def _positivity_violation(f: PointFunction, box) -> Optional[float]:
 
 # Each _audit_* returns (outcome, detail, min_margin, samples, skipped).
 
+def _sampled(w, min_margin, samples, skipped, equality=False):
+    """The finding of a sampled claim: refuted at its first witness w, named
+    (x, y, z) for a triple and x=, y=, t= for a class, else holding; an equality
+    claim reads not-equality or equality, and its margin is -min_margin."""
+    margin = -min_margin if equality else min_margin
+    if w is None:
+        measure = "max relative residual" if equality else "min relative margin"
+        detail = f"{measure} {margin:.3e}"
+    elif w.z is None:
+        detail = f"violated at x={w.x:.6g}, y={w.y:.6g}, t={w.t:.6g}"
+    else:
+        detail = f"violated at ({w.x:.6g}, {w.y:.6g}, {w.z:.6g})"
+    words = ("not-equality", "equality") if equality else ("refuted", "holds")
+    return words[w is None], detail, margin, samples, skipped
+
+
 def _audit_class(entry, plan, tol):
     spec, f, box = entry.payload["spec"], entry.payload["f"], entry.payload.get("box")
     if spec.val_mean is not MeanKind.ARITHMETIC:
@@ -250,33 +267,24 @@ def _audit_class(entry, plan, tol):
                     f"{f.name}({x_bad:.6g}) <= 0 but the value mean needs f > 0",
                     None, 0, 0)
     verdict = verify_class(spec, f, plan, tol, box)
-    w = verdict.witness
-    detail = (f"min relative margin {verdict.min_margin:.3e}" if verdict.holds
-              else f"violated at x={w.x:.6g}, y={w.y:.6g}, t={w.t:.6g}")
-    return ("holds" if verdict.holds else "refuted", detail, verdict.min_margin,
-            verdict.samples_tested, verdict.skipped)
+    return _sampled(verdict.witness, verdict.min_margin, verdict.samples_tested,
+                    verdict.skipped)
 
 
 def _audit_extended(entry, plan, tol):
     p = entry.payload
     verdict = verify_extended_class(p["class_tag"], p["arg_mean"], p["f"],
                                     plan, tol, s=p["s"], box=p.get("box"))
-    return ("holds" if verdict.holds else "refuted",
-            f"min relative margin {verdict.min_margin:.3e}",
-            verdict.min_margin, verdict.samples_tested, verdict.skipped)
+    return _sampled(verdict.witness, verdict.min_margin, verdict.samples_tested,
+                    verdict.skipped)
 
 
 def _audit_theorem(entry, plan, tol):
     p = entry.payload
     report = verify_theorem(p["tid"], p["h"], p["f"], p["sense"], plan, tol,
                             box=p.get("box"))
-    if report.holds:
-        detail = f"min relative margin {report.min_margin:.3e}"
-    else:
-        w = report.witnesses[0]
-        detail = f"violated at ({w.x:.6g}, {w.y:.6g}, {w.z:.6g})"
-    return ("holds" if report.holds else "refuted", detail, report.min_margin,
-            report.triples_tested, report.skipped)
+    return _sampled(next(iter(report.witnesses), None), report.min_margin,
+                    report.triples_tested, report.skipped)
 
 
 def _audit_equality(entry, plan, tol):
@@ -304,17 +312,9 @@ def _audit_chain(entry, plan, tol):
 def _audit_hlawka(entry, plan, tol):
     box, claim = entry.payload["box"], entry.payload["claim"]
     blocks = plan.triple_blocks(box)
-    cmp = _compare(blocks.map(_hlawka_sides), claim, "Hlawka's inequality", tol)
-    if claim == "==":
-        outcome = "not-equality" if cmp.violations else "equality"
-        margin, detail = -cmp.min_margin, f"max relative residual {-cmp.min_margin:.3e}"
-    else:
-        outcome = "refuted" if cmp.violations else "holds"
-        margin, detail = cmp.min_margin, f"min relative margin {cmp.min_margin:.3e}"
-    if cmp.violations:
-        x, y, z = blocks.point(cmp.violations[0][0])
-        detail = f"violated at ({x:.6g}, {y:.6g}, {z:.6g})"
-    return outcome, detail, margin, cmp.samples, cmp.skipped
+    cmp = _compare(blocks, blocks.map(_hlawka_sides), claim, "Hlawka's inequality", tol)
+    return _sampled(_witness(cmp.violations[0]) if cmp.violations else None,
+                    cmp.min_margin, cmp.samples, cmp.skipped, claim == "==")
 
 
 def _audit_probe(entry, plan, tol):

@@ -165,13 +165,11 @@ def verify_class(spec: ConvexitySpec, f: PointFunction,
     plan = plan or SamplePlan()
     blocks = plan.pair_t_blocks(f.sampling_domain(box))
     weight_eval(spec.h, 0.5)
-    cmp = _compare(blocks.map(partial(_gap_arrays, spec, f)),
+    cmp = _compare(blocks, blocks.map(partial(_gap_arrays, spec, f)),
                    "<=" if spec.sense == "convex" else ">=",
                    f"{spec.label} on {f.name}", tol)
-    w = None
-    if cmp.violations:
-        i, lhs, rhs = cmp.violations[0]
-        w = Witness(*blocks.point(i), float(lhs), float(rhs), index=i)
+    w = next((Witness(*point, lhs, rhs, index=i)
+              for i, point, lhs, rhs in cmp.violations), None)
     return Verdict("refuted" if w else "holds-on-samples", cmp.samples,
                    cmp.min_margin, w, cmp.skipped)
 

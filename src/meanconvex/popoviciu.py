@@ -30,7 +30,7 @@ from .intervals import Interval
 from .means import CENTRAL_MEANS, CLASSIC_MEANS, MeanKind
 from .sampling import SamplePlan, _compare, _margin
 from .weights import (DEFAULT_TOL, WeightFunction, classify_additivity,
-                      classify_multiplicativity, weight_eval)
+                      classify_multiplicativity, identity_weight, weight_eval)
 
 
 class TheoremId(enum.Enum):
@@ -105,20 +105,26 @@ def _sides_arrays(tid: TheoremId, h32: float, h12: float, f: PointFunction,
     return np.atleast_1d(lhs), np.atleast_1d(rhs), np.atleast_1d(valid)
 
 
-def popoviciu_sides(tid: TheoremId, h: WeightFunction, f: PointFunction,
-                    x: float, y: float, z: float) -> tuple[float, float]:
-    """Both printed sides at one triple; products are exp of log-domain sums."""
+def _point_sides(tid: TheoremId, h: WeightFunction, f: PointFunction,
+                 x: float, y: float, z: float):
+    """(lhs, rhs) of theorem tid at one triple, in its comparison domain."""
     if not all(f.domain.contains(v) for v in (x, y, z)):
         raise DomainError(f"({x}, {y}, {z}) not inside domain of {f.name}")
-    arr = lambda v: np.array([float(v)])
     lhs, rhs, valid = _sides_arrays(tid, weight_eval(h, 1.5), weight_eval(h, 0.5), f,
-                                    arr(x), arr(y), arr(z))
+                                    *(np.array([float(v)]) for v in (x, y, z)))
     if not valid[0]:
         raise DomainError(
             f"triple ({x}, {y}, {z}) not evaluable for theorem {tid.value} on {f.name}")
+    return lhs[0], rhs[0]
+
+
+def popoviciu_sides(tid: TheoremId, h: WeightFunction, f: PointFunction,
+                    x: float, y: float, z: float) -> tuple[float, float]:
+    """Both printed sides at one triple; products are exp of log-domain sums."""
+    lhs, rhs = _point_sides(tid, h, f, x, y, z)
     if tid.value[1] == "G":
-        return float(np.exp(lhs[0])), float(np.exp(rhs[0]))
-    return float(lhs[0]), float(rhs[0])
+        return float(np.exp(lhs)), float(np.exp(rhs))
+    return float(lhs), float(rhs)
 
 
 def two_point_reduction(tid: TheoremId, h: WeightFunction, f: PointFunction,
@@ -166,16 +172,19 @@ def verify_theorem(tid: TheoremId, h: WeightFunction, f: PointFunction,
     plan = plan or SamplePlan()
     blocks = plan.triple_blocks(f.sampling_domain(box))
     kernel = partial(_sides_arrays, tid, weight_eval(h, 1.5), weight_eval(h, 0.5), f)
-    cmp = _compare(blocks.map(kernel), _claim(tid, sense),
+    cmp = _compare(blocks, blocks.map(kernel), _claim(tid, sense),
                    f"theorem {tid.value} on {f.name}", tol, limit=8)
-    product = tid.value[1] == "G"
-    witnesses = []
-    for i, wl, wr in cmp.violations:
-        x, y, z = blocks.point(i)
-        wl, wr = (np.exp(wl), np.exp(wr)) if product else (wl, wr)
-        witnesses.append(Witness(x, y, None, float(wl), float(wr), z=z, index=i))
+    witnesses = [_witness(v, tid.value[1] == "G") for v in cmp.violations]
     return PopoviciuReport(tid, h.name, f.name, sense, cmp.samples, cmp.min_margin,
                            witnesses, skipped=cmp.skipped)
+
+
+def _witness(violation, product: bool = False) -> Witness:
+    """The Witness of an (x, y, z) violation; product sides come back as exp."""
+    i, (x, y, z), lhs, rhs = violation
+    if product:
+        lhs, rhs = float(np.exp(lhs)), float(np.exp(rhs))
+    return Witness(x, y, None, lhs, rhs, z=z, index=i)
 
 
 # ---------------------------------------------------------------------------
@@ -200,14 +209,8 @@ def equality_residual(family: str, x: float, y: float, z: float) -> float:
         raise KeyError(f"unknown equality family {family!r}; "
                        f"choose from {sorted(EQUALITY_FAMILIES)}")
     tid, f = EQUALITY_FAMILIES[family]
-    for v in (x, y, z):
-        if not f.domain.contains(v):
-            raise DomainError(f"{v} outside the {family} domain")
-    arr = lambda v: np.array([float(v)])
-    lhs, rhs, valid = _sides_arrays(tid, *_IDENTITY_H, f, arr(x), arr(y), arr(z))
-    if not valid[0]:
-        raise DomainError(f"triple not evaluable for family {family}")
-    return float(abs(lhs[0] - rhs[0]))
+    lhs, rhs = _point_sides(tid, identity_weight(), f, x, y, z)
+    return float(abs(lhs - rhs))
 
 
 def theorem_margins(tid: TheoremId, h: WeightFunction, f: PointFunction,
@@ -235,8 +238,8 @@ def equality_max_residual(family: str, plan: SamplePlan | None = None,
     tid, f = EQUALITY_FAMILIES[family]
     plan = plan or SamplePlan()
     blocks = plan.triple_blocks(f.sampling_domain(box))
-    cmp = _compare(blocks.map(partial(_sides_arrays, tid, *_IDENTITY_H, f)), "==",
-                   f"family {family}")
+    cmp = _compare(blocks, blocks.map(partial(_sides_arrays, tid, *_IDENTITY_H, f)),
+                   "==", f"family {family}")
     return -cmp.min_margin, cmp.samples
 
 
@@ -413,14 +416,9 @@ def chained_check(corollary: str, h: WeightFunction, f: PointFunction,
     for j, name in enumerate(_chain_links(corollary)):
         link = [(offset, shape, _finite_sides(*s[2 * j:2 * j + 2]))
                 for offset, shape, s in sides]
-        cmp = _compare(link, "<=", f"link {name!r} of {corollary} on {f.name}", tol)
-        witness = None
-        if cmp.violations:
-            i, lhs, rhs = cmp.violations[0]
-            x, y, z = blocks.point(i)
-            witness = Witness(x, y, None, float(lhs), float(rhs), z=z, index=i)
+        cmp = _compare(blocks, link, "<=", f"link {name!r} of {corollary} on {f.name}", tol)
         results.append(LinkResult(name, cmp.min_margin, cmp.samples, cmp.skipped,
-                                  witness))
+                                  _witness(cmp.violations[0]) if cmp.violations else None))
     return ChainedReport(corollary, f_class.tag, h_class.tag, results)
 
 

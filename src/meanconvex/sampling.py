@@ -14,7 +14,7 @@ Every verdict in the package, additivity classes and Hlawka included,
 compares its sides through _compare: _margin turns each block into relative
 margins (it is the one margin formula), each block is reduced on its own
 shape, and the reductions are combined in sample order, so no full-plan
-array is built.
+array is built; _compare alone decodes the index of each violation it keeps.
 """
 
 from __future__ import annotations
@@ -177,7 +177,7 @@ class Comparison:
     samples: int  # usable samples
     skipped: int
     min_margin: float
-    violations: list[tuple[int, float, float]]  # (index, lhs, rhs), sample order
+    violations: list[tuple[int, tuple, float, float]]  # (index, point, lhs, rhs), in order
 
 
 def _broadcast(a: np.ndarray, shape) -> np.ndarray:
@@ -185,23 +185,23 @@ def _broadcast(a: np.ndarray, shape) -> np.ndarray:
     return a if a.shape == shape else np.broadcast_to(a, shape)
 
 
-def _compare(blocks, claim: str, what: str, tol: Optional[float] = None,
-             limit: int = 1) -> Comparison:
+def _compare(blocks: SampleBlocks, results, claim: str, what: str,
+             tol: Optional[float] = None, limit: int = 1) -> Comparison:
     """Compare lhs and rhs of a claim over the blocks of a sample stream.
 
-    blocks are (offset, shape, (lhs, rhs, valid[, applicable])) per block,
-    grid first, as SampleBlocks.map gives them; a sample outside the optional
+    results are (offset, shape, (lhs, rhs, valid[, applicable])) per block,
+    grid first, as blocks.map gives them; a sample outside the optional
     applicable mask is not counted at all. Each block's margins are reduced
     on the block's shape; with tol, up to `limit` samples violating the claim
-    by more than tol are kept, in sample order, with their lhs and rhs (for
-    "==", `limit` with lhs above rhs and `limit` below). Raises DomainError,
-    naming the claim `what`, when fewer than MIN_USABLE_FRACTION of the
-    counted samples are usable.
+    by more than tol are kept, in sample order, with their coordinates in
+    blocks and their lhs and rhs (for "==", `limit` with lhs above rhs and
+    `limit` below). Raises DomainError, naming the claim `what`, when fewer
+    than MIN_USABLE_FRACTION of the counted samples are usable.
     """
     usable = total = 0
     lowest = np.inf
     found = ([], []) if claim == "==" else ([],)  # kept violations by side
-    for offset, shape, (lhs, rhs, valid, *applicable) in blocks:
+    for offset, shape, (lhs, rhs, valid, *applicable) in results:
         rel = _broadcast(_margin(lhs, rhs, valid, claim), shape)
         if not rel.size:
             continue
@@ -219,8 +219,9 @@ def _compare(blocks, claim: str, what: str, tol: Optional[float] = None,
             room = limit - len(kept)
             if room > 0:  # argmax finds one violation without listing them all
                 index = np.flatnonzero(mask)[:room] if room > 1 else [mask.argmax()]
-                kept += [(offset + int(i), lhs.flat[i], rhs.flat[i])
+                kept += [(offset + int(i), float(lhs.flat[i]), float(rhs.flat[i]))
                          for i in index if mask.flat[i]]
     if usable < MIN_USABLE_FRACTION * total:
         raise DomainError(f"only {usable}/{total} samples usable for {what}")
-    return Comparison(usable, total - usable, lowest, sorted(sum(found, [])))
+    return Comparison(usable, total - usable, lowest, [
+        (i, blocks.point(i), lhs, rhs) for i, lhs, rhs in sorted(sum(found, []))])

@@ -116,12 +116,13 @@ def _classify(g, domain: Interval, plan: SamplePlan, tol: float, op,
 
     blocks = plan.pair_blocks(domain)
     with np.errstate(all="ignore"):
-        cmp = _compare(blocks.map(sides), "==", f"pair {noun}s on [{lo:g}, {hi:g}]", tol)
+        cmp = _compare(blocks, blocks.map(sides), "==",
+                       f"pair {noun}s on [{lo:g}, {hi:g}]", tol)
     if not cmp.samples + cmp.skipped:
         raise DomainError(f"no sampled pair has {noun} in domain")
     # "==" keeps the first violation on each side
-    gt = next((blocks.point(i) for i, whole, parts in cmp.violations if whole > parts), None)
-    lt = next((blocks.point(i) for i, whole, parts in cmp.violations if whole < parts), None)
+    gt = next((point for _, point, whole, parts in cmp.violations if whole > parts), None)
+    lt = next((point for _, point, whole, parts in cmp.violations if whole < parts), None)
     tag = ("mixed" if gt and lt else "superadditive" if gt else
            "subadditive" if lt else "additive")
     return AdditivityClass(tag, gt, lt, samples_tested=cmp.samples)
