@@ -49,9 +49,14 @@ class TheoremId(enum.Enum):
 BASE_SENSE = {tid: "concave" if tid.value[1] == "H" else "convex" for tid in TheoremId}
 
 
-def _claim(tid: TheoremId, sense: str) -> str:
-    """The comparison lhs <= rhs or lhs >= rhs that theorem tid states in sense."""
-    return "<=" if sense == BASE_SENSE[tid] else ">="
+def _claim(tid: TheoremId, sense: Optional[str]) -> str:
+    """The comparison lhs <= rhs or lhs >= rhs that theorem tid states in
+    sense; None is the base sense."""
+    if sense is None or sense == BASE_SENSE[tid]:
+        return "<="
+    if sense not in ("convex", "concave"):
+        raise ValueError(f"sense must be convex|concave, got {sense!r}")
+    return ">="
 
 
 def _pair_and_central(tid: TheoremId, x, y, z):
@@ -165,14 +170,11 @@ def verify_theorem(tid: TheoremId, h: WeightFunction, f: PointFunction,
     arrays that decided the verdict (exp of the log-domain sides for product
     theorems).
     """
-    if sense is None:
-        sense = BASE_SENSE[tid]
-    if sense not in ("convex", "concave"):
-        raise ValueError(f"sense must be convex|concave, got {sense!r}")
+    claim, sense = _claim(tid, sense), sense or BASE_SENSE[tid]
     plan = plan or SamplePlan()
     blocks = plan.triple_blocks(f.sampling_domain(box))
     kernel = partial(_sides_arrays, tid, weight_eval(h, 1.5), weight_eval(h, 0.5), f)
-    cmp = _compare(blocks, blocks.map(kernel), _claim(tid, sense),
+    cmp = _compare(blocks, blocks.map(kernel), claim,
                    f"theorem {tid.value} on {f.name}", tol, limit=8)
     witnesses = [_witness(v, tid.value[1] == "G") for v in cmp.violations]
     return PopoviciuReport(tid, h.name, f.name, sense, cmp.samples, cmp.min_margin,
@@ -220,8 +222,6 @@ def theorem_margins(tid: TheoremId, h: WeightFunction, f: PointFunction,
 
     Negative means violated; +inf marks triples that are not evaluable.
     """
-    if sense is None:
-        sense = BASE_SENSE[tid]
     lhs, rhs, valid = _sides_arrays(tid, weight_eval(h, 1.5), weight_eval(h, 0.5), f,
                                     *(np.asarray(v, dtype=float) for v in (x, y, z)))
     return _margin(lhs, rhs, valid, _claim(tid, sense))

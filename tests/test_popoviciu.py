@@ -211,9 +211,24 @@ class TestVerifyTheorem:
         assert sum(math.prod(shape) for _, shape in calls) == \
             rep.triples_tested + rep.skipped == n**3 + SMALL.n_random
 
-    def test_bad_sense_rejected(self):
-        with pytest.raises(ValueError):
-            verify_theorem(TheoremId.AA, ID, FS["square"], "monotone")
+    @pytest.mark.parametrize("sense", ["convx", "monotone", ""])
+    def test_bad_sense_rejected(self, sense):
+        # both go through popoviciu._claim; "convx" used to score as concave
+        # in theorem_margins
+        with pytest.raises(ValueError, match=r"sense must be convex\|concave"):
+            verify_theorem(TheoremId.AA, ID, FS["square"], sense)
+        with pytest.raises(ValueError, match=r"sense must be convex\|concave"):
+            theorem_margins(TheoremId.AA, ID, FS["square"], [1.0], [2.0], [3.0],
+                            sense=sense)
+
+    @pytest.mark.parametrize("tid", list(TheoremId))
+    def test_no_sense_is_the_base_sense(self, tid):
+        x, y, z = np.array([1.0, 2.0]), np.array([3.0, 0.5]), np.array([5.0, 1.5])
+        got = theorem_margins(tid, ID, FS["square"], x, y, z)
+        want = theorem_margins(tid, ID, FS["square"], x, y, z, sense=BASE_SENSE[tid])
+        assert got.tobytes() == want.tobytes()
+        assert verify_theorem(tid, ID, FS["square"], plan=SMALL, box=BOX).sense == \
+            BASE_SENSE[tid]
 
     def test_deterministic(self):
         a = verify_theorem(TheoremId.AG, ID, FS["cosh"], plan=SMALL, box=BOX)
