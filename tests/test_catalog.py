@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from meanconvex import EQUALITY_FAMILIES, Interval, SamplePlan, catalog, cli
-from meanconvex.catalog import (AuditFinding, _positivity_violation,
+from meanconvex.catalog import (AuditFinding, CatalogEntry, _positivity_violation,
                                 builtin_claims, builtin_functions,
                                 make_function, run_audit)
-from meanconvex.convexity import FUNCTIONS
+from meanconvex.convexity import FUNCTIONS, verify_extended_class
+from meanconvex.means import MeanKind
 
 PLAN = SamplePlan(grid_axis=9, grid_t=5, n_random=500)
 
@@ -207,6 +208,25 @@ class TestRunAudit:
 
     def test_deterministic(self):
         assert run_audit(PLAN) == run_audit(PLAN)
+
+    def test_refuted_extended_row_names_its_witness(self):
+        # neg_square is not s-convex; like a class row, the extended row
+        # reports where, not only its min margin
+        f = builtin_functions()["neg_square"]
+        entry = CatalogEntry("extended/neg-square-Ks2", "extended-class", "",
+                             "holds", {"class_tag": "K_s2",
+                                       "arg_mean": MeanKind.ARITHMETIC, "f": f,
+                                       "s": 0.5, "box": catalog._BOX_01_10})
+        outcome, detail, margin, samples, skipped = catalog._DISPATCH[
+            "extended-class"](entry, catalog._AUDIT_PLAN, 1e-9)
+        verdict = verify_extended_class("K_s2", MeanKind.ARITHMETIC, f,
+                                        catalog._AUDIT_PLAN, 1e-9, s=0.5,
+                                        box=catalog._BOX_01_10)
+        w = verdict.witness
+        assert outcome == "refuted" and margin == verdict.min_margin < 0
+        assert detail == f"violated at x={w.x:.6g}, y={w.y:.6g}, t={w.t:.6g}"
+        assert detail == "violated at x=0.1, y=0.1, t=1e-06"
+        assert samples + skipped == 13**2 * 9 + 2000
 
     def test_hlawka_rows_honour_tol(self, findings):
         # at the default tol both rows pass; at tol 0 the float rounding of
