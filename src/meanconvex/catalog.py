@@ -289,8 +289,10 @@ def _audit_theorem(entry, plan, tol):
 
 def _audit_equality(entry, plan, tol):
     resid, n = equality_max_residual(entry.payload["family"], plan)
+    # every sample of the triple stream counts, so the rest were skipped
     return ("equality" if resid <= tol else "not-equality",
-            f"max relative residual {resid:.3e}", resid, n, 0)
+            f"max relative residual {resid:.3e}", resid, n,
+            plan.grid_axis ** 3 + plan.n_random - n)
 
 
 def _audit_chain(entry, plan, tol):
@@ -319,13 +321,11 @@ def _audit_hlawka(entry, plan, tol):
 
 def _audit_probe(entry, plan, tol):
     p = entry.payload
-    parts, samples = [], 0
-    for sense in ("convex", "concave"):
-        report = verify_theorem(p["tid"], p["h"], p["f"], sense, plan, tol,
-                                box=p.get("box"))
-        parts.append(f"{sense}: min margin {report.min_margin:.3e}")
-        samples = report.triples_tested
-    return "measured", "; ".join(parts), None, samples, 0
+    reports = [verify_theorem(p["tid"], p["h"], p["f"], sense, plan, tol, box=p.get("box"))
+               for sense in ("convex", "concave")]
+    detail = "; ".join(f"{r.sense}: min margin {r.min_margin:.3e}" for r in reports)
+    return ("measured", detail, None, min(r.triples_tested for r in reports),
+            max(r.skipped for r in reports))
 
 
 _DISPATCH = {

@@ -209,6 +209,20 @@ class TestRunAudit:
     def test_deterministic(self):
         assert run_audit(PLAN) == run_audit(PLAN)
 
+    def test_every_sampled_finding_counts_its_whole_stream(self):
+        # usable plus skipped is the stream size: (x, y, t) for classes, else
+        # triples; equality/exp-reciprocal-HG skips 469 of its triples
+        plan = catalog._AUDIT_PLAN
+        sizes = {"class": 13**2 * 9 + 2000, "extended-class": 13**2 * 9 + 2000}
+        sampled = [f for f in run_audit(plan) if f.samples]
+        assert {f.kind for f in sampled} == {
+            "class", "extended-class", "theorem", "equality", "chain", "hlawka",
+            "direction-probe"}
+        for f in sampled:
+            assert f.samples + f.skipped == sizes.get(f.kind, 13**3 + 2000), f.key
+        skipped = {f.key: f.skipped for f in sampled}
+        assert skipped["equality/exp-reciprocal-HG"] == 469
+
     def test_refuted_extended_row_names_its_witness(self):
         # neg_square is not s-convex; like a class row, the extended row
         # reports where, not only its min margin
