@@ -110,8 +110,8 @@ def _sides_arrays(tid: TheoremId, h32: float, h12: float, f: PointFunction,
     return np.atleast_1d(lhs), np.atleast_1d(rhs), np.atleast_1d(valid)
 
 
-def _point_sides(tid: TheoremId, h: WeightFunction, f: PointFunction,
-                 x: float, y: float, z: float):
+def _sides_at(tid: TheoremId, h: WeightFunction, f: PointFunction,
+              x: float, y: float, z: float):
     """(lhs, rhs) of theorem tid at one triple, in its comparison domain."""
     if not all(f.domain.contains(v) for v in (x, y, z)):
         raise DomainError(f"({x}, {y}, {z}) not inside domain of {f.name}")
@@ -126,7 +126,7 @@ def _point_sides(tid: TheoremId, h: WeightFunction, f: PointFunction,
 def popoviciu_sides(tid: TheoremId, h: WeightFunction, f: PointFunction,
                     x: float, y: float, z: float) -> tuple[float, float]:
     """Both printed sides at one triple; products are exp of log-domain sums."""
-    lhs, rhs = _point_sides(tid, h, f, x, y, z)
+    lhs, rhs = _sides_at(tid, h, f, x, y, z)
     if tid.value[1] == "G":
         return float(np.exp(lhs)), float(np.exp(rhs))
     return float(lhs), float(rhs)
@@ -211,7 +211,7 @@ def equality_residual(family: str, x: float, y: float, z: float) -> float:
         raise KeyError(f"unknown equality family {family!r}; "
                        f"choose from {sorted(EQUALITY_FAMILIES)}")
     tid, f = EQUALITY_FAMILIES[family]
-    lhs, rhs = _point_sides(tid, identity_weight(), f, x, y, z)
+    lhs, rhs = _sides_at(tid, identity_weight(), f, x, y, z)
     return float(abs(lhs - rhs))
 
 
