@@ -230,93 +230,6 @@ class TestWitnessCoordinates:
         assert seen > 0
 
 
-class TestCompareDecodes:
-    """_compare decodes each violation it keeps: its coordinates are the
-    reference stream's sample at its index, and its lhs and rhs are the
-    sides there. The sides are the first two coordinates, lhs = a, rhs = b."""
-
-    DOM = Interval(0.5, 2.0)
-    STREAMS = {"xyz": (SamplePlan.triple_blocks, xyz_stream),
-               "xyt": (SamplePlan.pair_t_blocks, xyt_stream),
-               "st": (SamplePlan.pair_blocks, st_stream)}
-
-    @staticmethod
-    def _sides(a, b, *rest):
-        return a, b, np.isfinite(a)
-
-    def _run(self, plan, stream, claim, limit):
-        blocks_of, reference = self.STREAMS[stream]
-        blocks, flat = blocks_of(plan, self.DOM), reference(plan, self.DOM)
-        cmp = _compare(blocks, blocks.map(self._sides), claim, "a against b", TOL, limit)
-        for i, point, lhs, rhs in cmp.violations:
-            assert point == tuple(float(c[i]) for c in flat)
-            assert (lhs, rhs) == (float(flat[0][i]), float(flat[1][i]))
-            assert all(type(v) is float for v in (*point, lhs, rhs))
-        rel, _ = flat_compare(flat[0], flat[1], np.isfinite(flat[0]))
-        return cmp, flat, rel
-
-    @pytest.mark.parametrize("stream", list(STREAMS))
-    @pytest.mark.parametrize("claim", ["<=", ">=", "=="])
-    def test_every_kept_violation_is_the_reference_sample(self, plan, stream, claim):
-        cmp, flat, rel = self._run(plan, stream, claim, limit=10**6)
-        # rel is the margin of a <= b; ">=" flips it and "==" takes |rel|
-        bad = rel < -TOL if claim == "<=" else rel > TOL if claim == ">=" else \
-            np.abs(rel) > TOL
-        kept = [i for i, *_ in cmp.violations]
-        assert kept == np.flatnonzero(bad).tolist()
-        n_grid = flat[0].size - plan.n_random  # witnesses from the grid and the tail
-        assert any(i < n_grid for i in kept) == (n_grid > 0)
-        assert any(i >= n_grid for i in kept) == (plan.n_random > 0)
-
-    @pytest.mark.parametrize("stream", list(STREAMS))
-    def test_equality_keeps_the_first_of_each_side(self, plan, stream):
-        cmp, flat, rel = self._run(plan, stream, "==", limit=1)
-        above = np.flatnonzero(rel < -TOL)[0]  # a above b
-        below = np.flatnonzero(rel > TOL)[0]
-        assert [i for i, *_ in cmp.violations] == sorted([above, below])
-        assert {lhs > rhs for _, _, lhs, rhs in cmp.violations} == {True, False}
-
-
-def test_only_compare_decodes_a_sample(monkeypatch):
-    """Inside the package only sampling._compare calls SampleBlocks.point: no
-    verifier, classification or audit row decodes a witness index itself."""
-    real, decoded = SampleBlocks.point, []
-
-    def guarded(self, i):
-        frame = sys._getframe(1)
-        while frame.f_code.co_name.startswith("<"):  # a comprehension's frame
-            frame = frame.f_back
-        if frame.f_code is not sampling._compare.__code__:
-            raise AssertionError(f"{frame.f_code.co_name} decoded sample {i}")
-        decoded.append(i)
-        return real(self, i)
-
-    monkeypatch.setattr(SampleBlocks, "point", guarded)
-    plan = PLANS["small"]
-    wide = Interval(0.1, 10.0, closed_lo=True, closed_hi=True)
-    assert len(verify_theorem(TheoremId.AG, identity_weight(), FS["cosh"],
-                              "concave", plan, box=wide).witnesses) == 8
-    spec = ConvexitySpec(MeanKind.ARITHMETIC, MeanKind.ARITHMETIC, identity_weight(),
-                         "concave")
-    assert verify_class(spec, FS["square"], plan, box=wide).witness
-    assert verify_extended_class("K_s2", MeanKind.ARITHMETIC, FS["neg_square"], plan,
-                                 box=wide).witness
-    links = [link for corollary in _CHAINS for link in chained_check(
-        corollary, identity_weight(), FS["exp"], plan, box=wide,
-        enforce_hypotheses=False).links]
-    assert any(link.witness for link in links)
-    assert classify_multiplicativity(np.cosh, wide, plan).tag == "mixed"
-    assert classify_additivity(np.cosh, wide, plan).witness
-    for family in EQUALITY_FAMILIES:
-        assert equality_max_residual(family, plan)[0] < 1e-12
-    # the guard's AssertionError is no MeanConvexError, so the audit passes it on;
-    # at tol 0 the Hlawka rows are refuted on float rounding
-    findings = run_audit(_AUDIT_PLAN) + run_audit(plan, tol=0.0)
-    assert {f.outcome for f in findings if f.kind == "hlawka"} >= {"refuted",
-                                                                  "not-equality"}
-    assert decoded
-
-
 class TestRandomBlock:
     """A plan draws its random block once; every tail is a scaled row of it."""
 
@@ -631,6 +544,93 @@ class TestReducerEdges:
         assert str(got.value) == _outcome(
             lambda: flat_theorem(TheoremId.AG, identity_weight(), shifted,
                                  "convex", plan))
+
+
+class TestCompareDecodes:
+    """_compare decodes each violation it keeps: its coordinates are the
+    reference stream's sample at its index, and its lhs and rhs are the
+    sides there. The sides are the first two coordinates, lhs = a, rhs = b."""
+
+    DOM = Interval(0.5, 2.0)
+    STREAMS = {"xyz": (SamplePlan.triple_blocks, xyz_stream),
+               "xyt": (SamplePlan.pair_t_blocks, xyt_stream),
+               "st": (SamplePlan.pair_blocks, st_stream)}
+
+    @staticmethod
+    def _sides(a, b, *rest):
+        return a, b, np.isfinite(a)
+
+    def _run(self, plan, stream, claim, limit):
+        blocks_of, reference = self.STREAMS[stream]
+        blocks, flat = blocks_of(plan, self.DOM), reference(plan, self.DOM)
+        cmp = _compare(blocks, blocks.map(self._sides), claim, "a against b", TOL, limit)
+        for i, point, lhs, rhs in cmp.violations:
+            assert point == tuple(float(c[i]) for c in flat)
+            assert (lhs, rhs) == (float(flat[0][i]), float(flat[1][i]))
+            assert all(type(v) is float for v in (*point, lhs, rhs))
+        rel, _ = flat_compare(flat[0], flat[1], np.isfinite(flat[0]))
+        return cmp, flat, rel
+
+    @pytest.mark.parametrize("stream", list(STREAMS))
+    @pytest.mark.parametrize("claim", ["<=", ">=", "=="])
+    def test_every_kept_violation_is_the_reference_sample(self, plan, stream, claim):
+        cmp, flat, rel = self._run(plan, stream, claim, limit=10**6)
+        # rel is the margin of a <= b; ">=" flips it and "==" takes |rel|
+        bad = rel < -TOL if claim == "<=" else rel > TOL if claim == ">=" else \
+            np.abs(rel) > TOL
+        kept = [i for i, *_ in cmp.violations]
+        assert kept == np.flatnonzero(bad).tolist()
+        n_grid = flat[0].size - plan.n_random  # witnesses from the grid and the tail
+        assert any(i < n_grid for i in kept) == (n_grid > 0)
+        assert any(i >= n_grid for i in kept) == (plan.n_random > 0)
+
+    @pytest.mark.parametrize("stream", list(STREAMS))
+    def test_equality_keeps_the_first_of_each_side(self, plan, stream):
+        cmp, flat, rel = self._run(plan, stream, "==", limit=1)
+        above = np.flatnonzero(rel < -TOL)[0]  # a above b
+        below = np.flatnonzero(rel > TOL)[0]
+        assert [i for i, *_ in cmp.violations] == sorted([above, below])
+        assert {lhs > rhs for _, _, lhs, rhs in cmp.violations} == {True, False}
+
+
+def test_only_compare_decodes_a_sample(monkeypatch):
+    """Inside the package only sampling._compare calls SampleBlocks.point: no
+    verifier, classification or audit row decodes a witness index itself."""
+    real, decoded = SampleBlocks.point, []
+
+    def guarded(self, i):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):  # a comprehension's frame
+            frame = frame.f_back
+        if frame.f_code is not sampling._compare.__code__:
+            raise AssertionError(f"{frame.f_code.co_name} decoded sample {i}")
+        decoded.append(i)
+        return real(self, i)
+
+    monkeypatch.setattr(SampleBlocks, "point", guarded)
+    plan = PLANS["small"]
+    wide = Interval(0.1, 10.0, closed_lo=True, closed_hi=True)
+    assert len(verify_theorem(TheoremId.AG, identity_weight(), FS["cosh"],
+                              "concave", plan, box=wide).witnesses) == 8
+    spec = ConvexitySpec(MeanKind.ARITHMETIC, MeanKind.ARITHMETIC, identity_weight(),
+                         "concave")
+    assert verify_class(spec, FS["square"], plan, box=wide).witness
+    assert verify_extended_class("K_s2", MeanKind.ARITHMETIC, FS["neg_square"], plan,
+                                 box=wide).witness
+    links = [link for corollary in _CHAINS for link in chained_check(
+        corollary, identity_weight(), FS["exp"], plan, box=wide,
+        enforce_hypotheses=False).links]
+    assert any(link.witness for link in links)
+    assert classify_multiplicativity(np.cosh, wide, plan).tag == "mixed"
+    assert classify_additivity(np.cosh, wide, plan).witness
+    for family in EQUALITY_FAMILIES:
+        assert equality_max_residual(family, plan)[0] < 1e-12
+    # the guard's AssertionError is no MeanConvexError, so the audit passes it on;
+    # at tol 0 the Hlawka rows are refuted on float rounding
+    findings = run_audit(_AUDIT_PLAN) + run_audit(plan, tol=0.0)
+    assert {f.outcome for f in findings if f.kind == "hlawka"} >= {"refuted",
+                                                                  "not-equality"}
+    assert decoded
 
 
 def test_verifiers_never_join_the_sample_blocks(monkeypatch):
