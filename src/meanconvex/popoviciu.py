@@ -165,10 +165,10 @@ def verify_theorem(tid: TheoremId, h: WeightFunction, f: PointFunction,
     """Sample triples from f's domain and test the theorem's printed direction.
 
     sense defaults to the theorem's base sense. The hypotheses on f and h are
-    not checked; audits deliberately run theorems under violated ones. The
-    sides are evaluated once: up to eight witnesses read lhs and rhs from the
-    arrays that decided the verdict (exp of the log-domain sides for product
-    theorems).
+    not checked; audits deliberately run theorems under violated ones. Grid
+    samples take the sides of their sorted triple, so the up to eight
+    witnesses read lhs and rhs again, at their own coordinates, in one
+    kernel call (exp of the log-domain sides for product theorems).
     """
     claim, sense = _claim(tid, sense), sense or BASE_SENSE[tid]
     plan = plan or SamplePlan()
@@ -176,7 +176,12 @@ def verify_theorem(tid: TheoremId, h: WeightFunction, f: PointFunction,
     kernel = partial(_sides_arrays, tid, weight_eval(h, 1.5), weight_eval(h, 0.5), f)
     cmp = _compare(blocks, blocks.map(kernel), claim,
                    f"theorem {tid.value} on {f.name}", tol, limit=8)
-    witnesses = [_witness(v, tid.value[1] == "G") for v in cmp.violations]
+    witnesses = []
+    if cmp.violations:
+        index, points = zip(*((i, point) for i, point, _, _ in cmp.violations))
+        lhs, rhs, _ = kernel(*(np.array(c) for c in zip(*points)))
+        witnesses = [_witness(v, tid.value[1] == "G")
+                     for v in zip(index, points, lhs.tolist(), rhs.tolist())]
     return PopoviciuReport(tid, h.name, f.name, sense, cmp.samples, cmp.min_margin,
                            witnesses, skipped=cmp.skipped)
 

@@ -10,6 +10,13 @@ random, so that the "smallest-index witness" reported by a verifier is
 reproducible; the flat views triples, pairs_with_t and scalar_pairs list
 them in that order.
 
+The (x, y, z) stream is symmetric by contract: every kernel run on
+triple_blocks (the nine theorems, the chain links, the equality families and
+Hlawka) is symmetric in x, y and z, so each grid sample takes the sides of
+its sorted triple. Its grid kernel runs once on the n(n+1)(n+2)/6 sorted
+triples, and _compare weights each by the number of grid samples it stands
+for.
+
 Every verdict in the package, additivity classes and Hlawka included,
 compares its sides through _compare: _margin turns each block into relative
 margins (it is the one margin formula), each block is reduced on its own
@@ -21,7 +28,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache, partial
+from itertools import permutations
 from typing import Optional
 
 import numpy as np
@@ -44,10 +52,15 @@ class SampleBlocks:
     point np.unravel_index(i, grid_shape) for i below the grid size, else
     tail row i - grid size. Verifiers reduce the blocks one at a time
     (map); only the flat views join them (flat).
+
+    A symmetric grid has three equal axes and only symmetric kernels: each
+    grid sample takes the sides of its sorted triple, so map evaluates the
+    grid on the sorted triples alone (_simplex), in C order.
     """
 
     grid: tuple[np.ndarray, ...]
     tail: tuple[np.ndarray, ...]
+    symmetric: bool = False
 
     @property
     def grid_shape(self) -> tuple[int, ...]:
@@ -57,9 +70,11 @@ class SampleBlocks:
         """Run kernel(*coordinates) once on the grid axes, then once on the
         tail: (offset, shape, result) per block, where offset is the index
         of the block's first sample and shape the shape its results
-        broadcast to."""
-        shape = self.grid_shape
-        return [(0, shape, kernel(*self.grid)),
+        broadcast to. A symmetric grid is evaluated on its sorted triples."""
+        grid, shape = self.grid, self.grid_shape
+        if self.symmetric:
+            grid = tuple(grid[0].ravel()[k] for k in _simplex(shape[0])[0])
+        return [(0, grid[0].shape if self.symmetric else shape, kernel(*grid)),
                 (math.prod(shape), self.tail[0].shape, kernel(*self.tail))]
 
     def flat(self) -> tuple[np.ndarray, ...]:
@@ -115,12 +130,13 @@ class SamplePlan:
         u.setflags(write=False)
         return u
 
-    def _blocks(self, *axes) -> SampleBlocks:
+    def _blocks(self, *axes, symmetric: bool = False) -> SampleBlocks:
         """One coordinate per (grid points, (lo, hi)) axis: the open mesh of
         the axes, then the plan's random rows scaled to [lo, hi)."""
         return SampleBlocks(np.ix_(*(points for points, _ in axes)),
                             tuple(lo + (hi - lo) * row
-                                  for (_, (lo, hi)), row in zip(axes, self._uniform)))
+                                  for (_, (lo, hi)), row in zip(axes, self._uniform)),
+                            symmetric)
 
     def pair_t_blocks(self, domain: Interval) -> SampleBlocks:
         """(x, y, t) blocks: grid_axis^2 * grid_t grid, then random."""
@@ -128,9 +144,9 @@ class SamplePlan:
         return self._blocks(xy, xy, (self.t_grid(), (T_EPS, 1.0 - T_EPS)))
 
     def triple_blocks(self, domain: Interval) -> SampleBlocks:
-        """(x, y, z) blocks: grid_axis^3 grid, then random."""
+        """(x, y, z) blocks: grid_axis^3 symmetric grid, then random."""
         xyz = self._spatial(domain)
-        return self._blocks(xyz, xyz, xyz)
+        return self._blocks(xyz, xyz, xyz, symmetric=True)
 
     def pair_blocks(self, domain: Interval) -> SampleBlocks:
         """(s, t) blocks: grid_axis^2 grid, then random."""
@@ -148,6 +164,25 @@ class SamplePlan:
     def scalar_pairs(self, domain: Interval) -> tuple[np.ndarray, np.ndarray]:
         """Ordered (s, t) pairs: grid_axis^2 grid, then random."""
         return self.pair_blocks(domain).flat()
+
+
+@lru_cache(maxsize=None)
+def _simplex(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted index triples i <= j <= k of an n-point axis, one column
+    each in C order, and the number of grid samples (permutations) each
+    stands for: 6, 3 or 1. Built once per n and read-only."""
+    a = np.arange(n)
+    index = np.array(np.nonzero((a[:, None, None] <= a[:, None]) & (a[:, None] <= a)))
+    mult = 6 // (1 + (index[0] == index[1])) // (1 + (index[1] == index[2]))
+    for array in (index, mult):
+        array.setflags(write=False)
+    return index, mult
+
+
+def _orbit(n: int, s: int) -> list[int]:
+    """The C-order grid indices of the distinct permutations of sorted triple s."""
+    return sorted({(a * n + b) * n + c
+                   for a, b, c in permutations(_simplex(n)[0][:, s].tolist())})
 
 
 def _margin(lhs, rhs, valid, claim: str = "<="):
@@ -197,17 +232,26 @@ def _compare(blocks: SampleBlocks, results, claim: str, what: str,
     blocks and their lhs and rhs (for "==", `limit` with lhs above rhs and
     `limit` below). Raises DomainError, naming the claim `what`, when fewer
     than MIN_USABLE_FRACTION of the counted samples are usable.
+
+    A symmetric grid's sorted triple counts as every grid sample of its
+    orbit. Its violators are closed under permutation and a sorted triple
+    leads its orbit, so the orbits of the first `limit` sorted violators hold
+    the first `limit` grid violators, each with its sorted triple's sides.
     """
     usable = total = 0
     lowest = np.inf
     found = ([], []) if claim == "==" else ([],)  # kept violations by side
-    for offset, shape, (lhs, rhs, valid, *applicable) in results:
+    for block, (offset, shape, (lhs, rhs, valid, *applicable)) in enumerate(results):
         rel = _broadcast(_margin(lhs, rhs, valid, claim), shape)
         if not rel.size:
             continue
-        total += (int(np.count_nonzero(_broadcast(applicable[0], shape)))
-                  if applicable else rel.size)
-        usable += int(np.count_nonzero(_broadcast(valid, shape)))
+        if blocks.symmetric and block == 0:  # by position: a tail may start at 0 too
+            n = blocks.grid_shape[0]
+            count, size, orbit = partial(np.dot, _simplex(n)[1]), n ** 3, partial(_orbit, n)
+        else:
+            count, size, orbit = np.count_nonzero, rel.size, lambda i: [offset + int(i)]
+        total += int(count(_broadcast(applicable[0], shape))) if applicable else size
+        usable += int(count(_broadcast(valid, shape)))
         block_min = float(rel.min())
         lowest = min(lowest, block_min)
         if tol is None or block_min >= -tol or all(len(kept) >= limit for kept in found):
@@ -219,8 +263,8 @@ def _compare(blocks: SampleBlocks, results, claim: str, what: str,
             room = limit - len(kept)
             if room > 0:  # argmax finds one violation without listing them all
                 index = np.flatnonzero(mask)[:room] if room > 1 else [mask.argmax()]
-                kept += [(offset + int(i), float(lhs.flat[i]), float(rhs.flat[i]))
-                         for i in index if mask.flat[i]]
+                kept += sorted((j, float(lhs.flat[i]), float(rhs.flat[i]))
+                               for i in index if mask.flat[i] for j in orbit(i))[:room]
     if usable < MIN_USABLE_FRACTION * total:
         raise DomainError(f"only {usable}/{total} samples usable for {what}")
     return Comparison(usable, total - usable, lowest, [

@@ -6,9 +6,10 @@ bytes of its JSON report with the file of the same name under
 ``chained_check`` for all 13 corollaries are frozen in ``chains.txt``.
 
 The files were made with numpy 2.4.6 and Python 3.11 on x86-64 Linux. Another
-numpy build may move the last digits of a transcendental function; only such
-a change justifies rewriting them (``PYTHONPATH=src python
-tests/test_golden.py``), never a change of behaviour.
+numpy build may move the last digits of a transcendental function, and that
+justifies rewriting them (``PYTHONPATH=src python tests/test_golden.py``). So
+does a ROADMAP item that changes report bytes on purpose, in a commit of its
+own whose CHANGES.md entry names the fields that moved. A refactor never does.
 """
 
 from __future__ import annotations

@@ -12,8 +12,9 @@ from meanconvex import (BASE_SENSE, EQUALITY_FAMILIES, DomainError,
                         hlawka_margins, identity_weight, popoviciu_sides,
                         power_weight, theorem_margins, two_point_reduction,
                         verify_theorem)
-from meanconvex import popoviciu, reciprocal_weight, weight_eval
-from meanconvex.catalog import _AUDIT_PLAN, builtin_functions, make_function
+from meanconvex import catalog, popoviciu, reciprocal_weight, weight_eval
+from meanconvex.catalog import _AUDIT_PLAN, builtin_claims, builtin_functions, make_function
+from meanconvex.weights import DEFAULT_TOL
 
 ID = identity_weight()
 FS = builtin_functions()
@@ -193,8 +194,27 @@ class TestVerifyTheorem:
                         found += len(rep.witnesses)
         assert found > 0
 
+    def test_permuted_witnesses_violate_at_their_own_point(self):
+        # a grid witness off the sorted order is a permutation of a sorted
+        # violator; replayed at its own coordinates it still violates
+        permuted = 0
+        for tid in TheoremId:
+            for fn in ("cosh", "sqrt"):
+                for h in (ID, power_weight(2.0)):
+                    for sense in ("convex", "concave"):
+                        for seed in (1, 7, 42):
+                            rep = verify_theorem(tid, h, FS[fn], sense,
+                                                 SMALL.with_seed(seed), box=BOX)
+                            for w in rep.witnesses:
+                                margin = theorem_margins(tid, h, FS[fn], [w.x], [w.y],
+                                                         [w.z], sense)[0]
+                                assert margin < -DEFAULT_TOL
+                                permuted += not w.x <= w.y <= w.z
+        assert permuted > 0
+
     def test_sides_evaluated_once(self, monkeypatch):
-        # once per sample block: the grid on its axes, then the random tail
+        # once per sample block, the grid on its sorted triples, then the
+        # random tail; then once more for the witnesses at their own points
         calls = []
         sides = popoviciu._sides_arrays
 
@@ -207,9 +227,9 @@ class TestVerifyTheorem:
                              plan=SMALL, box=BOX)
         assert len(rep.witnesses) == 8
         n = SMALL.grid_axis
-        assert calls == [(TheoremId.AA, (n, n, n)), (TheoremId.AA, (SMALL.n_random,))]
-        assert sum(math.prod(shape) for _, shape in calls) == \
-            rep.triples_tested + rep.skipped == n**3 + SMALL.n_random
+        assert calls == [(TheoremId.AA, (n * (n + 1) * (n + 2) // 6,)),
+                         (TheoremId.AA, (SMALL.n_random,)), (TheoremId.AA, (8,))]
+        assert rep.triples_tested + rep.skipped == n**3 + SMALL.n_random
 
     @pytest.mark.parametrize("sense", ["convx", "monotone", ""])
     def test_bad_sense_rejected(self, sense):
@@ -332,6 +352,33 @@ class TestChainTable:
                     lhs, rhs = (np.atleast_1d(s) for s in sides[j:j + 2])
                     assert bitwise(lhs, want[0]), (corollary, f.name)
                     assert bitwise(rhs, np.atleast_1d(want[1])), (corollary, f.name)
+
+
+def test_first_grid_witness_is_sorted(monkeypatch):
+    """A limit-1 claim on the symmetric stream keeps its first violation in
+    sample order, which on the grid is a sorted triple x <= y <= z: so for
+    every refuted chain link and Hlawka row."""
+    plan = SamplePlan(grid_axis=7, n_random=100, seed=5)
+    witnesses = []
+    for corollary in popoviciu._CHAINS:
+        for f in FS.values():
+            try:
+                rep = chained_check(corollary, ID, f, plan, enforce_hypotheses=False)
+            except DomainError:
+                continue
+            witnesses += [link.witness for link in rep.links if link.witness]
+    hlawka = [entry for entry in builtin_claims() if entry.kind == "hlawka"]
+    seen = []
+    monkeypatch.setattr(catalog, "_witness", lambda v: seen.append(v) or popoviciu._witness(v))
+    for entry in hlawka:  # at tol 0 both rows are refuted on float rounding
+        assert catalog._audit_hlawka(entry, plan, 0.0)[0] in ("refuted", "not-equality")
+    n_grid = plan.grid_axis ** 3
+    assert len(seen) == len(hlawka) and all(v[0] < n_grid for v in seen)
+    witnesses += [popoviciu._witness(v) for v in seen]
+    grid = [w for w in witnesses if w.index < n_grid]
+    assert len(grid) > len(hlawka)
+    for w in grid:
+        assert w.x <= w.y <= w.z
 
 
 class TestUsableFraction:

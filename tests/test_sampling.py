@@ -9,11 +9,17 @@ lhs, rhs and the valid mask must agree byte for byte, and witness
 coordinates must be the reference sample at the witness index. The verdicts
 reduce each block on its own shape; the reference for them is the flat
 comparison kernel below, run on the whole stream at once.
+
+The (x, y, z) stream is symmetric: each of its grid samples takes the sides
+of its sorted triple, so the reference evaluates the grid part at each
+sample's coordinates sorted (np.sort over the coordinate axis) and the tail
+as drawn. A theorem witness reads its sides at its own coordinates.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import itertools
 import os
 import sys
 from functools import partial
@@ -28,10 +34,13 @@ from meanconvex import (BASE_SENSE, ConvexitySpec, DomainError, EQUALITY_FAMILIE
                         power_weight, reciprocal_weight, run_audit, sampling,
                         verify_class, verify_extended_class, verify_theorem,
                         weight_eval)
-from meanconvex.catalog import _AUDIT_PLAN, builtin_functions
+from meanconvex import catalog
+from meanconvex.catalog import _AUDIT_PLAN, builtin_claims, builtin_functions
 from meanconvex.convexity import _gap_arrays
-from meanconvex.popoviciu import _CHAINS, _chain_links, _chain_sides, _sides_arrays
-from meanconvex.sampling import MIN_USABLE_FRACTION, T_EPS, SampleBlocks, _compare
+from meanconvex.popoviciu import (_CHAINS, _chain_links, _chain_sides, _hlawka_sides,
+                                  _sides_arrays)
+from meanconvex.sampling import (MIN_USABLE_FRACTION, T_EPS, SampleBlocks, _compare,
+                                 _margin, _orbit, _simplex)
 
 FS = builtin_functions()
 WEIGHTS = [identity_weight(), power_weight(2.0), reciprocal_weight()]
@@ -77,6 +86,15 @@ def xyz_stream(plan, dom):
     return reference_stream(plan, *[dom.sampling_bounds()] * 3)
 
 
+def sorted_xyz_stream(plan, dom):
+    """xyz_stream with each grid sample's coordinates sorted: the triple
+    whose sides a grid sample of the symmetric stream takes."""
+    xyz = np.stack(xyz_stream(plan, dom))
+    n_grid = plan.grid_axis ** 3
+    xyz[:, :n_grid] = np.sort(xyz[:, :n_grid], axis=0)
+    return tuple(xyz)
+
+
 def xyt_stream(plan, dom):
     return reference_stream(plan, *[dom.sampling_bounds()] * 2, t_axis=True)
 
@@ -85,11 +103,23 @@ def st_stream(plan, dom):
     return reference_stream(plan, *[dom.sampling_bounds()] * 2)
 
 
+def sorted_position(n):
+    """For each sample of an n^3 grid in C order, the position of its sorted
+    index triple among all sorted index triples in C order."""
+    triples = np.sort(np.indices((n, n, n)).reshape(3, -1), axis=0)
+    flat = (triples[0] * n + triples[1]) * n + triples[2]
+    return np.searchsorted(np.unique(flat), flat)
+
+
 def _joined(blocks, kernel):
     """Each output of kernel on the blocks, broadcast to its block's shape,
-    raveled and joined in sample order."""
+    raveled and joined in sample order; a symmetric grid's outputs on its
+    sorted triples are spread over the grid samples they stand for."""
     per_block = [[np.broadcast_to(out, shape).ravel() for out in outs]
                  for _, shape, outs in blocks.map(kernel)]
+    if blocks.symmetric:
+        spread = sorted_position(blocks.grid_shape[0])
+        per_block[0] = [column[spread] for column in per_block[0]]
     return tuple(np.concatenate(columns) for columns in zip(*per_block))
 
 
@@ -136,7 +166,7 @@ class TestFactoredEqualsFlat:
             for tid in TheoremId:
                 kernel = partial(_sides_arrays, tid, h32, h12, f)
                 _assert_bitwise(_joined(plan.triple_blocks(dom), kernel),
-                                kernel(*xyz_stream(plan, dom)))
+                                kernel(*sorted_xyz_stream(plan, dom)))
 
     def test_class_sides(self, plan, h):
         for f in FS.values():
@@ -154,7 +184,7 @@ class TestFactoredEqualsFlat:
                 kernel = partial(_chain_sides, corollary, h32, h12, f)
                 with np.errstate(all="ignore"):
                     factored = _joined(plan.triple_blocks(dom), kernel)
-                    flat = kernel(*xyz_stream(plan, dom))
+                    flat = kernel(*sorted_xyz_stream(plan, dom))
                 _assert_bitwise(factored, flat)
 
 
@@ -163,7 +193,89 @@ def test_equality_families(plan):
         dom = _domain(f)
         kernel = partial(_sides_arrays, tid, 1.5, 0.5, f)
         _assert_bitwise(_joined(plan.triple_blocks(dom), kernel),
-                        kernel(*xyz_stream(plan, dom)))
+                        kernel(*sorted_xyz_stream(plan, dom)))
+
+
+# ---------------------------------------------------------------------------
+# The symmetric (x, y, z) stream: its contract and its bookkeeping.
+
+def _link_sides(out):
+    """(lhs, rhs, valid) of each comparison a triple-stream kernel returns:
+    one for theorem sides, one per link for chain sides."""
+    if len(out) == 3 and np.asarray(out[2]).dtype == bool:
+        return [tuple(out)]
+    return [(lhs, rhs, np.isfinite(lhs) & np.isfinite(rhs))
+            for lhs, rhs in zip(out[0::2], out[1::2])]
+
+
+class TestSymmetricKernels:
+    """Every kernel run on triple_blocks is symmetric in (x, y, z): under
+    every permutation of a triple the valid mask is identical and the
+    relative margin moves by float rounding only. The stream evaluates each
+    grid sample at its sorted triple, which is sound only while this holds."""
+
+    PLAN = SamplePlan(grid_axis=7, n_random=300, seed=11)
+    MARGIN_TOL = 1e-13  # measured: at most 4.1e-14 (cor27.2), 8.3e-15 (theorem HA)
+
+    def _assert_symmetric(self, kernel, xyz):
+        with np.errstate(all="ignore"):
+            base = _link_sides(kernel(*xyz))
+            for perm in itertools.permutations(range(3)):
+                got = _link_sides(kernel(*(xyz[k] for k in perm)))
+                assert len(got) == len(base)
+                for (lhs0, rhs0, valid0), (lhs1, rhs1, valid1) in zip(base, got):
+                    assert np.array_equal(valid1, valid0)
+                    moved = np.abs(_margin(lhs1, rhs1, valid1) - _margin(lhs0, rhs0, valid0))
+                    assert moved[valid0].max(initial=0.0) <= self.MARGIN_TOL
+
+    @pytest.mark.parametrize("h", WEIGHTS, ids=lambda h: h.name)
+    @pytest.mark.parametrize("on_box", [False, True], ids=["domain", "box"])
+    def test_theorems_and_chains(self, h, on_box):
+        h32, h12 = weight_eval(h, 1.5), weight_eval(h, 0.5)
+        for f in FS.values():
+            xyz = self.PLAN.triples(_domain(f) if on_box else f.sampling_domain())
+            for tid in TheoremId:
+                self._assert_symmetric(partial(_sides_arrays, tid, h32, h12, f), xyz)
+            for corollary in _CHAINS:
+                self._assert_symmetric(partial(_chain_sides, corollary, h32, h12, f), xyz)
+
+    def test_equality_families_and_hlawka(self):
+        for tid, f in EQUALITY_FAMILIES.values():
+            self._assert_symmetric(partial(_sides_arrays, tid, 1.5, 0.5, f),
+                                   self.PLAN.triples(f.sampling_domain()))
+        self._assert_symmetric(_hlawka_sides, self.PLAN.triples(
+            Interval(-10.0, 10.0, closed_lo=True, closed_hi=True)))
+
+
+@pytest.mark.parametrize("n", range(41))
+def test_sorted_triples_and_orbits(n):
+    """_simplex lists the n(n+1)(n+2)/6 sorted index triples of an n-point
+    axis in C order with their orbit sizes, built once per n and read-only;
+    the orbits, each led by its sorted triple, partition the n^3 grid."""
+    index, mult = _simplex(n)
+    assert _simplex(n)[0] is index and _simplex(n)[1] is mult
+    assert not index.flags.writeable and not mult.flags.writeable
+    m = n * (n + 1) * (n + 2) // 6
+    assert index.shape == (3, m) and mult.shape == (m,)
+    i, j, k = index
+    assert np.all(i <= j) and np.all(j <= k)
+    flat = (i * n + j) * n + k
+    assert np.all(np.diff(flat) > 0)
+    assert mult.sum() == n ** 3
+    orbits = [_orbit(n, s) for s in range(m)]
+    assert [orbit[0] for orbit in orbits] == flat.tolist()
+    assert [len(orbit) for orbit in orbits] == mult.tolist()
+    assert sorted(itertools.chain.from_iterable(orbits)) == list(range(n ** 3))
+
+
+def test_sorted_triples_built_once_per_axis_size():
+    plan, dom = SamplePlan(grid_axis=5, n_random=10), Interval(0.5, 2.0)
+    first = lambda x, y, z: x
+    plan.triple_blocks(dom).map(first)
+    misses = _simplex.cache_info().misses
+    for seed in (1, 2):
+        plan.with_seed(seed).triple_blocks(Interval(1.0, 3.0)).map(first)
+    assert _simplex.cache_info().misses == misses
 
 
 class TestWitnessCoordinates:
@@ -317,12 +429,16 @@ TOL = 1e-9
 
 
 def flat_theorem(tid, h, f, sense, plan):
-    xyz = xyz_stream(plan, f.sampling_domain(_box(f)))
-    lhs, rhs, valid = _sides_arrays(tid, weight_eval(h, 1.5), weight_eval(h, 0.5), f, *xyz)
+    dom = f.sampling_domain(_box(f))
+    xyz = xyz_stream(plan, dom)
+    kernel = partial(_sides_arrays, tid, weight_eval(h, 1.5), weight_eval(h, 0.5), f)
+    lhs, rhs, valid = kernel(*sorted_xyz_stream(plan, dom))
     rel, bad = flat_compare(lhs, rhs, valid, sense == BASE_SENSE[tid], TOL,
                             f"theorem {tid.value} on {f.name}")
+    own = kernel(*xyz)  # witness sides at the witness's own coordinates
     side = np.exp if tid.value[1] == "G" else (lambda v: v)
-    witnesses = [(i, *(c[i] for c in xyz), side(lhs[i]), side(rhs[i])) for i in bad[:8]]
+    witnesses = [(i, *(c[i] for c in xyz), side(own[0][i]), side(own[1][i]))
+                 for i in bad[:8]]
     return rel.min(), valid.sum(), valid.size - valid.sum(), witnesses
 
 
@@ -391,7 +507,8 @@ def flat_chain(corollary, h, f, plan):
     flat_classify(h, UNIT, plan, np.add, "sum")
     xyz = xyz_stream(plan, dom)
     with np.errstate(all="ignore"):
-        sides = _chain_sides(corollary, weight_eval(h, 1.5), weight_eval(h, 0.5), f, *xyz)
+        sides = _chain_sides(corollary, weight_eval(h, 1.5), weight_eval(h, 0.5), f,
+                             *sorted_xyz_stream(plan, dom))
     links = []
     for name, lhs, rhs in zip(_chain_links(corollary), sides[0::2], sides[1::2]):
         valid = np.isfinite(lhs) & np.isfinite(rhs)
@@ -506,8 +623,8 @@ class TestClassifyUsableHalf:
 def test_equality_families_equal_flat(plan):
     for family, (tid, f) in EQUALITY_FAMILIES.items():
         def flat():
-            lhs, rhs, valid = _sides_arrays(tid, 1.5, 0.5, f,
-                                            *xyz_stream(plan, f.sampling_domain(_box(f))))
+            lhs, rhs, valid = _sides_arrays(
+                tid, 1.5, 0.5, f, *sorted_xyz_stream(plan, f.sampling_domain(_box(f))))
             rel, _ = flat_compare(lhs, rhs, valid, what=f"family {family}")
             return np.abs(rel[valid]).max(), valid.sum()
         assert _outcome(lambda: equality_max_residual(family, plan, _box(f))) == \
@@ -549,33 +666,37 @@ class TestReducerEdges:
 class TestCompareDecodes:
     """_compare decodes each violation it keeps: its coordinates are the
     reference stream's sample at its index, and its lhs and rhs are the
-    sides there. The sides are the first two coordinates, lhs = a, rhs = b."""
+    sides there (at the sorted triple on the symmetric (x, y, z) stream).
+    The sides are lhs = 2·x·y·z, rhs = x + y + z on (x, y, z), which is
+    symmetric, and the first two coordinates, lhs = a, rhs = b, elsewhere."""
 
     DOM = Interval(0.5, 2.0)
-    STREAMS = {"xyz": (SamplePlan.triple_blocks, xyz_stream),
-               "xyt": (SamplePlan.pair_t_blocks, xyt_stream),
-               "st": (SamplePlan.pair_blocks, st_stream)}
-
-    @staticmethod
-    def _sides(a, b, *rest):
-        return a, b, np.isfinite(a)
+    # blocks, the reference coordinates, the coordinates the sides are read at,
+    # and the sides
+    STREAMS = {"xyz": (SamplePlan.triple_blocks, xyz_stream, sorted_xyz_stream,
+                       lambda x, y, z: (2.0 * x * y * z, x + y + z)),
+               "xyt": (SamplePlan.pair_t_blocks, xyt_stream, xyt_stream,
+                       lambda a, b, t: (a, b)),
+               "st": (SamplePlan.pair_blocks, st_stream, st_stream, lambda a, b: (a, b))}
 
     def _run(self, plan, stream, claim, limit):
-        blocks_of, reference = self.STREAMS[stream]
+        blocks_of, reference, read_at, sides = self.STREAMS[stream]
         blocks, flat = blocks_of(plan, self.DOM), reference(plan, self.DOM)
-        cmp = _compare(blocks, blocks.map(self._sides), claim, "a against b", TOL, limit)
+        kernel = lambda *c: (*sides(*c), np.isfinite(c[0]))
+        cmp = _compare(blocks, blocks.map(kernel), claim, "lhs against rhs", TOL, limit)
+        want_lhs, want_rhs = sides(*read_at(plan, self.DOM))
         for i, point, lhs, rhs in cmp.violations:
             assert point == tuple(float(c[i]) for c in flat)
-            assert (lhs, rhs) == (float(flat[0][i]), float(flat[1][i]))
+            assert (lhs, rhs) == (float(want_lhs[i]), float(want_rhs[i]))
             assert all(type(v) is float for v in (*point, lhs, rhs))
-        rel, _ = flat_compare(flat[0], flat[1], np.isfinite(flat[0]))
+        rel, _ = flat_compare(want_lhs, want_rhs, np.isfinite(want_lhs))
         return cmp, flat, rel
 
     @pytest.mark.parametrize("stream", list(STREAMS))
     @pytest.mark.parametrize("claim", ["<=", ">=", "=="])
     def test_every_kept_violation_is_the_reference_sample(self, plan, stream, claim):
         cmp, flat, rel = self._run(plan, stream, claim, limit=10**6)
-        # rel is the margin of a <= b; ">=" flips it and "==" takes |rel|
+        # rel is the margin of lhs <= rhs; ">=" flips it and "==" takes |rel|
         bad = rel < -TOL if claim == "<=" else rel > TOL if claim == ">=" else \
             np.abs(rel) > TOL
         kept = [i for i, *_ in cmp.violations]
@@ -587,7 +708,7 @@ class TestCompareDecodes:
     @pytest.mark.parametrize("stream", list(STREAMS))
     def test_equality_keeps_the_first_of_each_side(self, plan, stream):
         cmp, flat, rel = self._run(plan, stream, "==", limit=1)
-        above = np.flatnonzero(rel < -TOL)[0]  # a above b
+        above = np.flatnonzero(rel < -TOL)[0]  # lhs above rhs
         below = np.flatnonzero(rel > TOL)[0]
         assert [i for i, *_ in cmp.violations] == sorted([above, below])
         assert {lhs > rhs for _, _, lhs, rhs in cmp.violations} == {True, False}
