@@ -166,7 +166,7 @@ class SamplePlan:
         return self.pair_blocks(domain).flat()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)  # an entry holds about 5·n³ bytes; a process uses few sizes
 def _simplex(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The sorted index triples i <= j <= k of an n-point axis, one column
     each in C order, and the number of grid samples (permutations) each

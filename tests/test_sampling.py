@@ -34,8 +34,7 @@ from meanconvex import (BASE_SENSE, ConvexitySpec, DomainError, EQUALITY_FAMILIE
                         power_weight, reciprocal_weight, run_audit, sampling,
                         verify_class, verify_extended_class, verify_theorem,
                         weight_eval)
-from meanconvex import catalog
-from meanconvex.catalog import _AUDIT_PLAN, builtin_claims, builtin_functions
+from meanconvex.catalog import _AUDIT_PLAN, builtin_functions
 from meanconvex.convexity import _gap_arrays
 from meanconvex.popoviciu import (_CHAINS, _chain_links, _chain_sides, _hlawka_sides,
                                   _sides_arrays)
@@ -215,7 +214,7 @@ class TestSymmetricKernels:
     grid sample at its sorted triple, which is sound only while this holds."""
 
     PLAN = SamplePlan(grid_axis=7, n_random=300, seed=11)
-    MARGIN_TOL = 1e-13  # measured: at most 4.1e-14 (cor27.2), 8.3e-15 (theorem HA)
+    MARGIN_TOL = 1e-13  # measured here: at most 4.1e-14 (cor27.2), 2.9e-15 (theorems)
 
     def _assert_symmetric(self, kernel, xyz):
         with np.errstate(all="ignore"):
@@ -266,16 +265,6 @@ def test_sorted_triples_and_orbits(n):
     assert [orbit[0] for orbit in orbits] == flat.tolist()
     assert [len(orbit) for orbit in orbits] == mult.tolist()
     assert sorted(itertools.chain.from_iterable(orbits)) == list(range(n ** 3))
-
-
-def test_sorted_triples_built_once_per_axis_size():
-    plan, dom = SamplePlan(grid_axis=5, n_random=10), Interval(0.5, 2.0)
-    first = lambda x, y, z: x
-    plan.triple_blocks(dom).map(first)
-    misses = _simplex.cache_info().misses
-    for seed in (1, 2):
-        plan.with_seed(seed).triple_blocks(Interval(1.0, 3.0)).map(first)
-    assert _simplex.cache_info().misses == misses
 
 
 class TestWitnessCoordinates:
