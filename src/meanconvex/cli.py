@@ -275,7 +275,8 @@ def _cmd_audit(args) -> int:
             "config": {"command": "audit", "seed": plan.seed, "tol": args.tol},
             "entries": len(findings),
             "disagreements": disagreements,
-            "findings": [dataclasses.asdict(fd) for fd in findings],
+            "findings": [{field.name: getattr(fd, field.name)
+                          for field in dataclasses.fields(fd)} for fd in findings],
         }
         _write_json(args.json, payload)
     print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)

@@ -35,7 +35,8 @@ class PointFunction:
     positive_on_domain is a claim, not an assumption: audits sample it.
     fn must be elementwise: verifiers call it on broadcast grid axes (shapes
     such as (n, 1, 1) or (n, 1, n)), and it must return an array of its
-    argument's shape.
+    argument's shape. fn must not write into its argument: a plan's sample
+    arrays are shared by every check on the plan and are read-only.
     """
 
     name: str

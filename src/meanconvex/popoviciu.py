@@ -402,8 +402,11 @@ def chained_check(corollary: str, h: WeightFunction, f: PointFunction,
     dom = f.sampling_domain(box)
     classify = (classify_multiplicativity if f_hyp.endswith("multiplicative")
                 else classify_additivity)
-    f_class = classify(f.fn, dom, plan, tol)
-    h_class = classify_additivity(h, Interval(0.0, 1.0), plan, tol)
+    unit = Interval(0.0, 1.0)
+    # by callable, not by name: two functions may share a name
+    f_class = plan._cached((classify, f.fn, dom, tol), lambda: classify(f.fn, dom, plan, tol))
+    h_class = plan._cached((classify_additivity, h.fn, unit, tol),
+                           lambda: classify_additivity(h, unit, plan, tol))
     if enforce_hypotheses:
         f_check = f_hyp.replace("multiplicative", "additive")
         if not f_class.satisfies(f_check):

@@ -1,6 +1,6 @@
 """Deterministic sampling plans and the one comparison kernel.
 
-A plan yields its samples as two blocks (SampleBlocks): the Cartesian grid
+A plan yields its samples as blocks (SampleBlocks): the Cartesian grid
 as an open mesh of its axes (np.ix_, so each axis keeps only its own
 points), then the seeded random tail as flat columns. A side kernel runs on
 each block once; a term that reads only some axes, such as f(x) or
@@ -8,14 +8,15 @@ f((x + z) / 2), costs one evaluation per distinct point instead of one per
 sample. Samples are numbered in one order, grid first in C order, then
 random, so that the "smallest-index witness" reported by a verifier is
 reproducible; the flat views triples, pairs_with_t and scalar_pairs list
-them in that order.
+them in that order. A plan builds each stream once per (kind, domain), and
+keeps it read-only while the plan lives (SamplePlan._cached).
 
 The (x, y, z) stream is symmetric by contract: every kernel run on
 triple_blocks (the nine theorems, the chain links, the equality families and
 Hlawka) is symmetric in x, y and z, so each grid sample takes the sides of
-its sorted triple. Its grid kernel runs once on the n(n+1)(n+2)/6 sorted
-triples, and _compare weights each by the number of grid samples it stands
-for.
+its sorted triple. Its kernel runs once, on one flat block: the
+n(n+1)(n+2)/6 sorted triples, then the tail. _compare weights each sorted
+triple by the number of grid samples it stands for.
 
 Every verdict in the package, additivity classes and Hlawka included,
 compares its sides through _compare: _margin turns each block into relative
@@ -42,6 +43,8 @@ T_EPS = 1e-6
 # A verdict needs at least this fraction of usable (non-skipped) samples.
 MIN_USABLE_FRACTION = 0.5
 
+_MEMO_SIZE = 32  # streams and classes a plan keeps; an audit request makes 15 and 11
+
 
 @dataclass(frozen=True)
 class SampleBlocks:
@@ -54,8 +57,8 @@ class SampleBlocks:
     (map); only the flat views join them (flat).
 
     A symmetric grid has three equal axes and only symmetric kernels: each
-    grid sample takes the sides of its sorted triple, so map evaluates the
-    grid on the sorted triples alone (_simplex), in C order.
+    grid sample takes the sides of its sorted triple, so map runs the kernel
+    on one flat block (_joined): the sorted triples in C order, then the tail.
     """
 
     grid: tuple[np.ndarray, ...]
@@ -66,15 +69,27 @@ class SampleBlocks:
     def grid_shape(self) -> tuple[int, ...]:
         return tuple(axis.size for axis in self.grid)
 
+    @cached_property
+    def _joined(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+        """Per coordinate, the sorted grid triples (_simplex) then the tail,
+        and the samples each position stands for, all read-only."""
+        index, mult = _simplex(self.grid_shape[0])
+        columns = tuple(np.concatenate([self.grid[0].ravel()[k], column])
+                        for k, column in zip(index, self.tail))
+        weights = np.concatenate([mult, np.ones(self.tail[0].size, mult.dtype)])
+        for array in (*columns, weights):
+            array.setflags(write=False)
+        return columns, weights
+
     def map(self, kernel) -> list[tuple[int, tuple[int, ...], object]]:
         """Run kernel(*coordinates) once on the grid axes, then once on the
         tail: (offset, shape, result) per block, where offset is the index
         of the block's first sample and shape the shape its results
-        broadcast to. A symmetric grid is evaluated on its sorted triples."""
-        grid, shape = self.grid, self.grid_shape
+        broadcast to. A symmetric stream is one block, its _joined columns."""
         if self.symmetric:
-            grid = tuple(grid[0].ravel()[k] for k in _simplex(shape[0])[0])
-        return [(0, grid[0].shape if self.symmetric else shape, kernel(*grid)),
+            return [(0, self._joined[0][0].shape, kernel(*self._joined[0]))]
+        shape = self.grid_shape
+        return [(0, shape, kernel(*self.grid)),
                 (math.prod(shape), self.tail[0].shape, kernel(*self.tail))]
 
     def flat(self) -> tuple[np.ndarray, ...]:
@@ -130,28 +145,41 @@ class SamplePlan:
         u.setflags(write=False)
         return u
 
+    def _cached(self, key, build):
+        """build(), made once per key on this plan and kept while the plan
+        lives. Past _MEMO_SIZE entries the oldest goes; an entry is fixed by
+        its key and the plan, so eviction changes no result."""
+        memo = vars(self).setdefault("_memo", {})
+        if key not in memo:
+            if len(memo) >= _MEMO_SIZE:
+                del memo[next(iter(memo))]
+            memo[key] = build()
+        return memo[key]
+
     def _blocks(self, *axes, symmetric: bool = False) -> SampleBlocks:
         """One coordinate per (grid points, (lo, hi)) axis: the open mesh of
-        the axes, then the plan's random rows scaled to [lo, hi)."""
-        return SampleBlocks(np.ix_(*(points for points, _ in axes)),
-                            tuple(lo + (hi - lo) * row
-                                  for (_, (lo, hi)), row in zip(axes, self._uniform)),
-                            symmetric)
+        the axes, then the plan's random rows scaled to [lo, hi); read-only."""
+        blocks = SampleBlocks(np.ix_(*(points for points, _ in axes)),
+                              tuple(lo + (hi - lo) * row
+                                    for (_, (lo, hi)), row in zip(axes, self._uniform)),
+                              symmetric)
+        for array in (*blocks.grid, *blocks.tail):
+            array.setflags(write=False)
+        return blocks
 
     def pair_t_blocks(self, domain: Interval) -> SampleBlocks:
         """(x, y, t) blocks: grid_axis^2 * grid_t grid, then random."""
-        xy = self._spatial(domain)
-        return self._blocks(xy, xy, (self.t_grid(), (T_EPS, 1.0 - T_EPS)))
+        return self._cached(("xyt", domain), lambda: self._blocks(
+            *[self._spatial(domain)] * 2, (self.t_grid(), (T_EPS, 1.0 - T_EPS))))
 
     def triple_blocks(self, domain: Interval) -> SampleBlocks:
         """(x, y, z) blocks: grid_axis^3 symmetric grid, then random."""
-        xyz = self._spatial(domain)
-        return self._blocks(xyz, xyz, xyz, symmetric=True)
+        return self._cached(("xyz", domain), lambda: self._blocks(
+            *[self._spatial(domain)] * 3, symmetric=True))
 
     def pair_blocks(self, domain: Interval) -> SampleBlocks:
         """(s, t) blocks: grid_axis^2 grid, then random."""
-        st = self._spatial(domain)
-        return self._blocks(st, st)
+        return self._cached(("st", domain), lambda: self._blocks(*[self._spatial(domain)] * 2))
 
     def pairs_with_t(self, domain: Interval) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Ordered (x, y, t) samples: grid_axis^2 * grid_t grid, then random."""
@@ -233,21 +261,24 @@ def _compare(blocks: SampleBlocks, results, claim: str, what: str,
     `limit` below). Raises DomainError, naming the claim `what`, when fewer
     than MIN_USABLE_FRACTION of the counted samples are usable.
 
-    A symmetric grid's sorted triple counts as every grid sample of its
-    orbit. Its violators are closed under permutation and a sorted triple
-    leads its orbit, so the orbits of the first `limit` sorted violators hold
-    the first `limit` grid violators, each with its sorted triple's sides.
+    On a symmetric stream's one block a sorted triple counts as every grid
+    sample of its orbit, and tail position j is sample n^3 + j. Violators are
+    closed under permutation and a sorted triple leads its orbit, so the
+    orbits of the first `limit` sorted violators hold the first `limit` grid
+    violators, each with its sorted triple's sides.
     """
     usable = total = 0
     lowest = np.inf
     found = ([], []) if claim == "==" else ([],)  # kept violations by side
-    for block, (offset, shape, (lhs, rhs, valid, *applicable)) in enumerate(results):
+    for offset, shape, (lhs, rhs, valid, *applicable) in results:
         rel = _broadcast(_margin(lhs, rhs, valid, claim), shape)
         if not rel.size:
             continue
-        if blocks.symmetric and block == 0:  # by position: a tail may start at 0 too
-            n = blocks.grid_shape[0]
-            count, size, orbit = partial(np.dot, _simplex(n)[1]), n ** 3, partial(_orbit, n)
+        if blocks.symmetric:
+            n, n_tail, weights = blocks.grid_shape[0], blocks.tail[0].size, blocks._joined[1]
+            m = weights.size - n_tail  # sorted triples
+            count, size = partial(np.dot, weights), n ** 3 + n_tail
+            orbit = lambda i: _orbit(n, i) if i < m else [n ** 3 + int(i) - m]
         else:
             count, size, orbit = np.count_nonzero, rel.size, lambda i: [offset + int(i)]
         total += int(count(_broadcast(applicable[0], shape))) if applicable else size

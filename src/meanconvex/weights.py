@@ -31,12 +31,21 @@ class WeightFunction:
         return self.fn(np.asarray(t, dtype=float))
 
 
+def _label(v: float) -> str:
+    """v as :g when that reads back as v, else in full: a name fixes its weight."""
+    short = f"{v:g}"
+    return short if float(short) == v else repr(float(v))
+
+
+_IDENTITY = WeightFunction("identity", lambda t: t)
+
+
 def identity_weight() -> WeightFunction:
-    return WeightFunction("identity", lambda t: t)
+    return _IDENTITY
 
 
 def power_weight(r: float) -> WeightFunction:
-    return WeightFunction(f"power:{r:g}", lambda t: t**r)
+    return WeightFunction(f"power:{_label(r)}", lambda t: t**r)
 
 
 def reciprocal_weight() -> WeightFunction:
@@ -44,7 +53,7 @@ def reciprocal_weight() -> WeightFunction:
 
 
 def constant_weight(c: float = 1.0) -> WeightFunction:
-    return WeightFunction(f"constant:{c:g}", lambda t: np.full_like(t, c))
+    return WeightFunction(f"constant:{_label(c)}", lambda t: np.full_like(t, c))
 
 
 WEIGHT_BUILDERS = {

@@ -18,10 +18,12 @@ as drawn. A theorem witness reads its sides at its own coordinates.
 
 from __future__ import annotations
 
+import gc
 import importlib.util
 import itertools
 import os
 import sys
+import weakref
 from functools import partial
 
 import numpy as np
@@ -33,7 +35,7 @@ from meanconvex import (BASE_SENSE, ConvexitySpec, DomainError, EQUALITY_FAMILIE
                         constant_weight, equality_max_residual, identity_weight,
                         power_weight, reciprocal_weight, run_audit, sampling,
                         verify_class, verify_extended_class, verify_theorem,
-                        weight_eval)
+                        weight_eval, weights)
 from meanconvex.catalog import _AUDIT_PLAN, builtin_functions
 from meanconvex.convexity import _gap_arrays
 from meanconvex.popoviciu import (_CHAINS, _chain_links, _chain_sides, _hlawka_sides,
@@ -112,13 +114,16 @@ def sorted_position(n):
 
 def _joined(blocks, kernel):
     """Each output of kernel on the blocks, broadcast to its block's shape,
-    raveled and joined in sample order; a symmetric grid's outputs on its
-    sorted triples are spread over the grid samples they stand for."""
+    raveled and joined in sample order. A symmetric stream's one block is
+    split at the simplex size: its outputs on the sorted triples are spread
+    over the grid samples they stand for, and the tail follows."""
     per_block = [[np.broadcast_to(out, shape).ravel() for out in outs]
                  for _, shape, outs in blocks.map(kernel)]
     if blocks.symmetric:
-        spread = sorted_position(blocks.grid_shape[0])
-        per_block[0] = [column[spread] for column in per_block[0]]
+        n = blocks.grid_shape[0]
+        m, spread = n * (n + 1) * (n + 2) // 6, sorted_position(n)
+        per_block = [[column[:m][spread] for column in per_block[0]],
+                     [column[m:] for column in per_block[0]]]
     return tuple(np.concatenate(columns) for columns in zip(*per_block))
 
 
@@ -368,6 +373,110 @@ class TestRandomBlock:
         assert draws == [9]
         plan.with_seed(10).triples(dom)
         assert draws == [9, 10]
+
+
+class TestPlanMemo:
+    """A plan builds each stream and each chain hypothesis class once, keeps
+    at most _MEMO_SIZE of them, read-only, and drops them with itself."""
+
+    DOM = Interval(0.5, 2.0)
+
+    def test_same_key_same_blocks(self):
+        plan = PLANS["small"]
+        for stream in (plan.triple_blocks, plan.pair_t_blocks, plan.pair_blocks):
+            blocks = stream(self.DOM)
+            assert stream(Interval(0.5, 2.0)) is blocks
+            assert stream(Interval(0.5, 3.0)) is not blocks
+        assert plan.with_seed(3).triple_blocks(self.DOM) is not plan.triple_blocks(self.DOM)
+
+    def test_arrays_read_only(self):
+        plan = PLANS["small"]
+        for blocks in (plan.triple_blocks(self.DOM), plan.pair_t_blocks(self.DOM),
+                       plan.pair_blocks(self.DOM)):
+            assert not any(a.flags.writeable for a in (*blocks.grid, *blocks.tail))
+        columns, weights = plan.triple_blocks(self.DOM)._joined
+        assert plan.triple_blocks(self.DOM)._joined[0] is columns
+        assert not any(a.flags.writeable for a in (*columns, weights))
+
+    def test_bounded_and_eviction_keeps_results(self):
+        plan = SamplePlan(grid_axis=3, grid_t=2, n_random=5)
+        first = plan.triple_blocks(self.DOM)
+        for k in range(2 * sampling._MEMO_SIZE):
+            plan.pair_blocks(Interval(0.5, 3.0 + k))
+            assert len(vars(plan)["_memo"]) <= sampling._MEMO_SIZE
+        again = plan.triple_blocks(self.DOM)
+        assert again is not first  # evicted, then built anew
+        _assert_bitwise(again.flat(), first.flat())
+        _assert_bitwise(again._joined[0], first._joined[0])
+
+    def test_dropped_with_the_plan(self):
+        plan = SamplePlan(grid_axis=13, grid_t=9, n_random=2000, seed=5)
+        run_audit(plan)
+        assert vars(plan)["_memo"]
+        ref = weakref.ref(plan)
+        del plan
+        gc.collect()
+        assert ref() is None
+
+    def test_one_audit_builds_each_key_once(self, monkeypatch):
+        built, classified = [], []
+        blocks, classify = SamplePlan._blocks, weights._classify
+        monkeypatch.setattr(SamplePlan, "_blocks",
+                            lambda *a, **k: built.append(a[1:]) or blocks(*a, **k))
+        monkeypatch.setattr(weights, "_classify",
+                            lambda *a: classified.append(a) or classify(*a))
+        run_audit(_AUDIT_PLAN.with_seed(9))
+        assert (len(built), len(classified)) == (15, 11)
+
+    def test_classes_keyed_by_callable(self, monkeypatch):
+        # two power weights whose parameters differ past :g get a class each
+        seen = []
+        classify = weights._classify
+        monkeypatch.setattr(weights, "_classify",
+                            lambda g, *a: seen.append(g) or classify(g, *a))
+        plan, square = SamplePlan(grid_axis=5, grid_t=2, n_random=30), FS["square"]
+        h2, h2_plus = power_weight(2.0), power_weight(2.0000001)
+        tags = [chained_check("cor4.2", h, square, plan, enforce_hypotheses=False).h_class
+                for h in (h2, h2_plus, h2)]
+        assert seen == [square.fn, h2, h2_plus]
+        assert tags == [classify_additivity(h, UNIT, plan).tag for h in (h2, h2_plus, h2)]
+
+
+@pytest.mark.parametrize("grid_axis,n_random",
+                         [(n, r) for n in (0, 1, 2, 5) for r in (0, 7) if n + r])
+def test_joined_block_counts_every_sample_in_order(grid_axis, n_random):
+    """The symmetric stream's one block counts n^3 + n_random samples, and
+    keeps its violations in C order with tail position j at n^3 + j."""
+    plan = SamplePlan(grid_axis=grid_axis, n_random=n_random, seed=2)
+    dom = Interval(0.5, 2.0)
+    blocks = plan.triple_blocks(dom)
+    (offset, shape, _), = blocks.map(lambda x, y, z: x)
+    n_sorted = grid_axis * (grid_axis + 1) * (grid_axis + 2) // 6
+    assert (offset, shape) == (0, (n_sorted + n_random,))
+    hi = dom.sampling_bounds()[1]
+    # every sample violates; the grid's top corner (hi, hi, hi) is skipped
+    kernel = lambda x, y, z: (x + y + z, 0.0 * x, np.minimum(np.minimum(x, y), z) < hi)
+    cmp = _compare(blocks, blocks.map(kernel), "<=", "sum", TOL, limit=10**6)
+    flat = xyz_stream(plan, dom)
+    usable = np.minimum(np.minimum(*flat[:2]), flat[2]) < hi
+    n_all = grid_axis ** 3 + n_random
+    assert (cmp.samples, cmp.skipped) == (usable.sum(), n_all - usable.sum())
+    assert [i for i, *_ in cmp.violations] == np.flatnonzero(usable).tolist()
+    for i, point, _, _ in cmp.violations:
+        assert point == tuple(float(c[i]) for c in flat)
+
+
+def test_tail_violation_kept_after_few_grid_violators():
+    """With fewer than `limit` grid violators, the first tail violators fill
+    the rest, at their own sample indices."""
+    plan = SamplePlan(grid_axis=2, n_random=300, seed=4)
+    dom = Interval(0.0, 1.0, closed_lo=True, closed_hi=True)
+    kernel = lambda x, y, z: (x + y + z, np.full_like(x, 0.5), np.isfinite(x))
+    blocks = plan.triple_blocks(dom)
+    cmp = _compare(blocks, blocks.map(kernel), ">=", "sum", TOL, limit=3)
+    _, want = flat_compare(*kernel(*sorted_xyz_stream(plan, dom)), forward=False, tol=TOL)
+    assert want[0] < 8 <= want[2]  # the one grid violator is (0, 0, 0)
+    assert [i for i, *_ in cmp.violations] == want[:3].tolist()
 
 
 # ---------------------------------------------------------------------------

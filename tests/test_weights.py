@@ -1,15 +1,19 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meanconvex import (AdditivityClass, DomainError, Interval, SamplePlan,
+from meanconvex import (AdditivityClass, ConvexitySpec, DomainError,
+                        InapplicableSpecError, Interval, MeanKind, SamplePlan,
                         classify_additivity, classify_multiplicativity,
-                        constant_weight, identity_weight, power_weight,
-                        power_weight_class, reciprocal_weight, weight_eval)
+                        constant_weight, diagonal_refute, identity_weight,
+                        power_weight, power_weight_class, reciprocal_weight,
+                        weight_eval)
+from meanconvex.catalog import builtin_functions
 
 UNIT = Interval(0.0, 1.0)
 
@@ -55,6 +59,34 @@ class TestWeightEval:
 def test_weights_equal_by_name():
     assert power_weight(2.0) == power_weight(2)
     assert power_weight(2.0) != power_weight(3.0)
+
+
+@pytest.mark.parametrize("build,a,b", [(power_weight, 2.0, 2.0000001),
+                                       (power_weight, 0.1, np.nextafter(0.1, 1.0)),
+                                       (constant_weight, 1.0, 1.0000001)])
+def test_different_parameters_different_names(build, a, b):
+    # a name reads its parameter back exactly, so two weights that differ
+    # never share a name, an equality or a set slot
+    assert build(a).name != build(b).name
+    assert build(a) != build(b) and len({build(a), build(b)}) == 2
+    assert float(build(b).name.partition(":")[2]) == b
+
+
+def test_short_names_kept():
+    assert [h.name for h in (identity_weight(), power_weight(2.0), power_weight(0.5),
+                             reciprocal_weight(), constant_weight())] == \
+        ["identity", "power:2", "power:0.5", "reciprocal", "constant:1"]
+    assert identity_weight() is identity_weight()
+
+
+def test_near_constant_one_is_no_diagonal_case():
+    square = builtin_functions()["square"]
+    spec = ConvexitySpec(MeanKind.ARITHMETIC, MeanKind.ARITHMETIC,
+                         constant_weight(1.0000001), "concave")
+    with pytest.raises(InapplicableSpecError):
+        diagonal_refute(spec, square, 2.0, 0.5)
+    assert diagonal_refute(replace(spec, h=constant_weight(1.0)), square, 2.0,
+                           0.5).case == "A_1-concave"
 
 
 class TestPowerWeightClass:
