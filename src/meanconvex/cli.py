@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
 import inspect
 import json
@@ -275,8 +274,7 @@ def _cmd_audit(args) -> int:
             "config": {"command": "audit", "seed": plan.seed, "tol": args.tol},
             "entries": len(findings),
             "disagreements": disagreements,
-            "findings": [{field.name: getattr(fd, field.name)
-                          for field in dataclasses.fields(fd)} for fd in findings],
+            "findings": [vars(fd) for fd in findings],
         }
         _write_json(args.json, payload)
     print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)

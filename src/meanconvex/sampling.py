@@ -8,14 +8,13 @@ f((x + z) / 2), costs one evaluation per distinct point instead of one per
 sample. Samples are numbered in one order, grid first in C order, then
 random, so that the "smallest-index witness" reported by a verifier is
 reproducible; the flat views triples, pairs_with_t and scalar_pairs list
-them in that order. A plan builds each stream once per (kind, domain), and
-keeps it read-only while the plan lives (SamplePlan._cached).
+them in that order.
 
 The (x, y, z) stream is symmetric by contract: every kernel run on
 triple_blocks (the nine theorems, the chain links, the equality families and
 Hlawka) is symmetric in x, y and z, so each grid sample takes the sides of
-its sorted triple. Its kernel runs once, on one flat block: the
-n(n+1)(n+2)/6 sorted triples, then the tail. _compare weights each sorted
+its sorted triple. Its rows are the n(n+1)(n+2)/6 sorted triples, then the
+tail, in one block while they are few, and _compare weights each sorted
 triple by the number of grid samples it stands for.
 
 Every verdict in the package, additivity classes and Hlawka included,
@@ -29,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from itertools import permutations
 from typing import Optional
 
@@ -45,6 +44,10 @@ MIN_USABLE_FRACTION = 0.5
 
 _MEMO_SIZE = 32  # streams and classes a plan keeps; an audit request makes 15 and 11
 
+# Up to this many rows a symmetric stream is one block: a longer float64 column
+# passes glibc's 128 KiB mmap threshold, so each numpy temporary is mapped afresh.
+_JOIN_ROWS = 16_000
+
 
 @dataclass(frozen=True)
 class SampleBlocks:
@@ -58,7 +61,7 @@ class SampleBlocks:
 
     A symmetric grid has three equal axes and only symmetric kernels: each
     grid sample takes the sides of its sorted triple, so map runs the kernel
-    on one flat block (_joined): the sorted triples in C order, then the tail.
+    on the stream's rows (_rows): the sorted triples in C order, then the tail.
     """
 
     grid: tuple[np.ndarray, ...]
@@ -70,24 +73,24 @@ class SampleBlocks:
         return tuple(axis.size for axis in self.grid)
 
     @cached_property
-    def _joined(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-        """Per coordinate, the sorted grid triples (_simplex) then the tail,
-        and the samples each position stands for, all read-only."""
-        index, mult = _simplex(self.grid_shape[0])
-        columns = tuple(np.concatenate([self.grid[0].ravel()[k], column])
-                        for k, column in zip(index, self.tail))
-        weights = np.concatenate([mult, np.ones(self.tail[0].size, mult.dtype)])
-        for array in (*columns, weights):
-            array.setflags(write=False)
-        return columns, weights
+    def _rows(self) -> list[tuple[int, tuple[np.ndarray, ...]]]:
+        """A symmetric stream's rows, the sorted triples (_simplex) then the tail,
+        as read-only (first row, columns) blocks: one up to _JOIN_ROWS rows, else two."""
+        index = _simplex(self.grid_shape[0])[0]
+        rows = [(0, tuple(self.grid[0].ravel()[k] for k in index)), (len(index[0]), self.tail)]
+        if len(index[0]) + self.tail[0].size <= _JOIN_ROWS:
+            rows = [(0, tuple(map(np.concatenate, zip(rows[0][1], self.tail))))]
+        for column in (column for _, columns in rows for column in columns):
+            column.setflags(write=False)
+        return rows
 
     def map(self, kernel) -> list[tuple[int, tuple[int, ...], object]]:
         """Run kernel(*coordinates) once on the grid axes, then once on the
         tail: (offset, shape, result) per block, where offset is the index
         of the block's first sample and shape the shape its results
-        broadcast to. A symmetric stream is one block, its _joined columns."""
+        broadcast to. A symmetric stream's blocks are its _rows, offsets in rows."""
         if self.symmetric:
-            return [(0, self._joined[0][0].shape, kernel(*self._joined[0]))]
+            return [(start, cols[0].shape, kernel(*cols)) for start, cols in self._rows]
         shape = self.grid_shape
         return [(0, shape, kernel(*self.grid)),
                 (math.prod(shape), self.tail[0].shape, kernel(*self.tail))]
@@ -146,9 +149,8 @@ class SamplePlan:
         return u
 
     def _cached(self, key, build):
-        """build(), made once per key on this plan and kept while the plan
-        lives. Past _MEMO_SIZE entries the oldest goes; an entry is fixed by
-        its key and the plan, so eviction changes no result."""
+        """build(), made once per key and kept while the plan lives. Past _MEMO_SIZE
+        entries the oldest goes; an entry is fixed by its key, so eviction changes nothing."""
         memo = vars(self).setdefault("_memo", {})
         if key not in memo:
             if len(memo) >= _MEMO_SIZE:
@@ -159,10 +161,8 @@ class SamplePlan:
     def _blocks(self, *axes, symmetric: bool = False) -> SampleBlocks:
         """One coordinate per (grid points, (lo, hi)) axis: the open mesh of
         the axes, then the plan's random rows scaled to [lo, hi); read-only."""
-        blocks = SampleBlocks(np.ix_(*(points for points, _ in axes)),
-                              tuple(lo + (hi - lo) * row
-                                    for (_, (lo, hi)), row in zip(axes, self._uniform)),
-                              symmetric)
+        tail = tuple(lo + (hi - lo) * row for (_, (lo, hi)), row in zip(axes, self._uniform))
+        blocks = SampleBlocks(np.ix_(*(points for points, _ in axes)), tail, symmetric)
         for array in (*blocks.grid, *blocks.tail):
             array.setflags(write=False)
         return blocks
@@ -261,8 +261,8 @@ def _compare(blocks: SampleBlocks, results, claim: str, what: str,
     `limit` below). Raises DomainError, naming the claim `what`, when fewer
     than MIN_USABLE_FRACTION of the counted samples are usable.
 
-    On a symmetric stream's one block a sorted triple counts as every grid
-    sample of its orbit, and tail position j is sample n^3 + j. Violators are
+    On a symmetric stream's rows a sorted triple counts as every grid sample
+    of its orbit, and the tail's row j is sample n^3 + j. Violators are
     closed under permutation and a sorted triple leads its orbit, so the
     orbits of the first `limit` sorted violators hold the first `limit` grid
     violators, each with its sorted triple's sides.
@@ -274,11 +274,13 @@ def _compare(blocks: SampleBlocks, results, claim: str, what: str,
         rel = _broadcast(_margin(lhs, rhs, valid, claim), shape)
         if not rel.size:
             continue
-        if blocks.symmetric:
-            n, n_tail, weights = blocks.grid_shape[0], blocks.tail[0].size, blocks._joined[1]
-            m = weights.size - n_tail  # sorted triples
-            count, size = partial(np.dot, weights), n ** 3 + n_tail
-            orbit = lambda i: _orbit(n, i) if i < m else [n ** 3 + int(i) - m]
+        if blocks.symmetric:  # offset counts rows: the sorted triples, then the tail
+            n, mult = blocks.grid_shape[0], _simplex(blocks.grid_shape[0])[1]
+            w = mult[offset:offset + rel.size]  # orbit sizes of this block's sorted triples
+            count = lambda v: int(np.dot(w, v[:w.size])) + np.count_nonzero(v[w.size:])
+            size = int(w.sum()) + rel.size - w.size
+            orbit = lambda i: (_orbit(n, offset + i) if offset + i < mult.size
+                               else [n ** 3 + offset + int(i) - mult.size])
         else:
             count, size, orbit = np.count_nonzero, rel.size, lambda i: [offset + int(i)]
         total += int(count(_broadcast(applicable[0], shape))) if applicable else size

@@ -33,8 +33,7 @@ class WeightFunction:
 
 def _label(v: float) -> str:
     """v as :g when that reads back as v, else in full: a name fixes its weight."""
-    short = f"{v:g}"
-    return short if float(short) == v else repr(float(v))
+    return short if float(short := f"{v:g}") == v else repr(float(v))
 
 
 _IDENTITY = WeightFunction("identity", lambda t: t)

@@ -114,16 +114,16 @@ def sorted_position(n):
 
 def _joined(blocks, kernel):
     """Each output of kernel on the blocks, broadcast to its block's shape,
-    raveled and joined in sample order. A symmetric stream's one block is
-    split at the simplex size: its outputs on the sorted triples are spread
-    over the grid samples they stand for, and the tail follows."""
+    raveled and joined in sample order. A symmetric stream's rows are split
+    at the simplex size: the outputs on the sorted triples are spread over
+    the grid samples they stand for, and the tail follows."""
     per_block = [[np.broadcast_to(out, shape).ravel() for out in outs]
                  for _, shape, outs in blocks.map(kernel)]
     if blocks.symmetric:
         n = blocks.grid_shape[0]
         m, spread = n * (n + 1) * (n + 2) // 6, sorted_position(n)
-        per_block = [[column[:m][spread] for column in per_block[0]],
-                     [column[m:] for column in per_block[0]]]
+        rows = [np.concatenate(columns) for columns in zip(*per_block)]
+        per_block = [[row[:m][spread] for row in rows], [row[m:] for row in rows]]
     return tuple(np.concatenate(columns) for columns in zip(*per_block))
 
 
@@ -394,9 +394,9 @@ class TestPlanMemo:
         for blocks in (plan.triple_blocks(self.DOM), plan.pair_t_blocks(self.DOM),
                        plan.pair_blocks(self.DOM)):
             assert not any(a.flags.writeable for a in (*blocks.grid, *blocks.tail))
-        columns, weights = plan.triple_blocks(self.DOM)._joined
-        assert plan.triple_blocks(self.DOM)._joined[0] is columns
-        assert not any(a.flags.writeable for a in (*columns, weights))
+        rows = plan.triple_blocks(self.DOM)._rows
+        assert plan.triple_blocks(self.DOM)._rows is rows
+        assert not any(a.flags.writeable for _, columns in rows for a in columns)
 
     def test_bounded_and_eviction_keeps_results(self):
         plan = SamplePlan(grid_axis=3, grid_t=2, n_random=5)
@@ -407,7 +407,7 @@ class TestPlanMemo:
         again = plan.triple_blocks(self.DOM)
         assert again is not first  # evicted, then built anew
         _assert_bitwise(again.flat(), first.flat())
-        _assert_bitwise(again._joined[0], first._joined[0])
+        _assert_bitwise(again._rows[0][1], first._rows[0][1])
 
     def test_dropped_with_the_plan(self):
         plan = SamplePlan(grid_axis=13, grid_t=9, n_random=2000, seed=5)
@@ -442,17 +442,20 @@ class TestPlanMemo:
         assert tags == [classify_additivity(h, UNIT, plan).tag for h in (h2, h2_plus, h2)]
 
 
-@pytest.mark.parametrize("grid_axis,n_random",
-                         [(n, r) for n in (0, 1, 2, 5) for r in (0, 7) if n + r])
-def test_joined_block_counts_every_sample_in_order(grid_axis, n_random):
-    """The symmetric stream's one block counts n^3 + n_random samples, and
-    keeps its violations in C order with tail position j at n^3 + j."""
+@pytest.mark.parametrize("grid_axis,n_random", [
+    (n, r) for n in (0, 1, 2, 5) for r in (0, 7, sampling._JOIN_ROWS) if n + r])
+def test_symmetric_rows_count_every_sample_in_order(grid_axis, n_random):
+    """The symmetric stream's rows, one block up to _JOIN_ROWS rows, else
+    the sorted triples and the tail, count n^3 + n_random samples and keep
+    their violations in C order with the tail's row j at n^3 + j."""
     plan = SamplePlan(grid_axis=grid_axis, n_random=n_random, seed=2)
     dom = Interval(0.5, 2.0)
     blocks = plan.triple_blocks(dom)
-    (offset, shape, _), = blocks.map(lambda x, y, z: x)
     n_sorted = grid_axis * (grid_axis + 1) * (grid_axis + 2) // 6
-    assert (offset, shape) == (0, (n_sorted + n_random,))
+    rows = n_sorted + n_random
+    assert [(offset, shape) for offset, shape, _ in blocks.map(lambda x, y, z: x)] == (
+        [(0, (rows,))] if rows <= sampling._JOIN_ROWS
+        else [(0, (n_sorted,)), (n_sorted, (n_random,))])
     hi = dom.sampling_bounds()[1]
     # every sample violates; the grid's top corner (hi, hi, hi) is skipped
     kernel = lambda x, y, z: (x + y + z, 0.0 * x, np.minimum(np.minimum(x, y), z) < hi)
@@ -745,6 +748,19 @@ class TestReducerEdges:
                                    "concave", plan)) == \
             _bits(flat_theorem(TheoremId.AA, identity_weight(), FS["square"],
                                "concave", plan))
+
+    def test_split_rows_equal_flat(self):
+        # past _JOIN_ROWS rows, the sorted triples and the tail are two blocks
+        plan = SamplePlan(grid_axis=6, n_random=sampling._JOIN_ROWS, seed=3)
+        refuted = 0
+        for tid in TheoremId:
+            for sense in ("convex", "concave"):
+                want = _outcome(lambda: flat_theorem(tid, identity_weight(), FS["cosh"],
+                                                     sense, plan))
+                assert _outcome(lambda: block_theorem(tid, identity_weight(), FS["cosh"],
+                                                      sense, plan)) == want
+                refuted += isinstance(want, list) and bool(want[3])
+        assert refuted > 0
 
     @pytest.mark.parametrize("sizes", [dict(grid_axis=0, n_random=500),
                                        dict(grid_axis=9, n_random=0)],
