@@ -215,17 +215,23 @@ def _build_fn(args):
     return make_function(args.fn, **params)
 
 
+def _require_positive(f, box, value_mean: str) -> None:
+    """Refuse, before any computation, f <= 0 on the box under a G or H
+    value mean, which takes the log or the reciprocal of f."""
+    if value_mean == "A":
+        return
+    x_bad = _positivity_violation(f, box)
+    if x_bad is not None:
+        raise DomainError(f"{f.name}({x_bad:.6g}) <= 0, but value mean "
+                          f"{value_mean} needs f > 0")
+
+
 # --------------------------------------------------------------------------
 
 def _cmd_verify(args) -> int:
     plan, f = _build_plan(args, grid_t=args.grid_t), _build_fn(args)
     h, (box, _) = _build_weight(args), _build_box(args, f)
-    value_mean = args.theorem[1] if args.theorem else args.val
-    if value_mean != "A":
-        x_bad = _positivity_violation(f, box)
-        if x_bad is not None:
-            raise DomainError(f"{f.name}({x_bad:.6g}) <= 0, but value mean "
-                              f"{value_mean} needs f > 0")
+    _require_positive(f, box, args.theorem[1] if args.theorem else args.val)
     t0 = time.perf_counter()
     if args.theorem:
         tid = TheoremId(args.theorem)
@@ -281,9 +287,34 @@ def _cmd_audit(args) -> int:
     return 0
 
 
+# Shrink passes one theorem_margins call evaluates ahead of the walk.
+_PASSES_PER_CALL = 32
+
+
+def _coming_passes(tid, h, f, sense, lo, start, at):
+    """Up to _PASSES_PER_CALL shrink passes as (values, lattice), evaluated in
+    one call: the first pass from start, each later one from where the pass
+    before it would leave the witness if its outcome were at. The values are
+    the walk's own float expressions, so a predicted start that the walk
+    reaches is its start bit for bit; the prediction ends at a repeat."""
+    axes = []
+    while len(axes) < _PASSES_PER_CALL:
+        values = [[lo + step * (c - lo) for step in (0.5, 0.8, 0.95)] + [c]
+                  for c in start]
+        axes.append(values)
+        start, before = [v[k] for v, k in zip(values, at)], start
+        if start == before:
+            break
+    x, y, z = (np.array([values[i] for values in axes]) for i in range(3))
+    lattices = theorem_margins(tid, h, f, x[:, :, None, None], y[:, None, :, None],
+                               z[:, None, None, :], sense)
+    return list(zip(axes, lattices))
+
+
 def _cmd_search(args) -> int:
     h, f = _build_weight(args), _build_fn(args)
-    _, dom = _build_box(args, f)
+    box, dom = _build_box(args, f)
+    _require_positive(f, box, args.theorem[1])
     tid = TheoremId(args.theorem)
     sense = args.sense or BASE_SENSE[tid]
     lo, hi = dom.sampling_bounds()
@@ -315,13 +346,19 @@ def _cmd_search(args) -> int:
     # pass that leaves best unchanged would repeat itself: stop there.
     # Coordinate i moves only on its own turn, so every trial of a pass is a
     # point of the lattice values[0] x values[1] x values[2], each axis the
-    # three steps and then best's own coordinate (index 3), and one call
-    # evaluates the whole lattice. The budget counts scan points and the
-    # trials the walk reaches, never the lattice points it does not reach.
+    # three steps and then best's own coordinate (index 3); the pass's
+    # outcome `at` is the lattice index it leaves best at. The walk mostly
+    # repeats one outcome until best reaches a float fixed point, so one
+    # call evaluates the lattices of the passes that would follow if the
+    # last outcome repeated (halving every coordinate before the first
+    # pass). They serve while the outcome repeats; another outcome starts a
+    # new call. The budget counts scan points and the trials the walk
+    # reaches, never the lattice points it does not reach.
+    at, passes = (0, 0, 0), []
     while used < budget:
-        values = [[lo + step * (c - lo) for step in (0.5, 0.8, 0.95)] + [c]
-                  for c in best]
-        lattice = theorem_margins(tid, h, f, *np.ix_(*values), sense)
+        if not passes:
+            guess, passes = at, _coming_passes(tid, h, f, sense, lo, best, at)
+        values, lattice = passes.pop(0)
         at = (3, 3, 3)
         for i in range(3):
             for k in range(3):
@@ -335,6 +372,8 @@ def _cmd_search(args) -> int:
         start, best = best, [v[k] for v, k in zip(values, at)]
         if best == start:
             break
+        if at != guess:
+            passes = []
     wl, wr = popoviciu_sides(tid, h, f, *best)
     witness = {"x": best[0], "y": best[1], "z": best[2], "t": None,
                "lhs": wl, "rhs": wr}
@@ -418,10 +457,11 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--sense", choices=["convex", "concave"], default=None)
     ps.add_argument("--budget", type=int, default=100_000,
                     help="cap on evaluations: scan points plus the shrink "
-                         "trials reached (a pass computes its 4x4x4 trial "
-                         "lattice at once, but unreached points are not "
-                         "counted); the witness shrink also stops at the "
-                         "first pass that leaves it unchanged")
+                         "trials reached (one call computes the 4x4x4 trial "
+                         f"lattices of up to {_PASSES_PER_CALL} coming passes, "
+                         "but unreached points are not counted); the witness "
+                         "shrink also stops at the first pass that leaves it "
+                         "unchanged")
     _add_function_args(ps)
     _add_weight_args(ps)
     _add_sampling_args(ps)

@@ -424,6 +424,23 @@ class TestBadInput:
         assert re.match(r"error: \S+\(0\.1\) <= 0, but value mean [GH] needs f > 0$",
                         err)
 
+    @pytest.mark.parametrize("theorem", ["AG", "AH", "GG", "GH", "HG", "HH"])
+    def test_search_refuses_nonpositive_f_as_verify_does(self, capsys, theorem):
+        # a G or H value mean takes log f or 1/f; search once went on and
+        # reported no violation (AG) or a witness with meaningless sides
+        argv = ["--theorem", theorem, "--fn", "neg_square", "--seed", "1"]
+        verify = run(capsys, "verify", *argv)
+        search = run(capsys, "search", *argv, "--budget", "9000")
+        assert verify == search == (2, "", f"error: neg_square(1e-05) <= 0, but value "
+                                           f"mean {theorem[1]} needs f > 0\n")
+
+    @pytest.mark.parametrize("theorem", ["AA", "GA", "HA"])
+    def test_search_takes_nonpositive_f_under_value_mean_a(self, capsys, theorem):
+        code, out, _ = run(capsys, "search", "--theorem", theorem, "--fn", "neg_square",
+                           "--seed", "1")
+        assert code == 0
+        assert f"violation of theorem {theorem} (convex) on neg_square" in out
+
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 

@@ -16,7 +16,7 @@ import re
 import numpy as np
 import pytest
 
-from meanconvex import cli
+from meanconvex import cli, popoviciu
 from meanconvex.catalog import builtin_functions
 from meanconvex.intervals import Interval
 from meanconvex.popoviciu import TheoremId, theorem_margins
@@ -154,9 +154,30 @@ def test_shrink_stops_long_before_a_large_budget(monkeypatch, capsys):
     assert len(calls) < 1000
 
 
+@pytest.mark.parametrize("label,tid,fn,sense,box", CASES, ids=[c[0] for c in CASES])
+def test_weight_evaluated_twice_per_kernel_call(label, tid, fn, sense, box, tmp_path,
+                                                capsys, monkeypatch):
+    # h(3/2) and h(1/2) are read once per theorem_margins call and once for
+    # the witness's printed sides; 118 reads when each pass had its own call
+    counts = {"margins": 0, "weight": 0}
+    margins, weight = cli.theorem_margins, popoviciu.weight_eval
+
+    def counting(name, real):
+        def call(*args):
+            counts[name] += 1
+            return real(*args)
+        return call
+
+    monkeypatch.setattr(cli, "theorem_margins", counting("margins", margins))
+    monkeypatch.setattr(popoviciu, "weight_eval", counting("weight", weight))
+    _search(tmp_path, tid, fn, sense, box, 1, 12_288, capsys)
+    assert counts["weight"] <= 2 * (counts["margins"] + 1) <= 2 * (1 + 12 + 1)
+
+
 # ---------------------------------------------------------------------------
-# One theorem_margins call per pass: a pass reads every trial's margin off a
-# 4x4x4 lattice of the three steps and the start on each axis.
+# A pass reads every trial's margin off a 4x4x4 lattice of the three steps
+# and the start on each axis; one theorem_margins call evaluates the lattices
+# of the passes to come while the walk repeats its last outcome.
 
 STEPS = (0.5, 0.8, 0.95)
 
@@ -188,10 +209,66 @@ def test_lattice_margins_equal_one_point_margins(fn):
     assert finite > 0
 
 
+@pytest.mark.parametrize("fn", sorted(builtin_functions()))
+def test_batched_lattices_equal_one_point_margins(fn, monkeypatch):
+    # one call evaluates the lattices of several passes; the batch walks the
+    # reference only if no entry depends on the pass, or the place in the
+    # batch, it was computed at (three passes: an odd size leaves a partial
+    # SIMD vector)
+    monkeypatch.setattr(cli, "_PASSES_PER_CALL", 3)
+    shapes = []
+    real = cli.theorem_margins
+
+    def recording(tid, h, f, x, y, z, sense):
+        shapes.append(np.broadcast_shapes(x.shape, y.shape, z.shape))
+        return real(tid, h, f, x, y, z, sense)
+
+    monkeypatch.setattr(cli, "theorem_margins", recording)
+    f = builtin_functions()[fn]
+    lo, hi = f.sampling_domain(None).sampling_bounds()
+    start = [lo + (hi - lo) * w for w in (0.3, 0.6, 0.9)]
+    finite = 0
+    for tid, h, sense in itertools.product(
+            TheoremId, (identity_weight(), power_weight(2.0), reciprocal_weight()),
+            ("convex", "concave")):
+        passes = cli._coming_passes(tid, h, f, sense, lo, start, (0, 1, 2))
+        assert shapes.pop() == (3, 4, 4, 4)
+        assert len({tuple(v[3] for v in values) for values, _ in passes}) == 3
+        margin = _one_point_margin(tid, h, f, sense)
+        for values, lattice in passes:
+            points = [margin(*p) for p in itertools.product(*values)]
+            assert lattice.tobytes() == np.array(points).tobytes(), (tid, h.name, sense)
+            finite += int(np.isfinite(lattice).sum())
+    assert finite > 0
+
+
+def _low_edge(fn, box):
+    f = builtin_functions()[fn]
+    return f.sampling_domain(None if box is None else Interval(
+        float(box[0]), float(box[1]), closed_lo=True, closed_hi=True)).sampling_bounds()[0]
+
+
+def _reference_pass_starts(tid, fn, sense, box, seed, scan):
+    """The start of each pass of the reference shrink after a scan of `scan`
+    points, walked with one-point margins until a pass repeats itself."""
+    margin = _one_point_margin(tid, identity_weight(), builtin_functions()[fn], sense)
+    best, _, _ = reference_search(tid, fn, sense, box, seed, scan, margin)
+    lo, starts = _low_edge(fn, box), []
+    while not starts or best != starts[-1]:
+        starts.append(best)
+        for i in range(3):
+            for step in STEPS:
+                trial = best[:i] + [lo + step * (best[i] - lo)] + best[i + 1:]
+                if margin(*trial) < -DEFAULT_TOL:
+                    best = trial
+                    break
+    return starts
+
+
 @pytest.mark.parametrize("label,tid,fn,sense,box", CASES, ids=[c[0] for c in CASES])
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_one_lattice_call_per_pass(label, tid, fn, sense, box, seed, tmp_path,
-                                   capsys, monkeypatch):
+def test_each_pass_reads_its_own_lattice(label, tid, fn, sense, box, seed, tmp_path,
+                                         capsys, monkeypatch):
     calls = []
     real = cli.theorem_margins
 
@@ -201,21 +278,35 @@ def test_one_lattice_call_per_pass(label, tid, fn, sense, box, seed, tmp_path,
 
     monkeypatch.setattr(cli, "theorem_margins", recording)
     doc, _ = _search(tmp_path, tid, fn, sense, box, seed, 100_000, capsys)
-    shapes = [np.broadcast_shapes(*(np.shape(a) for a in c)) for c in calls]
-    n_scan = sum(len(s) == 1 for s in shapes)
-    assert [s[0] for s in shapes[:n_scan - 1]] == [8192] * (n_scan - 1)
-    assert shapes[n_scan:] == [(4, 4, 4)] * (len(calls) - n_scan)
-    assert len(calls) > n_scan and min(np.prod(s) for s in shapes) > 1
-    # each pass starts from the witness the previous pass left, and the last
-    # pass leaves the witness unchanged: the lattices are the passes
-    starts = [[float(x[3, 0, 0]), float(y[0, 3, 0]), float(z[0, 0, 3])]
-              for x, y, z in calls[n_scan:]]
-    for (x, y, z), start, after in zip(calls[n_scan:], starts, starts[1:]):
-        assert after != start
-        assert after in [[a, b, c] for a in x.ravel() for b in y.ravel()
-                         for c in z.ravel()]
+    scan = [x.size for x, _, _ in calls if x.ndim == 1]
+    assert scan[:-1] == [8192] * (len(scan) - 1)
+    lattices = calls[len(scan):]
+    # a few calls serve the whole shrink (48 to 71 when each pass had its own)
+    assert 1 <= len(lattices) <= 12
+    # each call holds whole pass lattices, each axis the three steps and then
+    # the start's own coordinate
+    lo, read, firsts = _low_edge(fn, box), [], []
+    for x, y, z in lattices:
+        assert np.broadcast_shapes(x.shape, y.shape, z.shape)[1:] == (4, 4, 4)
+        for axes in zip(x[:, :, 0, 0], y[:, 0, :, 0], z[:, 0, 0, :]):
+            start = [float(a[3]) for a in axes]
+            assert [list(a) for a in axes] == [[lo + s * (c - lo) for s in STEPS] + [c]
+                                               for c in start]
+            read.append(np.array(start).tobytes())
+        firsts.append(read[-len(x)])
+    passes = [np.array(p).tobytes() for p in
+              _reference_pass_starts(tid, fn, sense, box, seed, sum(scan))]
+    # in order, every pass finds a lattice whose start is its own start bit
+    # for bit, and every call begins at a pass start
+    at = 0
+    for start in passes:
+        while at < len(read) and read[at] != start:
+            at += 1
+        assert at < len(read), "a pass has no lattice of its own start"
+        at += 1
+    assert set(firsts) <= set(passes)
     w = doc["witnesses"][0]
-    assert starts[-1] == [w["x"], w["y"], w["z"]]
+    assert passes[-1] == np.array([w["x"], w["y"], w["z"]]).tobytes()
 
 
 @pytest.mark.parametrize("label,tid,fn,sense,box", CASES, ids=[c[0] for c in CASES])
