@@ -294,9 +294,10 @@ _PASSES_PER_CALL = 32
 def _coming_passes(tid, h, f, sense, lo, start, at):
     """Up to _PASSES_PER_CALL shrink passes as (values, lattice), evaluated in
     one call: the first pass from start, each later one from where the pass
-    before it would leave the witness if its outcome were at. The values are
-    the walk's own float expressions, so a predicted start that the walk
-    reaches is its start bit for bit; the prediction ends at a repeat."""
+    before it would leave the witness if its outcome were at. A later start
+    is picked from the values of the pass before, as the walk picks its next
+    witness, so it is the walk's witness bit for bit whenever that pass's
+    outcome was at. The prediction ends where a start would repeat."""
     axes = []
     while len(axes) < _PASSES_PER_CALL:
         values = [[lo + step * (c - lo) for step in (0.5, 0.8, 0.95)] + [c]
