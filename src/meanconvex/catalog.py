@@ -24,7 +24,7 @@ from .popoviciu import (EQUALITY_FAMILIES, BASE_SENSE, TheoremId, _hlawka_sides,
                         _witness, chained_check, equality_max_residual,
                         verify_theorem)
 from .sampling import SamplePlan, _compare
-from .weights import (DEFAULT_TOL, identity_weight, power_weight,
+from .weights import (DEFAULT_TOL, _label, identity_weight, power_weight,
                       reciprocal_weight)
 
 
@@ -42,14 +42,14 @@ def make_function(name: str, p: Optional[float] = None,
     takes the constant c.
     """
     if name == "power" and p is not None:
-        return PointFunction(f"power[{p:g}]", lambda v: v**p, _POS)
+        return PointFunction(f"power[{_label(p)}]", lambda v: v**p, _POS)
     if name == "affine" and (a is not None or b is not None):
         a0, b0 = a if a is not None else 2.0, b if b is not None else 3.0
-        return PointFunction(f"affine[{a0:g},{b0:g}]",
+        return PointFunction(f"affine[{_label(a0)},{_label(b0)}]",
                              lambda v: a0 * v + b0, _POS,
                              positive_on_domain=(a0 >= 0 and b0 >= 0))
     if name == "const" and c is not None:
-        return PointFunction(f"const[{c:g}]", lambda v: np.full_like(
+        return PointFunction(f"const[{_label(c)}]", lambda v: np.full_like(
             np.asarray(v, dtype=float), c), _REALS,
             positive_on_domain=c > 0)
     if name not in FUNCTIONS:

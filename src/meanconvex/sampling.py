@@ -1,25 +1,25 @@
 """Deterministic sampling plans and the one comparison kernel.
 
-A plan yields its samples as blocks (SampleBlocks): the Cartesian grid
-as an open mesh of its axes (np.ix_, so each axis keeps only its own
-points), then the seeded random tail as flat columns. A side kernel runs on
-each block once; a term that reads only some axes, such as f(x) or
-f((x + z) / 2), costs one evaluation per distinct point instead of one per
-sample. Samples are numbered in one order, grid first in C order, then
-random, so that the "smallest-index witness" reported by a verifier is
-reproducible; the flat views triples, pairs_with_t and scalar_pairs list
-them in that order.
+A plan yields its samples as blocks (SampleBlocks): the Cartesian grid as an
+open mesh of its axes (np.ix_, so each axis keeps only its own points), then
+the seeded random tail as flat columns. A side kernel runs once per chunk of
+about _CHUNK samples, so its temporaries stay small at any plan size, and a
+term that reads only some axes, such as f(x) or f((x + z) / 2), costs one
+evaluation per distinct point of a chunk instead of one per sample. Samples
+are numbered in one order, grid first in C order, then random, so that the
+"smallest-index witness" reported by a verifier is reproducible; the flat
+views triples, pairs_with_t and scalar_pairs list them in that order.
 
 The (x, y, z) stream is symmetric by contract: every kernel run on
 triple_blocks (the nine theorems, the chain links, the equality families and
 Hlawka) is symmetric in x, y and z, so each grid sample takes the sides of
 its sorted triple. Its rows are the n(n+1)(n+2)/6 sorted triples, then the
-tail, in one block while they are few, and _compare weights each sorted
-triple by the number of grid samples it stands for.
+tail, chunked as one run, and _compare weights each sorted triple by the
+number of grid samples it stands for.
 
 Every verdict in the package, additivity classes and Hlawka included,
-compares its sides through _compare: _margin turns each block into relative
-margins (it is the one margin formula), each block is reduced on its own
+compares its sides through _compare: _margin turns each chunk into relative
+margins (it is the one margin formula), each chunk is reduced on its own
 shape, and the reductions are combined in sample order, so no full-plan
 array is built; _compare alone decodes the index of each violation it keeps.
 """
@@ -44,9 +44,7 @@ MIN_USABLE_FRACTION = 0.5
 
 _MEMO_SIZE = 32  # streams and classes a plan keeps; an audit request makes 15 and 11
 
-# Up to this many rows a symmetric stream is one block: a longer float64 column
-# passes glibc's 128 KiB mmap threshold, so each numpy temporary is mapped afresh.
-_JOIN_ROWS = 16_000
+_CHUNK = 4096  # samples per kernel call; one first-axis slice of a grid may be more
 
 
 @dataclass(frozen=True)
@@ -56,12 +54,10 @@ class SampleBlocks:
     grid holds one open-mesh axis per coordinate (np.ix_ shapes such as
     (n, 1, 1)); tail holds one flat column per coordinate. Sample i is grid
     point np.unravel_index(i, grid_shape) for i below the grid size, else
-    tail row i - grid size. Verifiers reduce the blocks one at a time
-    (map); only the flat views join them (flat).
+    tail row i - grid size. Verifiers run their kernels chunk by chunk
+    (map); only the flat views join the blocks (flat).
 
-    A symmetric grid has three equal axes and only symmetric kernels: each
-    grid sample takes the sides of its sorted triple, so map runs the kernel
-    on the stream's rows (_rows): the sorted triples in C order, then the tail.
+    A symmetric grid's samples take the sides of their sorted triples (_chunks).
     """
 
     grid: tuple[np.ndarray, ...]
@@ -73,27 +69,33 @@ class SampleBlocks:
         return tuple(axis.size for axis in self.grid)
 
     @cached_property
-    def _rows(self) -> list[tuple[int, tuple[np.ndarray, ...]]]:
-        """A symmetric stream's rows, the sorted triples (_simplex) then the tail,
-        as read-only (first row, columns) blocks: one up to _JOIN_ROWS rows, else two."""
-        index = _simplex(self.grid_shape[0])[0]
-        rows = [(0, tuple(self.grid[0].ravel()[k] for k in index)), (len(index[0]), self.tail)]
-        if len(index[0]) + self.tail[0].size <= _JOIN_ROWS:
-            rows = [(0, tuple(map(np.concatenate, zip(rows[0][1], self.tail))))]
-        for column in (column for _, columns in rows for column in columns):
+    def _chunks(self) -> list[tuple[int, tuple[int, ...], tuple[np.ndarray, ...]]]:
+        """(offset, shape, columns) per kernel call, in sample order, none empty and
+        read-only: the grid sliced along its first axis, which keeps C order, then the
+        tail by rows. A symmetric stream's rows, the sorted triples (_simplex) then the
+        tail, go _CHUNK at a time, and its offsets count rows."""
+        parts = [self.grid, self.tail]
+        if self.symmetric:  # whole chunks are views; the one that straddles is a copy
+            simplex = self.grid[0].ravel()[_simplex(self.grid_shape[0])[0]]
+            q, fill = simplex.shape[1] // _CHUNK * _CHUNK, -simplex.shape[1] % _CHUNK
+            parts = [simplex[:, :q], [np.concatenate([s[q:], t[:fill]]) for s, t in
+                                      zip(simplex, self.tail)], [t[fill:] for t in self.tail]]
+        chunks, offset = [], 0
+        for columns in parts:
+            n, *rest = np.broadcast_shapes(*(column.shape for column in columns))
+            plane = math.prod(rest)  # samples per first-axis slice
+            step = max(1, _CHUNK // max(plane, 1))
+            chunks += [(offset + i * plane, (min(step, n - i), *rest),
+                        tuple(c[i:i + step] if c.shape[0] == n else c for c in columns))
+                       for i in range(0, n if plane else 0, step)]
+            offset += n * plane
+        for column in (column for _, _, columns in chunks for column in columns):
             column.setflags(write=False)
-        return rows
+        return chunks
 
     def map(self, kernel) -> list[tuple[int, tuple[int, ...], object]]:
-        """Run kernel(*coordinates) once on the grid axes, then once on the
-        tail: (offset, shape, result) per block, where offset is the index
-        of the block's first sample and shape the shape its results
-        broadcast to. A symmetric stream's blocks are its _rows, offsets in rows."""
-        if self.symmetric:
-            return [(start, cols[0].shape, kernel(*cols)) for start, cols in self._rows]
-        shape = self.grid_shape
-        return [(0, shape, kernel(*self.grid)),
-                (math.prod(shape), self.tail[0].shape, kernel(*self.tail))]
+        """(offset, shape, kernel(*columns)) per chunk; the results broadcast to shape."""
+        return [(offset, shape, kernel(*columns)) for offset, shape, columns in self._chunks]
 
     def flat(self) -> tuple[np.ndarray, ...]:
         """One flat column per coordinate, in sample order."""
@@ -252,14 +254,14 @@ def _compare(blocks: SampleBlocks, results, claim: str, what: str,
              tol: Optional[float] = None, limit: int = 1) -> Comparison:
     """Compare lhs and rhs of a claim over the blocks of a sample stream.
 
-    results are (offset, shape, (lhs, rhs, valid[, applicable])) per block,
+    results are (offset, shape, (lhs, rhs, valid[, applicable])) per chunk,
     grid first, as blocks.map gives them; a sample outside the optional
-    applicable mask is not counted at all. Each block's margins are reduced
-    on the block's shape; with tol, up to `limit` samples violating the claim
+    applicable mask is not counted at all. Each chunk's margins are reduced
+    on the chunk's shape; with tol, up to `limit` samples violating the claim
     by more than tol are kept, in sample order, with their coordinates in
     blocks and their lhs and rhs (for "==", `limit` with lhs above rhs and
     `limit` below). Raises DomainError, naming the claim `what`, when fewer
-    than MIN_USABLE_FRACTION of the counted samples are usable.
+    than MIN_USABLE_FRACTION of the counted samples are usable or the stream is empty.
 
     On a symmetric stream's rows a sorted triple counts as every grid sample
     of its orbit, and the tail's row j is sample n^3 + j. Violators are
@@ -272,11 +274,9 @@ def _compare(blocks: SampleBlocks, results, claim: str, what: str,
     found = ([], []) if claim == "==" else ([],)  # kept violations by side
     for offset, shape, (lhs, rhs, valid, *applicable) in results:
         rel = _broadcast(_margin(lhs, rhs, valid, claim), shape)
-        if not rel.size:
-            continue
         if blocks.symmetric:  # offset counts rows: the sorted triples, then the tail
             n, mult = blocks.grid_shape[0], _simplex(blocks.grid_shape[0])[1]
-            w = mult[offset:offset + rel.size]  # orbit sizes of this block's sorted triples
+            w = mult[offset:offset + rel.size]  # orbit sizes of this chunk's sorted triples
             count = lambda v: int(np.dot(w, v[:w.size])) + np.count_nonzero(v[w.size:])
             size = int(w.sum()) + rel.size - w.size
             orbit = lambda i: (_orbit(n, offset + i) if offset + i < mult.size
@@ -298,7 +298,7 @@ def _compare(blocks: SampleBlocks, results, claim: str, what: str,
                 index = np.flatnonzero(mask)[:room] if room > 1 else [mask.argmax()]
                 kept += sorted((j, float(lhs.flat[i]), float(rhs.flat[i]))
                                for i in index if mask.flat[i] for j in orbit(i))[:room]
-    if usable < MIN_USABLE_FRACTION * total:
+    if not results or usable < MIN_USABLE_FRACTION * total:
         raise DomainError(f"only {usable}/{total} samples usable for {what}")
     return Comparison(usable, total - usable, lowest, [
         (i, blocks.point(i), lhs, rhs) for i, lhs, rhs in sorted(sum(found, []))])

@@ -63,6 +63,19 @@ class TestMakeFunction:
         f = make_function("const", c=7.0)
         assert float(f(123.0)) == 7.0
 
+    @pytest.mark.parametrize("name,params,label", [
+        ("power", dict(p=2.0000001), "power[2.0000001]"),
+        ("affine", dict(a=1.0000001, b=0.1 + 0.2), "affine[1.0000001,0.30000000000000004]"),
+        ("const", dict(c=7.0000001), "const[7.0000001]"),
+        ("power", dict(p=0.5), "power[0.5]"),
+        ("affine", dict(a=1.0, b=0.5), "affine[1,0.5]")])
+    def test_names_read_parameters_back(self, name, params, label):
+        # as weight names do, so functions whose parameters differ past :g
+        # never share a name
+        f = make_function(name, **params)
+        assert f.name == label
+        assert [float(v) for v in label[len(name) + 1:-1].split(",")] == list(params.values())
+
     def test_default_lookup(self):
         assert make_function("square")(3.0) == 9.0
 

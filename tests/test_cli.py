@@ -293,6 +293,11 @@ class TestBadInput:
         ["classify", *LOG_BOX],
         ["verify", "--theorem", "AA", "--fn", "square", "--grid", "-1"],
         ["verify", "--theorem", "AA", "--fn", "square", "--grid", "0", "--random", "0"],
+        # an empty (x, y, t) stream once gave a class verdict over 0 samples
+        ["verify", "--arg", "A", "--val", "A", "--fn", "square", "--lo", "0.1", "--hi", "10",
+         "--grid-t", "0", "--random", "0"],
+        ["verify", "--arg", "A", "--val", "A", "--fn", "square", "--lo", "0.1", "--hi", "10",
+         "--grid-t", "0", "--random", "0", "--sense", "concave"],
         ["classify", "--fn", "square", "--grid", "-1"],
         ["verify", "--theorem", "AA", "--fn", "square", "--weight", "power"],
         # a class checks h > 0 at t = 1/2 as a theorem does

@@ -213,8 +213,9 @@ class TestVerifyTheorem:
         assert permuted > 0
 
     def test_sides_evaluated_once(self, monkeypatch):
-        # once on the stream's one block, the grid's sorted triples then the
-        # random tail; then once more for the witnesses at their own points
+        # once on the stream's one chunk (its 365 rows are fewer than
+        # sampling._CHUNK), the grid's sorted triples then the random tail;
+        # then once more for the witnesses at their own points
         calls = []
         sides = popoviciu._sides_arrays
 

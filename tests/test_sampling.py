@@ -1,13 +1,13 @@
 """The factored sample path equals a flat reference bit for bit.
 
-Verifiers run their side kernels on SampleBlocks: once on the grid's open
-mesh of axes and once on the random tail. The reference streams are built
-here, apart from the module under test: the grid as np.meshgrid(...,
-indexing="ij") raveled in C order, then the rows of
+Verifiers run their side kernels on SampleBlocks, chunk by chunk: on slices
+of the grid's open mesh of axes, then on slices of the random tail. The
+reference streams are built here, apart from the module under test: the
+grid as np.meshgrid(..., indexing="ij") raveled in C order, then the rows of
 default_rng(seed).random((3, n_random)) scaled to each coordinate's bounds.
 lhs, rhs and the valid mask must agree byte for byte, and witness
 coordinates must be the reference sample at the witness index. The verdicts
-reduce each block on its own shape; the reference for them is the flat
+reduce each chunk on its own shape; the reference for them is the flat
 comparison kernel below, run on the whole stream at once.
 
 The (x, y, z) stream is symmetric: each of its grid samples takes the sides
@@ -394,9 +394,9 @@ class TestPlanMemo:
         for blocks in (plan.triple_blocks(self.DOM), plan.pair_t_blocks(self.DOM),
                        plan.pair_blocks(self.DOM)):
             assert not any(a.flags.writeable for a in (*blocks.grid, *blocks.tail))
-        rows = plan.triple_blocks(self.DOM)._rows
-        assert plan.triple_blocks(self.DOM)._rows is rows
-        assert not any(a.flags.writeable for _, columns in rows for a in columns)
+            chunks = blocks._chunks
+            assert blocks._chunks is chunks
+            assert not any(a.flags.writeable for _, _, columns in chunks for a in columns)
 
     def test_bounded_and_eviction_keeps_results(self):
         plan = SamplePlan(grid_axis=3, grid_t=2, n_random=5)
@@ -407,7 +407,7 @@ class TestPlanMemo:
         again = plan.triple_blocks(self.DOM)
         assert again is not first  # evicted, then built anew
         _assert_bitwise(again.flat(), first.flat())
-        _assert_bitwise(again._rows[0][1], first._rows[0][1])
+        _assert_bitwise(again._chunks[0][2], first._chunks[0][2])
 
     def test_dropped_with_the_plan(self):
         plan = SamplePlan(grid_axis=13, grid_t=9, n_random=2000, seed=5)
@@ -443,19 +443,20 @@ class TestPlanMemo:
 
 
 @pytest.mark.parametrize("grid_axis,n_random", [
-    (n, r) for n in (0, 1, 2, 5) for r in (0, 7, sampling._JOIN_ROWS) if n + r])
+    *((n, r) for n in (0, 1, 2, 5) for r in (0, 7, sampling._CHUNK) if n + r), (29, 5000)])
 def test_symmetric_rows_count_every_sample_in_order(grid_axis, n_random):
-    """The symmetric stream's rows, one block up to _JOIN_ROWS rows, else
-    the sorted triples and the tail, count n^3 + n_random samples and keep
-    their violations in C order with the tail's row j at n^3 + j."""
+    """The symmetric stream's rows, the sorted triples then the tail, run in
+    chunks of _CHUNK rows, count n^3 + n_random samples and keep their
+    violations in C order with the tail's row j at n^3 + j. A 29-point axis
+    has 4,495 sorted triples, so a chunk edge falls between two of them and
+    the next chunk straddles the simplex and the tail."""
     plan = SamplePlan(grid_axis=grid_axis, n_random=n_random, seed=2)
     dom = Interval(0.5, 2.0)
     blocks = plan.triple_blocks(dom)
-    n_sorted = grid_axis * (grid_axis + 1) * (grid_axis + 2) // 6
-    rows = n_sorted + n_random
-    assert [(offset, shape) for offset, shape, _ in blocks.map(lambda x, y, z: x)] == (
-        [(0, (rows,))] if rows <= sampling._JOIN_ROWS
-        else [(0, (n_sorted,)), (n_sorted, (n_random,))])
+    rows = grid_axis * (grid_axis + 1) * (grid_axis + 2) // 6 + n_random
+    assert [(offset, shape) for offset, shape, _ in blocks.map(lambda x, y, z: x)] == [
+        (start, (min(sampling._CHUNK, rows - start),))
+        for start in range(0, rows, sampling._CHUNK)]
     hi = dom.sampling_bounds()[1]
     # every sample violates; the grid's top corner (hi, hi, hi) is skipped
     kernel = lambda x, y, z: (x + y + z, 0.0 * x, np.minimum(np.minimum(x, y), z) < hi)
@@ -749,9 +750,10 @@ class TestReducerEdges:
             _bits(flat_theorem(TheoremId.AA, identity_weight(), FS["square"],
                                "concave", plan))
 
-    def test_split_rows_equal_flat(self):
-        # past _JOIN_ROWS rows, the sorted triples and the tail are two blocks
-        plan = SamplePlan(grid_axis=6, n_random=sampling._JOIN_ROWS, seed=3)
+    def test_chunked_rows_equal_flat(self):
+        # 4,495 sorted triples and 5,000 tail rows: three chunks, the second
+        # straddling the simplex and the tail
+        plan = SamplePlan(grid_axis=29, n_random=5000, seed=3)
         refuted = 0
         for tid in TheoremId:
             for sense in ("convex", "concave"):
@@ -761,6 +763,25 @@ class TestReducerEdges:
                                                       sense, plan)) == want
                 refuted += isinstance(want, list) and bool(want[3])
         assert refuted > 0
+
+    def test_chunked_grid_equal_flat(self):
+        # a 20 x 20 x 12 (x, y, t) grid and a 70 x 70 (s, t) grid, both past
+        # _CHUNK samples, so each is sliced along its first axis
+        plan = SamplePlan(grid_axis=20, grid_t=12, n_random=5000, seed=3)
+        refuted = 0
+        for arg, val in PAIRS:
+            for sense in ("convex", "concave"):
+                spec = ConvexitySpec(arg, val, identity_weight(), sense)
+                want = _outcome(lambda: flat_class(spec, FS["cosh"], plan))
+                assert _outcome(lambda: block_class(spec, FS["cosh"], plan)) == want
+                refuted += isinstance(want, list) and bool(want[3])
+        assert refuted > 0
+        plan = SamplePlan(grid_axis=70, n_random=5000, seed=3)
+        for classify, op, noun in CLASSIFY.values():
+            for f in (FS["square"], FS["cosh"], FS["sqrt"]):
+                dom = _domain(f)
+                assert _outcome(lambda: block_classify(classify, f.fn, dom, plan)) == \
+                    _outcome(lambda: flat_classify(f.fn, dom, plan, op, noun))
 
     @pytest.mark.parametrize("sizes", [dict(grid_axis=0, n_random=500),
                                        dict(grid_axis=9, n_random=0)],
@@ -826,6 +847,122 @@ class TestCompareDecodes:
         below = np.flatnonzero(rel > TOL)[0]
         assert [i for i, *_ in cmp.violations] == sorted([above, below])
         assert {lhs > rhs for _, _, lhs, rhs in cmp.violations} == {True, False}
+
+
+def _row_sample(n, r):
+    """The first sample that row r of a symmetric stream stands for: the
+    r-th sorted triple in C order, then tail row r - n(n+1)(n+2)/6."""
+    m = n * (n + 1) * (n + 2) // 6
+    return int(np.flatnonzero(sorted_position(n) == r)[0]) if r < m else n ** 3 + r - m
+
+
+class TestChunkEdges:
+    """A chunk edge moves no witness: a kernel violated exactly at the
+    samples on either side of every chunk edge keeps each of them, in sample
+    order, with the reference coordinates and sides, bit for bit. The edges
+    are computed here apart from the module: every _CHUNK rows on the
+    symmetric stream; elsewhere every max(1, _CHUNK // plane) first-axis
+    slices of the grid, plane being the samples of one slice, then every
+    _CHUNK tail rows."""
+
+    DOM = Interval(0.5, 2.0)
+    # plan, blocks, the reference coordinates, the coordinates the sides are read at
+    CASES = {
+        "xyz": (SamplePlan(grid_axis=29, n_random=5000, seed=3), SamplePlan.triple_blocks,
+                xyz_stream, sorted_xyz_stream),
+        "xyt": (SamplePlan(grid_axis=20, grid_t=12, n_random=5000, seed=3),
+                SamplePlan.pair_t_blocks, xyt_stream, xyt_stream),
+        "st": (SamplePlan(grid_axis=70, n_random=5000, seed=3), SamplePlan.pair_blocks,
+               st_stream, st_stream),
+        # one first-axis slice holds 5,000 samples, so each slice is a call
+        "xyt-wide-slice": (SamplePlan(grid_axis=5, grid_t=1000, n_random=10, seed=3),
+                           SamplePlan.pair_t_blocks, xyt_stream, xyt_stream),
+    }
+
+    @staticmethod
+    def _offsets(plan, blocks):
+        """Each chunk's offset as map gives it: its first row on the symmetric
+        stream, else its first sample."""
+        if blocks.symmetric:
+            n = plan.grid_axis
+            return list(range(0, n * (n + 1) * (n + 2) // 6 + plan.n_random, sampling._CHUNK))
+        shape = blocks.grid_shape
+        plane, n_grid = int(np.prod(shape[1:])), int(np.prod(shape))
+        step = max(1, sampling._CHUNK // plane)
+        return [i * plane for i in range(0, shape[0] if n_grid else 0, step)] + [
+            n_grid + j for j in range(0, plan.n_random, sampling._CHUNK)]
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_witnesses_on_either_side_of_each_edge(self, case):
+        plan, blocks_of, reference, read_at = self.CASES[case]
+        blocks, flat, at = blocks_of(plan, self.DOM), reference(plan, self.DOM), \
+            read_at(plan, self.DOM)
+        offsets = self._offsets(plan, blocks)
+        assert [offset for offset, _, _ in blocks.map(lambda *c: c)] == offsets
+        assert len(offsets) > 2
+        # the last and the first sample of two chunks; a symmetric stream's
+        # row r stands for the sample _row_sample gives
+        sample = partial(_row_sample, plan.grid_axis) if blocks.symmetric else int
+        edges = [sample(offset + d) for offset in offsets[1:] for d in (-1, 0)]
+        points = [tuple(c[i] for c in at) for i in edges]
+
+        def kernel(*c):
+            hit = np.zeros(np.broadcast_shapes(*(a.shape for a in c)), bool)
+            for point in points:
+                hit |= np.logical_and.reduce(np.broadcast_arrays(
+                    *(a == v for a, v in zip(c, point))))
+            return hit * 1.0, np.zeros(hit.shape), np.ones(hit.shape, bool)
+
+        cmp = _compare(blocks, blocks.map(kernel), "<=", "edges", TOL, limit=10**6)
+        want = np.flatnonzero(kernel(*at)[0])
+        assert set(edges) <= set(want.tolist())
+        assert cmp.violations == [(i, tuple(float(c[i]) for c in flat), 1.0, 0.0)
+                                  for i in want.tolist()]
+
+
+class TestChunkContract:
+    """At the default plan no kernel call on any of the three streams sees
+    more than _CHUNK samples (a call on one first-axis slice of a grid may,
+    where one slice holds more), and the calls cover each stream once; at
+    the audit plan the symmetric stream is one call."""
+
+    WIDE = Interval(0.1, 10.0, closed_lo=True, closed_hi=True)
+
+    def _calls(self, monkeypatch, plan):
+        calls = {"xyz": [], "xyt": [], "st": []}
+        real = SampleBlocks.map
+
+        def recording(blocks, kernel):
+            key = "xyz" if blocks.symmetric else ["st", "xyt"][len(blocks.grid) - 2]
+
+            def spy(*columns):
+                calls[key].append(np.broadcast_shapes(*(c.shape for c in columns)))
+                return kernel(*columns)
+            return real(blocks, spy)
+
+        monkeypatch.setattr(SampleBlocks, "map", recording)
+        assert verify_theorem(TheoremId.AA, identity_weight(), FS["square"], "convex",
+                              plan, box=self.WIDE).holds
+        spec = ConvexitySpec(MeanKind.ARITHMETIC, MeanKind.ARITHMETIC, identity_weight())
+        assert verify_class(spec, FS["square"], plan, box=self.WIDE).holds
+        classify_additivity(np.square, self.WIDE, plan)
+        return calls
+
+    def test_default_plan_calls_stay_within_a_chunk(self, monkeypatch):
+        plan = SamplePlan()
+        calls = self._calls(monkeypatch, plan)
+        n = plan.grid_axis
+        sizes = {"xyz": n * (n + 1) * (n + 2) // 6 + plan.n_random,
+                 "xyt": n * n * plan.grid_t + plan.n_random, "st": n * n + plan.n_random}
+        for key, shapes in calls.items():
+            assert all(np.prod(shape) <= sampling._CHUNK for shape in shapes)
+            assert sum(int(np.prod(shape)) for shape in shapes) == sizes[key]
+        assert [len(shapes) for shapes in calls.values()] == [5, 8, 4]
+
+    def test_audit_plan_symmetric_stream_is_one_call(self, monkeypatch):
+        calls = self._calls(monkeypatch, _AUDIT_PLAN)
+        n = _AUDIT_PLAN.grid_axis
+        assert calls["xyz"] == [(n * (n + 1) * (n + 2) // 6 + _AUDIT_PLAN.n_random,)]
 
 
 def test_only_compare_decodes_a_sample(monkeypatch):
