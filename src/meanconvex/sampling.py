@@ -266,12 +266,12 @@ def _compare(blocks: SampleBlocks, results, claim: str, what: str,
     On a symmetric stream's rows a sorted triple counts as every grid sample
     of its orbit, and the tail's row j is sample n^3 + j. Violators are
     closed under permutation and a sorted triple leads its orbit, so the
-    orbits of the first `limit` sorted violators hold the first `limit` grid
-    violators, each with its sorted triple's sides.
+    orbits of the first `limit` violating rows of all chunks, cut to `limit`
+    once at the end, are the first `limit` violators, with their rows' sides.
     """
     usable = total = 0
     lowest = np.inf
-    found = ([], []) if claim == "==" else ([],)  # kept violations by side
+    found = ([], []) if claim == "==" else ([],)  # violating rows by side, as (orbit, lhs, rhs)
     for offset, shape, (lhs, rhs, valid, *applicable) in results:
         rel = _broadcast(_margin(lhs, rhs, valid, claim), shape)
         if blocks.symmetric:  # offset counts rows: the sorted triples, then the tail
@@ -296,9 +296,10 @@ def _compare(blocks: SampleBlocks, results, claim: str, what: str,
             room = limit - len(kept)
             if room > 0:  # argmax finds one violation without listing them all
                 index = np.flatnonzero(mask)[:room] if room > 1 else [mask.argmax()]
-                kept += sorted((j, float(lhs.flat[i]), float(rhs.flat[i]))
-                               for i in index if mask.flat[i] for j in orbit(i))[:room]
+                kept += [(orbit(i), float(lhs.flat[i]), float(rhs.flat[i]))
+                         for i in index if mask.flat[i]]
     if not results or usable < MIN_USABLE_FRACTION * total:
         raise DomainError(f"only {usable}/{total} samples usable for {what}")
+    found = [sorted((j, *sides) for js, *sides in kept for j in js)[:limit] for kept in found]
     return Comparison(usable, total - usable, lowest, [
         (i, blocks.point(i), lhs, rhs) for i, lhs, rhs in sorted(sum(found, []))])

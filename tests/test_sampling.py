@@ -919,6 +919,45 @@ class TestChunkEdges:
         assert cmp.violations == [(i, tuple(float(c[i]) for c in flat), 1.0, 0.0)
                                   for i in want.tolist()]
 
+    # grid index triples of the 29-point axis: (0, 27, 28) and (0, 28, 28) are
+    # rows of the first chunk whose orbits reach past sample 22,000; (20, 20, 20)
+    # (sample 17,420) and (17, 18, 19) are rows of the second; then tail rows
+    ABOVE = [(0, 27, 28), (0, 28, 28), (20, 20, 20), "tail 7"]
+    BELOW = [(0, 26, 28), (17, 18, 19), (1, 1, 2), "tail 3"]
+
+    @pytest.mark.parametrize("claim", ["<=", "=="])
+    @pytest.mark.parametrize("limit", [1, 3, 8, 12, 10**6])
+    def test_kept_witnesses_are_the_first_over_all_chunks(self, claim, limit):
+        """A later chunk's violator with a smaller sample index displaces the
+        large orbit members of an earlier chunk: the kept witnesses are the
+        first `limit` of the flat reference on each side, whichever chunk their
+        rows are in."""
+        plan, _, reference, _ = self.CASES["xyz"]
+        blocks, flat = plan.triple_blocks(self.DOM), reference(plan, self.DOM)
+        assert [offset for offset, _, _ in blocks.map(lambda *c: c)][:2] == [0, sampling._CHUNK]
+        axis, n3 = blocks.grid[0].ravel(), plan.grid_axis ** 3
+
+        def sorted_point(p):
+            if isinstance(p, str):  # a tail sample's own coordinates
+                return tuple(sorted(float(c[n3 + int(p.split()[1])]) for c in flat))
+            return tuple(float(axis[k]) for k in p)
+
+        def kernel(*c):
+            xyz = np.sort(np.stack(np.broadcast_arrays(*c)), axis=0)
+            sign = sum(np.logical_and.reduce([a == v for a, v in zip(xyz, sorted_point(p))])
+                       * s for group, s in ((self.ABOVE, 1.0), (self.BELOW, -1.0))
+                       for p in group)
+            return sign, np.zeros(sign.shape), np.ones(sign.shape, bool)
+
+        cmp = _compare(blocks, blocks.map(kernel), claim, "chunks", TOL, limit=limit)
+        sign = kernel(*flat)[0]
+        sides = [sign > 0, sign < 0] if claim == "==" else [sign > 0]
+        want = sorted(i for side in sides for i in np.flatnonzero(side)[:limit].tolist())
+        assert len(want) == min(limit, 6 + 3 + 1 + 1) + (claim == "==") * min(limit, 6 + 6 + 3 + 1)
+        assert 17_420 in want or limit < 4
+        assert cmp.violations == [(i, tuple(float(c[i]) for c in flat), sign[i], 0.0)
+                                  for i in want]
+
 
 class TestChunkContract:
     """At the default plan no kernel call on any of the three streams sees
