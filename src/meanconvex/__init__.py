@@ -14,8 +14,8 @@ from .means import (ChainVerdict, MeanEvalContext, MeanKind, check_am_gm_hm,
 from .popoviciu import (BASE_SENSE, EQUALITY_FAMILIES, ChainedReport,
                         LinkResult, PopoviciuReport, TheoremId, chained_check,
                         equality_max_residual, equality_residual, hlawka_check,
-                        hlawka_margins, popoviciu_sides, theorem_margins,
-                        two_point_reduction, verify_theorem)
+                        hlawka_margins, popoviciu_sides, search_theorem,
+                        theorem_margins, two_point_reduction, verify_theorem)
 from .sampling import SamplePlan
 from .weights import (AdditivityClass, WeightFunction, classify_additivity,
                       classify_multiplicativity, constant_weight,

@@ -34,8 +34,7 @@ from .convexity import DEFAULT_BOX, FUNCTIONS, ConvexitySpec, verify_class
 from .errors import DomainError, MeanConvexError
 from .intervals import Interval
 from .means import MeanKind, check_am_gm_hm, mean_classic
-from .popoviciu import (BASE_SENSE, TheoremId, popoviciu_sides,
-                        theorem_margins, verify_theorem)
+from .popoviciu import TheoremId, search_theorem, verify_theorem
 from .sampling import SamplePlan
 from .weights import (DEFAULT_TOL, WEIGHT_BUILDERS, classify_additivity,
                       classify_multiplicativity, power_weight_class)
@@ -104,19 +103,18 @@ def _witness_dict(w) -> dict:
     return {"x": w.x, "y": w.y, "z": w.z, "t": w.t, "lhs": w.lhs, "rhs": w.rhs}
 
 
-def _write_report(args, target: str, f, h, sense: str, sizes: dict, verdict: str,
-                  min_margin: float, witnesses: list[dict], skipped: int,
-                  samples: int) -> None:
-    """Write the --json report and --csv witness rows of a verify or search run."""
+def _write_report(args, target: str, f, h, sense: str, sizes: dict, report,
+                  witnesses: list[dict], samples: int) -> None:
+    """Write the --json report and --csv witness rows of a verify or search report."""
     payload = {
         "schema_version": 1,
         "config": {"command": args.command, "target": target, "fn": f.name,
                    "weight": h.name, "sense": sense, "lo": args.lo, "hi": args.hi,
                    **sizes, "seed": _resolve_seed(args), "tol": args.tol},
-        "verdict": verdict,
-        "min_margin": min_margin,
+        "verdict": report.status,
+        "min_margin": report.min_margin,
         "witnesses": witnesses,
-        "skipped": skipped,
+        "skipped": report.skipped,
         "samples": samples,
     }
     if args.json:
@@ -235,22 +233,21 @@ def _cmd_verify(args) -> int:
     t0 = time.perf_counter()
     if args.theorem:
         tid = TheoremId(args.theorem)
-        sense = args.sense or BASE_SENSE[tid]
-        report = verify_theorem(tid, h, f, sense, plan, args.tol, box)
+        report = verify_theorem(tid, h, f, args.sense, plan, args.tol, box)
         target, samples = f"theorem {tid.value}", report.triples_tested
-        found = report.witnesses
+        sense, found = report.sense, report.witnesses
     else:
-        sense = args.sense or "convex"
-        spec = ConvexitySpec(MeanKind(args.arg), MeanKind(args.val), h, sense)
+        spec = ConvexitySpec(MeanKind(args.arg), MeanKind(args.val), h,
+                             args.sense or "convex")
         report = verify_class(spec, f, plan, args.tol, box)
         target, samples = f"class {spec.label}", report.samples_tested
-        found = [report.witness] if report.witness else []
+        sense, found = spec.sense, [report.witness] if report.witness else []
     elapsed = time.perf_counter() - t0
     verdict, min_margin = report.status, report.min_margin
     witnesses = [_witness_dict(w) for w in found]
     _write_report(args, target, f, h, sense,
                   {"grid": args.grid, "grid_t": args.grid_t, "random": args.random},
-                  verdict, min_margin, witnesses, report.skipped, samples)
+                  report, witnesses, samples)
     print(f"{target} [{h.name}] on {f.name}: {verdict} "
           f"(min margin {min_margin:.3e}, {samples} samples, {report.skipped} skipped)")
     for w in witnesses:
@@ -287,102 +284,24 @@ def _cmd_audit(args) -> int:
     return 0
 
 
-# Shrink passes one theorem_margins call evaluates ahead of the walk.
-_PASSES_PER_CALL = 32
-
-
-def _coming_passes(tid, h, f, sense, lo, start, at):
-    """Up to _PASSES_PER_CALL shrink passes as (values, lattice), evaluated in
-    one call: the first pass from start, each later one from where the pass
-    before it would leave the witness if its outcome were at. A later start
-    is picked from the values of the pass before, as the walk picks its next
-    witness, so it is the walk's witness bit for bit whenever that pass's
-    outcome was at. The prediction ends where a start would repeat."""
-    axes = []
-    while len(axes) < _PASSES_PER_CALL:
-        values = [[lo + step * (c - lo) for step in (0.5, 0.8, 0.95)] + [c]
-                  for c in start]
-        axes.append(values)
-        start, before = [v[k] for v, k in zip(values, at)], start
-        if start == before:
-            break
-    x, y, z = (np.array([values[i] for values in axes]) for i in range(3))
-    lattices = theorem_margins(tid, h, f, x[:, :, None, None], y[:, None, :, None],
-                               z[:, None, None, :], sense)
-    return list(zip(axes, lattices))
-
-
 def _cmd_search(args) -> int:
     h, f = _build_weight(args), _build_fn(args)
-    box, dom = _build_box(args, f)
+    box, _ = _build_box(args, f)
     _require_positive(f, box, args.theorem[1])
-    tid = TheoremId(args.theorem)
-    sense = args.sense or BASE_SENSE[tid]
-    lo, hi = dom.sampling_bounds()
-    rng = np.random.default_rng(_resolve_seed(args))
-    budget = args.budget
-    if budget < 1:
-        raise MeanConvexError(f"--budget must be at least 1, got {budget}")
-
-    best = None
-    batch = 8192
-    used = 0
-    while used < budget and best is None:
-        n = min(batch, budget - used)
-        x, y, z = rng.uniform(lo, hi, size=(3, n))
-        used += n
-        margins = theorem_margins(tid, h, f, x, y, z, sense)
-        bad = margins < -args.tol
-        if bad.any():
-            idx = np.flatnonzero(bad)
-            norms = np.maximum.reduce([np.abs(x[idx]), np.abs(y[idx]), np.abs(z[idx])])
-            i = idx[int(np.argmin(norms))]
-            best, margin = [float(x[i]), float(y[i]), float(z[i])], margins[i]
-    if best is None:
-        print(f"no violation found for theorem {tid.value} ({sense}) on "
-              f"{f.name} within {used} evaluations")
+    tid, seed = TheoremId(args.theorem), _resolve_seed(args)
+    if args.budget < 1:
+        raise MeanConvexError(f"--budget must be at least 1, got {args.budget}")
+    report = search_theorem(tid, h, f, args.sense, seed, args.budget, args.tol, box)
+    if report.holds:
+        print(f"no violation found for theorem {tid.value} ({report.sense}) on "
+              f"{f.name} within {report.triples_tested} evaluations")
         return 1
-    # coordinate-descent shrink: pull coordinates toward the domain's low
-    # edge while the violation persists. A pass depends only on best, so a
-    # pass that leaves best unchanged would repeat itself: stop there.
-    # Coordinate i moves only on its own turn, so every trial of a pass is a
-    # point of the lattice values[0] x values[1] x values[2], each axis the
-    # three steps and then best's own coordinate (index 3); the pass's
-    # outcome `at` is the lattice index it leaves best at. The walk mostly
-    # repeats one outcome until best reaches a float fixed point, so one
-    # call evaluates the lattices of the passes that would follow if the
-    # last outcome repeated (halving every coordinate before the first
-    # pass). They serve while the outcome repeats; another outcome starts a
-    # new call. The budget counts scan points and the trials the walk
-    # reaches, never the lattice points it does not reach.
-    at, passes = (0, 0, 0), []
-    while used < budget:
-        if not passes:
-            guess, passes = at, _coming_passes(tid, h, f, sense, lo, best, at)
-        values, lattice = passes.pop(0)
-        at = (3, 3, 3)
-        for i in range(3):
-            for k in range(3):
-                if used >= budget:
-                    break
-                trial = (*at[:i], k, *at[i + 1:])
-                used += 1
-                if lattice[trial] < -args.tol:
-                    at, margin = trial, lattice[trial]
-                    break
-        start, best = best, [v[k] for v, k in zip(values, at)]
-        if best == start:
-            break
-        if at != guess:
-            passes = []
-    wl, wr = popoviciu_sides(tid, h, f, *best)
-    witness = {"x": best[0], "y": best[1], "z": best[2], "t": None,
-               "lhs": wl, "rhs": wr}
-    _write_report(args, f"theorem {tid.value}", f, h, sense, {"budget": args.budget},
-                  "refuted", float(margin), [witness], 0, used)
-    print(f"violation of theorem {tid.value} ({sense}) on {f.name}: "
-          f"x={best[0]:.17g}, y={best[1]:.17g}, z={best[2]:.17g}, "
-          f"lhs={wl:.17g}, rhs={wr:.17g} ({used} evaluations)")
+    w = report.witnesses[0]
+    _write_report(args, f"theorem {tid.value}", f, h, report.sense, {"budget": args.budget},
+                  report, [_witness_dict(w)], report.triples_tested)
+    print(f"violation of theorem {tid.value} ({report.sense}) on {f.name}: "
+          f"x={w.x:.17g}, y={w.y:.17g}, z={w.z:.17g}, "
+          f"lhs={w.lhs:.17g}, rhs={w.rhs:.17g} ({report.triples_tested} evaluations)")
     return 0
 
 
@@ -458,11 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--sense", choices=["convex", "concave"], default=None)
     ps.add_argument("--budget", type=int, default=100_000,
                     help="cap on evaluations: scan points plus the shrink "
-                         "trials reached (one call computes the 4x4x4 trial "
-                         f"lattices of up to {_PASSES_PER_CALL} coming passes, "
-                         "but unreached points are not counted); the witness "
-                         "shrink also stops at the first pass that leaves it "
-                         "unchanged")
+                         "trials reached; the witness shrink also stops at "
+                         "the first pass that leaves it unchanged")
     _add_function_args(ps)
     _add_weight_args(ps)
     _add_sampling_args(ps)

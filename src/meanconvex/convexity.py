@@ -132,8 +132,6 @@ def _gap_arrays(spec: ConvexitySpec, f: PointFunction, x, y, t):
         lhs = np.asarray(f(m), dtype=float)
         rhs = WEIGHTED_MEANS[spec.val_mean](
             *wh, np.asarray(f(x), dtype=float), np.asarray(f(y), dtype=float))
-    m, lhs, rhs = np.atleast_1d(m), np.atleast_1d(lhs), np.atleast_1d(rhs)
-    with np.errstate(invalid="ignore"):
         in_domain = f.domain.contains_array(m) & np.isfinite(m)
     valid = in_domain & np.isfinite(lhs) & np.isfinite(rhs) \
         & np.isfinite(wh[0]) & np.isfinite(wh[1])

@@ -249,6 +249,100 @@ def equality_max_residual(family: str, plan: SamplePlan | None = None,
 
 
 # ---------------------------------------------------------------------------
+# Search for one small violating triple. Shrink passes one theorem_margins
+# call evaluates ahead of the walk:
+_PASSES_PER_CALL = 32
+
+
+def _coming_passes(tid, h, f, sense, lo, start, at):
+    """Up to _PASSES_PER_CALL shrink passes as (values, lattice), evaluated in
+    one call: the first pass from start, each later one from where the pass
+    before it would leave the witness if its outcome were at. A later start
+    is picked from the values of the pass before, as the walk picks its next
+    witness, so it is the walk's witness bit for bit whenever that pass's
+    outcome was at. The prediction ends where a start would repeat."""
+    axes = []
+    while len(axes) < _PASSES_PER_CALL:
+        values = [[lo + step * (c - lo) for step in (0.5, 0.8, 0.95)] + [c]
+                  for c in start]
+        axes.append(values)
+        start, before = [v[k] for v, k in zip(values, at)], start
+        if start == before:
+            break
+    x, y, z = (np.array([values[i] for values in axes]) for i in range(3))
+    lattices = theorem_margins(tid, h, f, x[:, :, None, None], y[:, None, :, None],
+                               z[:, None, None, :], sense)
+    return list(zip(axes, lattices))
+
+
+def search_theorem(tid: TheoremId, h: WeightFunction, f: PointFunction,
+                   sense: str = None, seed: int = 42, budget: int = 100_000,
+                   tol: float = DEFAULT_TOL, box: Optional[Interval] = None) -> PopoviciuReport:
+    """Scan seeded uniform triples for a violation of the printed direction
+    (sense defaults to the base sense), then shrink the violating triple of
+    least max |coordinate| in the first such batch toward the domain's low
+    edge. The budget counts scan points plus the shrink trials reached; the
+    search stops when it is spent or at the first pass that leaves the
+    witness unchanged. min_margin is the witness's, else the least scanned."""
+    sense = sense or BASE_SENSE[tid]
+    lo, hi = f.sampling_domain(box).sampling_bounds()
+    rng = np.random.default_rng(seed)
+    best, low = None, np.inf
+    batch = 8192
+    used = 0
+    while used < budget and best is None:
+        n = min(batch, budget - used)
+        x, y, z = rng.uniform(lo, hi, size=(3, n))
+        used += n
+        margins = theorem_margins(tid, h, f, x, y, z, sense)
+        low = min(low, float(margins.min()))
+        bad = margins < -tol
+        if bad.any():
+            idx = np.flatnonzero(bad)
+            norms = np.maximum.reduce([np.abs(x[idx]), np.abs(y[idx]), np.abs(z[idx])])
+            i = idx[int(np.argmin(norms))]
+            best, margin = [float(x[i]), float(y[i]), float(z[i])], margins[i]
+    if best is None:
+        return PopoviciuReport(tid, h.name, f.name, sense, used, low)
+    # coordinate-descent shrink: pull coordinates toward the domain's low
+    # edge while the violation persists. A pass depends only on best, so a
+    # pass that leaves best unchanged would repeat itself: stop there.
+    # Coordinate i moves only on its own turn, so every trial of a pass is a
+    # point of the lattice values[0] x values[1] x values[2], each axis the
+    # three steps and then best's own coordinate (index 3); the pass's
+    # outcome `at` is the lattice index it leaves best at. The walk mostly
+    # repeats one outcome until best reaches a float fixed point, so one
+    # call evaluates the lattices of the passes that would follow if the
+    # last outcome repeated (halving every coordinate before the first
+    # pass). They serve while the outcome repeats; another outcome starts a
+    # new call. The budget counts scan points and the trials the walk
+    # reaches, never the lattice points it does not reach.
+    at, passes = (0, 0, 0), []
+    while used < budget:
+        if not passes:
+            guess, passes = at, _coming_passes(tid, h, f, sense, lo, best, at)
+        values, lattice = passes.pop(0)
+        at = (3, 3, 3)
+        for i in range(3):
+            for k in range(3):
+                if used >= budget:
+                    break
+                trial = (*at[:i], k, *at[i + 1:])
+                used += 1
+                if lattice[trial] < -tol:
+                    at, margin = trial, lattice[trial]
+                    break
+        start, best = best, [v[k] for v, k in zip(values, at)]
+        if best == start:
+            break
+        if at != guess:
+            passes = []
+    lhs, rhs = popoviciu_sides(tid, h, f, *best)
+    return PopoviciuReport(tid, h.name, f.name, sense, used, float(margin),
+                           [Witness(best[0], best[1], None, lhs, rhs, z=best[2])])
+
+
+# ---------------------------------------------------------------------------
 # Chained corollaries.
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from meanconvex import cli
+from meanconvex import cli, popoviciu
 from meanconvex.cli import main
 from meanconvex.weights import WEIGHT_BUILDERS
 
@@ -128,6 +128,27 @@ class TestSearchCommand:
                   "--hi", "4", "--sense", "convex", "--budget", "8192", *flag])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    def test_budget_below_one_is_refused(self, capsys, budget):
+        code, out, err = run(capsys, "search", "--theorem", "AA", "--fn", "square",
+                             "--sense", "concave", "--budget", budget)
+        assert (code, out) == (2, "")
+        assert err == f"error: --budget must be at least 1, got {budget}\n"
+
+    def test_search_runs_the_library_search_once(self, capsys, monkeypatch):
+        assert cli.search_theorem is popoviciu.search_theorem
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return popoviciu.search_theorem(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "search_theorem", spy)
+        code, out, _ = run(capsys, "search", "--theorem", "AA", "--fn", "square",
+                           "--sense", "concave", "--budget", "8256")
+        assert code == 0 and "(8256 evaluations)" in out
+        assert len(calls) == 1
 
 
 class TestClassifyCommand:

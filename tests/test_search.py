@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ import pytest
 from meanconvex import cli, popoviciu
 from meanconvex.catalog import builtin_functions
 from meanconvex.intervals import Interval
-from meanconvex.popoviciu import TheoremId, theorem_margins
+from meanconvex.popoviciu import TheoremId, search_theorem, theorem_margins
 from meanconvex.weights import (DEFAULT_TOL, identity_weight, power_weight,
                                 reciprocal_weight)
 
@@ -140,13 +141,13 @@ def test_budget_is_a_hard_cap(budget, seed, capsys):
 
 def test_shrink_stops_long_before_a_large_budget(monkeypatch, capsys):
     calls = []
-    real = cli.theorem_margins
+    real = popoviciu.theorem_margins
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "theorem_margins", counting)
+    monkeypatch.setattr(popoviciu, "theorem_margins", counting)
     code = cli.main(["search", "--theorem", "AA", "--fn", "square", "--sense",
                      "concave", "--budget", "100000", "--seed", "42"])
     capsys.readouterr()
@@ -160,7 +161,7 @@ def test_weight_evaluated_twice_per_kernel_call(label, tid, fn, sense, box, tmp_
     # h(3/2) and h(1/2) are read once per theorem_margins call and once for
     # the witness's printed sides; 118 reads when each pass had its own call
     counts = {"margins": 0, "weight": 0}
-    margins, weight = cli.theorem_margins, popoviciu.weight_eval
+    margins, weight = popoviciu.theorem_margins, popoviciu.weight_eval
 
     def counting(name, real):
         def call(*args):
@@ -168,7 +169,7 @@ def test_weight_evaluated_twice_per_kernel_call(label, tid, fn, sense, box, tmp_
             return real(*args)
         return call
 
-    monkeypatch.setattr(cli, "theorem_margins", counting("margins", margins))
+    monkeypatch.setattr(popoviciu, "theorem_margins", counting("margins", margins))
     monkeypatch.setattr(popoviciu, "weight_eval", counting("weight", weight))
     _search(tmp_path, tid, fn, sense, box, 1, 12_288, capsys)
     assert counts["weight"] <= 2 * (counts["margins"] + 1) <= 2 * (1 + 12 + 1)
@@ -215,15 +216,15 @@ def test_batched_lattices_equal_one_point_margins(fn, monkeypatch):
     # reference only if no entry depends on the pass, or the place in the
     # batch, it was computed at (three passes: an odd size leaves a partial
     # SIMD vector)
-    monkeypatch.setattr(cli, "_PASSES_PER_CALL", 3)
+    monkeypatch.setattr(popoviciu, "_PASSES_PER_CALL", 3)
     shapes = []
-    real = cli.theorem_margins
+    real = popoviciu.theorem_margins
 
     def recording(tid, h, f, x, y, z, sense):
         shapes.append(np.broadcast_shapes(x.shape, y.shape, z.shape))
         return real(tid, h, f, x, y, z, sense)
 
-    monkeypatch.setattr(cli, "theorem_margins", recording)
+    monkeypatch.setattr(popoviciu, "theorem_margins", recording)
     f = builtin_functions()[fn]
     lo, hi = f.sampling_domain(None).sampling_bounds()
     start = [lo + (hi - lo) * w for w in (0.3, 0.6, 0.9)]
@@ -231,7 +232,7 @@ def test_batched_lattices_equal_one_point_margins(fn, monkeypatch):
     for tid, h, sense in itertools.product(
             TheoremId, (identity_weight(), power_weight(2.0), reciprocal_weight()),
             ("convex", "concave")):
-        passes = cli._coming_passes(tid, h, f, sense, lo, start, (0, 1, 2))
+        passes = popoviciu._coming_passes(tid, h, f, sense, lo, start, (0, 1, 2))
         assert shapes.pop() == (3, 4, 4, 4)
         assert len({tuple(v[3] for v in values) for values, _ in passes}) == 3
         margin = _one_point_margin(tid, h, f, sense)
@@ -270,13 +271,13 @@ def _reference_pass_starts(tid, fn, sense, box, seed, scan):
 def test_each_pass_reads_its_own_lattice(label, tid, fn, sense, box, seed, tmp_path,
                                          capsys, monkeypatch):
     calls = []
-    real = cli.theorem_margins
+    real = popoviciu.theorem_margins
 
     def recording(tid, h, f, x, y, z, sense):
         calls.append((x, y, z))
         return real(tid, h, f, x, y, z, sense)
 
-    monkeypatch.setattr(cli, "theorem_margins", recording)
+    monkeypatch.setattr(popoviciu, "theorem_margins", recording)
     doc, _ = _search(tmp_path, tid, fn, sense, box, seed, 100_000, capsys)
     scan = [x.size for x, _, _ in calls if x.ndim == 1]
     assert scan[:-1] == [8192] * (len(scan) - 1)
@@ -344,3 +345,38 @@ def test_budget_ends_inside_a_later_coordinate(label, tid, fn, sense, box, seed,
         assert [w["x"], w["y"], w["z"]] == best
         assert doc["min_margin"] == one_point(*best)
         assert printed == doc["samples"] == (used if stalled is None else stalled)
+
+
+# ---------------------------------------------------------------------------
+# The library entry point: search_theorem gives what the command reports.
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("name", ["search-AA-square-concave.json",
+                                  "search-GH-cosh-convex.json"])
+def test_search_theorem_returns_the_golden_witness(name):
+    doc = json.loads((GOLDEN / name).read_text())
+    config = doc["config"]
+    box = None if config["lo"] is None else Interval(
+        config["lo"], config["hi"], closed_lo=True, closed_hi=True)
+    report = search_theorem(TheoremId(config["target"].split()[1]), identity_weight(),
+                            builtin_functions()[config["fn"]], config["sense"],
+                            config["seed"], config["budget"], config["tol"], box)
+    (w,) = report.witnesses
+    assert (w.x, w.y, w.z, w.t, w.lhs, w.rhs) == tuple(doc["witnesses"][0].values())
+    assert report.min_margin == doc["min_margin"]
+    assert report.triples_tested == doc["samples"]
+    assert (report.status, report.skipped) == (doc["verdict"], doc["skipped"])
+
+
+def test_search_theorem_without_a_violation_holds():
+    f, budget = builtin_functions()["square"], 5000
+    report = search_theorem(TheoremId.AA, identity_weight(), f, "convex", 42, budget)
+    assert report.holds and report.witnesses == []
+    assert (report.sense, report.triples_tested, report.skipped) == ("convex", budget, 0)
+    # the lowest margin of the one scan batch the budget allows
+    lo, hi = f.sampling_domain(None).sampling_bounds()
+    x, y, z = np.random.default_rng(42).uniform(lo, hi, size=(3, budget))
+    margins = theorem_margins(TheoremId.AA, identity_weight(), f, x, y, z, "convex")
+    assert report.min_margin == float(margins.min()) >= -DEFAULT_TOL
