@@ -252,27 +252,56 @@ def equality_max_residual(family: str, plan: SamplePlan | None = None,
 # Search for one small violating triple. Shrink passes one theorem_margins
 # call evaluates ahead of the walk:
 _PASSES_PER_CALL = 32
+_STEPS = (0.5, 0.8, 0.95)  # a trial moves a coordinate to lo + step * (c - lo)
 
 
 def _coming_passes(tid, h, f, sense, lo, start, at):
-    """Up to _PASSES_PER_CALL shrink passes as (values, lattice), evaluated in
-    one call: the first pass from start, each later one from where the pass
-    before it would leave the witness if its outcome were at. A later start
-    is picked from the values of the pass before, as the walk picks its next
-    witness, so it is the walk's witness bit for bit whenever that pass's
-    outcome was at. The prediction ends where a start would repeat."""
-    axes = []
-    while len(axes) < _PASSES_PER_CALL:
-        values = [[lo + step * (c - lo) for step in (0.5, 0.8, 0.95)] + [c]
-                  for c in start]
-        axes.append(values)
-        start, before = [v[k] for v, k in zip(values, at)], start
-        if start == before:
+    """Up to _PASSES_PER_CALL shrink passes, evaluated in one call, as their
+    (P, 3, 4) axis values (each axis the three steps of a coordinate, then
+    the coordinate) and (P, 4, 4, 4) lattices: the first pass from start,
+    each later one from where the pass before it would leave the witness if
+    its outcome were at, so it is the walk's witness bit for bit whenever
+    that pass's outcome was at. The prediction ends where a start would
+    repeat. The walk decides all P outcomes at once (_first_accepts) and
+    counts each pass's trials from its outcome (_take_pass)."""
+    starts = [start]
+    while len(starts) < _PASSES_PER_CALL:
+        start = [c if k == 3 else lo + _STEPS[k] * (c - lo) for c, k in zip(start, at)]
+        if start == starts[-1]:
             break
-    x, y, z = (np.array([values[i] for values in axes]) for i in range(3))
+        starts.append(start)
+    c = np.array(starts).T[:, :, None]
+    # the recurrence's three float operations, in its order: bit for bit
+    x, y, z = values = np.concatenate([lo + np.array(_STEPS) * (c - lo), c], axis=2)
     lattices = theorem_margins(tid, h, f, x[:, :, None, None], y[:, None, :, None],
                                z[:, None, None, :], sense)
-    return list(zip(axes, lattices))
+    return values.transpose(1, 0, 2), lattices
+
+
+def _first_accepts(bad):
+    """The (P, 3) outcome of each pass on its accept lattice bad: the first
+    accepting step of coordinate 0 with the others at their start, of
+    coordinate 1 after coordinate 0's, and of coordinate 2 after both; 3
+    where no step accepts."""
+    def first(axis):
+        return np.where(axis.any(-1), axis.argmax(-1), 3)
+    p = np.arange(len(bad))
+    k0 = first(bad[:, :3, 3, 3])
+    k1 = first(bad[p, k0, :3, 3])
+    return np.stack([k0, k1, first(bad[p, k0, k1, :3])], axis=1)
+
+
+def _take_pass(k, left):
+    """(at, trials) of a pass with first accepting steps k and left trials of
+    budget: coordinate i takes min(k[i] + 1, 3, left) trials, one per step
+    up to the first that accepts, and moves to k[i] only if it was tried."""
+    at, trials = [3, 3, 3], 0
+    for i, ki in enumerate(k):
+        n = min(ki + 1, 3, left - trials)
+        trials += n
+        if ki < n:
+            at[i] = ki
+    return tuple(at), trials
 
 
 def search_theorem(tid: TheoremId, h: WeightFunction, f: PointFunction,
@@ -281,9 +310,14 @@ def search_theorem(tid: TheoremId, h: WeightFunction, f: PointFunction,
     """Scan seeded uniform triples for a violation of the printed direction
     (sense defaults to the base sense), then shrink the violating triple of
     least max |coordinate| in the first such batch toward the domain's low
-    edge. The budget counts scan points plus the shrink trials reached; the
-    search stops when it is spent or at the first pass that leaves the
-    witness unchanged. min_margin is the witness's, else the least scanned."""
+    edge. The budget (at least 1) counts scan points plus the shrink trials
+    reached; the search stops when it is spent or at the first pass that
+    leaves the witness unchanged. Each lattice call decides its passes'
+    outcomes with array ops, and a pass counts one trial per step it reaches
+    on each coordinate. min_margin is the witness's, else the least
+    scanned."""
+    if budget < 1:
+        raise ValueError(f"search budget must be at least 1, got {budget}")
     sense = sense or BASE_SENSE[tid]
     lo, hi = f.sampling_domain(box).sampling_bounds()
     rng = np.random.default_rng(seed)
@@ -298,9 +332,8 @@ def search_theorem(tid: TheoremId, h: WeightFunction, f: PointFunction,
         low = min(low, float(margins.min()))
         bad = margins < -tol
         if bad.any():
-            idx = np.flatnonzero(bad)
-            norms = np.maximum.reduce([np.abs(x[idx]), np.abs(y[idx]), np.abs(z[idx])])
-            i = idx[int(np.argmin(norms))]
+            norms = np.maximum(np.maximum(np.abs(x), np.abs(y)), np.abs(z))
+            i = int(np.where(bad, norms, np.inf).argmin())
             best, margin = [float(x[i]), float(y[i]), float(z[i])], margins[i]
     if best is None:
         return PopoviciuReport(tid, h.name, f.name, sense, used, low)
@@ -314,24 +347,22 @@ def search_theorem(tid: TheoremId, h: WeightFunction, f: PointFunction,
     # repeats one outcome until best reaches a float fixed point, so one
     # call evaluates the lattices of the passes that would follow if the
     # last outcome repeated (halving every coordinate before the first
-    # pass). They serve while the outcome repeats; another outcome starts a
-    # new call. The budget counts scan points and the trials the walk
-    # reaches, never the lattice points it does not reach.
+    # pass), and decides each one's first accepting steps at once. They
+    # serve while the outcome repeats; another outcome starts a new call.
+    # The budget counts scan points and the trials the walk reaches, never
+    # the lattice points it does not reach.
     at, passes = (0, 0, 0), []
     while used < budget:
         if not passes:
-            guess, passes = at, _coming_passes(tid, h, f, sense, lo, best, at)
-        values, lattice = passes.pop(0)
-        at = (3, 3, 3)
-        for i in range(3):
-            for k in range(3):
-                if used >= budget:
-                    break
-                trial = (*at[:i], k, *at[i + 1:])
-                used += 1
-                if lattice[trial] < -tol:
-                    at, margin = trial, lattice[trial]
-                    break
+            guess = at
+            values, lattices = _coming_passes(tid, h, f, sense, lo, best, at)
+            passes = list(zip(values.tolist(), lattices,
+                              _first_accepts(lattices < -tol).tolist()))
+        values, lattice, accepts = passes.pop(0)
+        at, trials = _take_pass(accepts, budget - used)
+        used += trials
+        if at != (3, 3, 3):
+            margin = lattice[at]
         start, best = best, [v[k] for v, k in zip(values, at)]
         if best == start:
             break

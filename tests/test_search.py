@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis.extra.numpy import arrays
 
 from meanconvex import cli, popoviciu
 from meanconvex.catalog import builtin_functions
@@ -232,7 +234,8 @@ def test_batched_lattices_equal_one_point_margins(fn, monkeypatch):
     for tid, h, sense in itertools.product(
             TheoremId, (identity_weight(), power_weight(2.0), reciprocal_weight()),
             ("convex", "concave")):
-        passes = popoviciu._coming_passes(tid, h, f, sense, lo, start, (0, 1, 2))
+        values, lattices = popoviciu._coming_passes(tid, h, f, sense, lo, start, (0, 1, 2))
+        passes = list(zip(values.tolist(), lattices))
         assert shapes.pop() == (3, 4, 4, 4)
         assert len({tuple(v[3] for v in values) for values, _ in passes}) == 3
         margin = _one_point_margin(tid, h, f, sense)
@@ -241,6 +244,39 @@ def test_batched_lattices_equal_one_point_margins(fn, monkeypatch):
             assert lattice.tobytes() == np.array(points).tobytes(), (tid, h.name, sense)
             finite += int(np.isfinite(lattice).sum())
     assert finite > 0
+
+
+def reference_pass(bad, left):
+    """(at, trials) of one pass walked trial by trial, as the walk ran before
+    each lattice call decided its outcomes with array ops: bad is the pass's
+    4x4x4 accept lattice and left the trials the budget has left."""
+    at, trials = (3, 3, 3), 0
+    for i in range(3):
+        for k in range(3):
+            if trials >= left:
+                break
+            trial = (*at[:i], k, *at[i + 1:])
+            trials += 1
+            if bad[trial]:
+                at = trial
+                break
+    return at, trials
+
+
+LATTICES = (5, 4, 4, 4)  # accept lattices of five passes, decided in one batch
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.bool_, LATTICES))
+@example(np.zeros(LATTICES, dtype=bool))  # nothing accepts: three trials a coordinate
+def test_array_outcomes_walk_the_reference(bad):
+    # every remaining budget a pass can meet, from none to all nine trials, so
+    # the budget also runs out inside coordinates 1 and 2
+    accepts = popoviciu._first_accepts(bad)
+    assert accepts.shape == (len(bad), 3)
+    for lattice, k in zip(bad, accepts.tolist()):
+        for left in range(10):
+            assert popoviciu._take_pass(k, left) == reference_pass(lattice, left)
 
 
 def _low_edge(fn, box):
@@ -368,6 +404,17 @@ def test_search_theorem_returns_the_golden_witness(name):
     assert report.min_margin == doc["min_margin"]
     assert report.triples_tested == doc["samples"]
     assert (report.status, report.skipped) == (doc["verdict"], doc["skipped"])
+
+
+@pytest.mark.parametrize("budget", [0, -3])
+def test_search_theorem_refuses_a_budget_below_one(budget, monkeypatch):
+    calls = []
+    monkeypatch.setattr(popoviciu, "theorem_margins", lambda *args: calls.append(args))
+    monkeypatch.setattr(np.random, "default_rng", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match=f"budget must be at least 1, got {budget}"):
+        search_theorem(TheoremId.AA, identity_weight(), builtin_functions()["square"],
+                       "concave", 1, budget)
+    assert calls == []
 
 
 def test_search_theorem_without_a_violation_holds():
