@@ -255,18 +255,25 @@ _PASSES_PER_CALL = 32
 _STEPS = (0.5, 0.8, 0.95)  # a trial moves a coordinate to lo + step * (c - lo)
 
 
+def _pass_end(lo, start, at):
+    """Where a shrink pass with outcome at leaves the witness start: each
+    coordinate at step at[i], or kept where at[i] is 3."""
+    return [c if k == 3 else lo + _STEPS[k] * (c - lo) for c, k in zip(start, at)]
+
+
 def _coming_passes(tid, h, f, sense, lo, start, at):
     """Up to _PASSES_PER_CALL shrink passes, evaluated in one call, as their
     (P, 3, 4) axis values (each axis the three steps of a coordinate, then
     the coordinate) and (P, 4, 4, 4) lattices: the first pass from start,
     each later one from where the pass before it would leave the witness if
-    its outcome were at, so it is the walk's witness bit for bit whenever
-    that pass's outcome was at. The prediction ends where a start would
-    repeat. The walk decides all P outcomes at once (_first_accepts) and
-    counts each pass's trials from its outcome (_take_pass)."""
+    its outcome were at. _pass_end moves the walk's witness too, so a start
+    is the walk's witness bit for bit whenever the pass before it had
+    outcome at. The prediction ends where a start would repeat. The walk
+    decides all P outcomes at once (_first_accepts) and counts each pass's
+    trials from its outcome (_take_pass)."""
     starts = [start]
     while len(starts) < _PASSES_PER_CALL:
-        start = [c if k == 3 else lo + _STEPS[k] * (c - lo) for c, k in zip(start, at)]
+        start = _pass_end(lo, start, at)
         if start == starts[-1]:
             break
         starts.append(start)
@@ -341,29 +348,28 @@ def search_theorem(tid: TheoremId, h: WeightFunction, f: PointFunction,
     # edge while the violation persists. A pass depends only on best, so a
     # pass that leaves best unchanged would repeat itself: stop there.
     # Coordinate i moves only on its own turn, so every trial of a pass is a
-    # point of the lattice values[0] x values[1] x values[2], each axis the
-    # three steps and then best's own coordinate (index 3); the pass's
-    # outcome `at` is the lattice index it leaves best at. The walk mostly
-    # repeats one outcome until best reaches a float fixed point, so one
-    # call evaluates the lattices of the passes that would follow if the
-    # last outcome repeated (halving every coordinate before the first
-    # pass), and decides each one's first accepting steps at once. They
-    # serve while the outcome repeats; another outcome starts a new call.
-    # The budget counts scan points and the trials the walk reaches, never
-    # the lattice points it does not reach.
+    # point of a 4x4x4 lattice, each axis the three steps and then best's
+    # own coordinate (index 3); the pass's outcome `at` is the lattice index
+    # it leaves best at (_pass_end). The walk mostly repeats one outcome
+    # until best reaches a float fixed point, so one call evaluates the
+    # lattices of the passes that would follow if the last outcome repeated
+    # (halving every coordinate before the first pass), and decides each
+    # one's first accepting steps at once. They serve while the outcome
+    # repeats; another outcome starts a new call. The budget counts scan
+    # points and the trials the walk reaches, never the lattice points it
+    # does not reach.
     at, passes = (0, 0, 0), []
     while used < budget:
         if not passes:
             guess = at
-            values, lattices = _coming_passes(tid, h, f, sense, lo, best, at)
-            passes = list(zip(values.tolist(), lattices,
-                              _first_accepts(lattices < -tol).tolist()))
-        values, lattice, accepts = passes.pop(0)
+            _, lattices = _coming_passes(tid, h, f, sense, lo, best, at)
+            passes = list(zip(lattices, _first_accepts(lattices < -tol).tolist()))
+        lattice, accepts = passes.pop(0)
         at, trials = _take_pass(accepts, budget - used)
         used += trials
         if at != (3, 3, 3):
             margin = lattice[at]
-        start, best = best, [v[k] for v, k in zip(values, at)]
+        start, best = best, _pass_end(lo, best, at)
         if best == start:
             break
         if at != guess:
