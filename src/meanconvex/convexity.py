@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError, InapplicableSpecError
 from .intervals import Interval
-from .means import WEIGHTED_MEANS, MeanKind
+from .means import WEIGHTED_MEANS, MeanKind, require_positive_arguments
 from .sampling import SamplePlan, _compare
 from .weights import (DEFAULT_TOL, WeightFunction, constant_weight, power_weight,
                       reciprocal_weight, weight_eval)
@@ -159,10 +159,12 @@ def verify_class(spec: ConvexitySpec, f: PointFunction,
     Convex sense requires lhs <= rhs within relative tolerance; concave the
     reverse. Returns the smallest-index witness on refutation. A verdict is
     "on samples" only, never a proof. Raises DomainError when h is not
-    positive and finite at t = 1/2, as verify_theorem does.
+    positive and finite at t = 1/2, as verify_theorem does, and when a G or
+    H argument mean would read a sample x <= 0.
     """
-    plan = plan or SamplePlan()
-    blocks = plan.pair_t_blocks(f.sampling_domain(box))
+    plan, dom = plan or SamplePlan(), f.sampling_domain(box)
+    require_positive_arguments(spec.arg_mean, dom, f"class {spec.label}")
+    blocks = plan.pair_t_blocks(dom)
     weight_eval(spec.h, 0.5)
     cmp = _compare(blocks, blocks.map(partial(_gap_arrays, spec, f)),
                    "<=" if spec.sense == "convex" else ">=",

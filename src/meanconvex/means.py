@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EvaluationError
+from .intervals import Interval
 from .sampling import _margin
 from .weights import DEFAULT_TOL, WeightFunction, weight_eval
 
@@ -50,6 +51,16 @@ CENTRAL_MEANS = {
     # the denominator first: on arrays one temporary fewer is alive at a time
     MeanKind.HARMONIC: lambda x, y, z: (s := x * y + y * z + x * z, 3.0 * x * y * z / s)[1],
 }
+
+
+def require_positive_arguments(kind: MeanKind, dom: Interval, what: str) -> None:
+    """Refuse, before any draw, a G or H argument mean on a box whose samples
+    reach x <= 0: the mean is defined for positive arguments only, and its
+    formula reads other values there (sqrt((-5)(-5)) = 5)."""
+    lo = dom.sampling_bounds()[0]
+    if kind is not MeanKind.ARITHMETIC and lo <= 0.0:
+        raise DomainError(f"{what} takes {kind.name.lower()} means of its arguments, "
+                          f"which need x > 0, but the box reaches x = {lo:g}")
 
 
 @dataclass(frozen=True)

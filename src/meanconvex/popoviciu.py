@@ -27,7 +27,7 @@ import numpy as np
 from .convexity import FUNCTIONS, PointFunction, Witness
 from .errors import DomainError, HypothesisMismatchError
 from .intervals import Interval
-from .means import CENTRAL_MEANS, CLASSIC_MEANS, MeanKind
+from .means import CENTRAL_MEANS, CLASSIC_MEANS, MeanKind, require_positive_arguments
 from .sampling import SamplePlan, _compare, _margin
 from .weights import (DEFAULT_TOL, WeightFunction, classify_additivity,
                       classify_multiplicativity, identity_weight, weight_eval)
@@ -171,8 +171,9 @@ def verify_theorem(tid: TheoremId, h: WeightFunction, f: PointFunction,
     kernel call (exp of the log-domain sides for product theorems).
     """
     claim, sense = _claim(tid, sense), sense or BASE_SENSE[tid]
-    plan = plan or SamplePlan()
-    blocks = plan.triple_blocks(f.sampling_domain(box))
+    plan, dom = plan or SamplePlan(), f.sampling_domain(box)
+    require_positive_arguments(MeanKind(tid.value[0]), dom, f"theorem {tid.value}")
+    blocks = plan.triple_blocks(dom)
     kernel = partial(_sides_arrays, tid, weight_eval(h, 1.5), weight_eval(h, 0.5), f)
     cmp = _compare(blocks, blocks.map(kernel), claim,
                    f"theorem {tid.value} on {f.name}", tol, limit=8)
@@ -255,60 +256,40 @@ _PASSES_PER_CALL = 32
 _STEPS = (0.5, 0.8, 0.95)  # a trial moves a coordinate to lo + step * (c - lo)
 
 
-def _pass_end(lo, start, at):
-    """Where a shrink pass with outcome at leaves the witness start: each
-    coordinate at step at[i], or kept where at[i] is 3."""
-    return [c if k == 3 else lo + _STEPS[k] * (c - lo) for c, k in zip(start, at)]
-
-
-def _coming_passes(tid, h, f, sense, lo, start, at):
-    """Up to _PASSES_PER_CALL shrink passes, evaluated in one call, as their
-    (P, 3, 4) axis values (each axis the three steps of a coordinate, then
-    the coordinate) and (P, 4, 4, 4) lattices: the first pass from start,
-    each later one from where the pass before it would leave the witness if
-    its outcome were at. _pass_end moves the walk's witness too, so a start
-    is the walk's witness bit for bit whenever the pass before it had
-    outcome at. The prediction ends where a start would repeat. The walk
-    decides all P outcomes at once (_first_accepts) and counts each pass's
-    trials from its outcome (_take_pass)."""
+def _coming_turns(tid, h, f, sense, lo, start, guess):
+    """The (P, 3, 3) margins of up to _PASSES_PER_CALL shrink passes, evaluated
+    in one call: the first pass from start, each later one from where the
+    pass before it leaves the witness if its turn outcomes are guess, ending
+    where a start would repeat. Turn i of a pass holds coordinate i at its
+    three steps, the coordinates before i where the guess moves them and
+    those after i at the pass start. The starts follow the walk's own float
+    recurrence, so a turn is the walk's bit for bit while the outcomes
+    before it are the guess's."""
     starts = [start]
-    while len(starts) < _PASSES_PER_CALL:
-        start = _pass_end(lo, start, at)
-        if start == starts[-1]:
+    while len(starts) <= _PASSES_PER_CALL:
+        starts.append([c if k == 3 else lo + _STEPS[k] * (c - lo)
+                       for c, k in zip(starts[-1], guess)])
+        if starts[-1] == starts[-2]:
             break
-        starts.append(start)
-    c = np.array(starts).T[:, :, None]
-    # the recurrence's three float operations, in its order: bit for bit
-    x, y, z = values = np.concatenate([lo + np.array(_STEPS) * (c - lo), c], axis=2)
-    lattices = theorem_margins(tid, h, f, x[:, :, None, None], y[:, None, :, None],
-                               z[:, None, None, :], sense)
-    return values.transpose(1, 0, 2), lattices
+    c = np.array(starts)
+    steps, turn = lo + np.array(_STEPS) * (c[:-1, :, None] - lo), np.arange(3)[:, None]
+    return theorem_margins(tid, h, f, *(
+        np.where(turn == i, steps[:, i, None],
+                 np.where(turn < i, c[:-1, i, None, None], c[1:, i, None, None]))
+        for i in range(3)), sense)
 
 
 def _first_accepts(bad):
-    """The (P, 3) outcome of each pass on its accept lattice bad: the first
-    accepting step of coordinate 0 with the others at their start, of
-    coordinate 1 after coordinate 0's, and of coordinate 2 after both; 3
-    where no step accepts."""
-    def first(axis):
-        return np.where(axis.any(-1), axis.argmax(-1), 3)
-    p = np.arange(len(bad))
-    k0 = first(bad[:, :3, 3, 3])
-    k1 = first(bad[p, k0, :3, 3])
-    return np.stack([k0, k1, first(bad[p, k0, k1, :3])], axis=1)
+    """The first accepting step of each turn of bad, 3 where none accepts."""
+    return np.where(bad.any(-1), bad.argmax(-1), 3)
 
 
-def _take_pass(k, left):
-    """(at, trials) of a pass with first accepting steps k and left trials of
-    budget: coordinate i takes min(k[i] + 1, 3, left) trials, one per step
-    up to the first that accepts, and moves to k[i] only if it was tried."""
-    at, trials = [3, 3, 3], 0
-    for i, ki in enumerate(k):
-        n = min(ki + 1, 3, left - trials)
-        trials += n
-        if ki < n:
-            at[i] = ki
-    return tuple(at), trials
+def _take_turn(k, left):
+    """(outcome, trials) of a turn whose first accepting step is k, with left
+    trials of budget: one trial per step up to the first that accepts, at
+    most left, and the coordinate moves to step k only if it was tried."""
+    n = min(k + 1, 3, left)
+    return (k if k < n else 3), n
 
 
 def search_theorem(tid: TheoremId, h: WeightFunction, f: PointFunction,
@@ -319,14 +300,14 @@ def search_theorem(tid: TheoremId, h: WeightFunction, f: PointFunction,
     least max |coordinate| in the first such batch toward the domain's low
     edge. The budget (at least 1) counts scan points plus the shrink trials
     reached; the search stops when it is spent or at the first pass that
-    leaves the witness unchanged. Each lattice call decides its passes'
-    outcomes with array ops, and a pass counts one trial per step it reaches
-    on each coordinate. min_margin is the witness's, else the least
-    scanned."""
+    leaves the witness unchanged. Each call evaluates the coordinate turns
+    of the passes to come, and a turn counts one trial per step it reaches.
+    min_margin is the witness's, else the least scanned."""
     if budget < 1:
         raise ValueError(f"search budget must be at least 1, got {budget}")
-    sense = sense or BASE_SENSE[tid]
-    lo, hi = f.sampling_domain(box).sampling_bounds()
+    sense, dom = sense or BASE_SENSE[tid], f.sampling_domain(box)
+    require_positive_arguments(MeanKind(tid.value[0]), dom, f"theorem {tid.value}")
+    lo, hi = dom.sampling_bounds()
     rng = np.random.default_rng(seed)
     best, low = None, np.inf
     batch = 8192
@@ -346,34 +327,32 @@ def search_theorem(tid: TheoremId, h: WeightFunction, f: PointFunction,
         return PopoviciuReport(tid, h.name, f.name, sense, used, low)
     # coordinate-descent shrink: pull coordinates toward the domain's low
     # edge while the violation persists. A pass depends only on best, so a
-    # pass that leaves best unchanged would repeat itself: stop there.
-    # Coordinate i moves only on its own turn, so every trial of a pass is a
-    # point of a 4x4x4 lattice, each axis the three steps and then best's
-    # own coordinate (index 3); the pass's outcome `at` is the lattice index
-    # it leaves best at (_pass_end). The walk mostly repeats one outcome
-    # until best reaches a float fixed point, so one call evaluates the
-    # lattices of the passes that would follow if the last outcome repeated
-    # (halving every coordinate before the first pass), and decides each
-    # one's first accepting steps at once. They serve while the outcome
-    # repeats; another outcome starts a new call. The budget counts scan
-    # points and the trials the walk reaches, never the lattice points it
-    # does not reach.
-    at, passes = (0, 0, 0), []
+    # pass that leaves best unchanged would repeat itself: stop there. Turn i
+    # of a pass tries coordinate i at each step until one accepts; its
+    # outcome is that step, or 3 where best keeps the coordinate. The walk
+    # mostly repeats one pass outcome until best reaches a float fixed point,
+    # so one call evaluates the turns of the passes that would follow if the
+    # guess repeated (halving every coordinate at first). They serve while
+    # each turn's outcome is the guess's; another outcome updates the guess,
+    # and the next call rebuilds the pass from its start, past the turns
+    # walked. The budget counts scan points and the trials the walk reaches.
+    start, guess, at, rows = list(best), (0, 0, 0), [], []
     while used < budget:
-        if not passes:
-            guess = at
-            _, lattices = _coming_passes(tid, h, f, sense, lo, best, at)
-            passes = list(zip(lattices, _first_accepts(lattices < -tol).tolist()))
-        lattice, accepts = passes.pop(0)
-        at, trials = _take_pass(accepts, budget - used)
-        used += trials
-        if at != (3, 3, 3):
-            margin = lattice[at]
-        start, best = best, _pass_end(lo, best, at)
-        if best == start:
-            break
-        if at != guess:
-            passes = []
+        if not rows:
+            margins = _coming_turns(tid, h, f, sense, lo, start, guess)
+            rows = list(zip(margins, _first_accepts(margins < -tol).tolist()))
+        i = len(at)
+        k, n = _take_turn(rows[0][1][i], budget - used)
+        used += n
+        at.append(k)
+        if k < 3:
+            best[i], margin = lo + _STEPS[k] * (best[i] - lo), rows[0][0][i, k]
+        if k != guess[i]:
+            guess, rows = (*at, *guess[i + 1:]), []
+        if i == 2:
+            if best == start:
+                break
+            start, at, rows = list(best), [], rows[1:]
     lhs, rhs = popoviciu_sides(tid, h, f, *best)
     return PopoviciuReport(tid, h.name, f.name, sense, used, float(margin),
                            [Witness(best[0], best[1], None, lhs, rhs, z=best[2])])
@@ -529,8 +508,9 @@ def chained_check(corollary: str, h: WeightFunction, f: PointFunction,
         raise KeyError(f"unknown chained corollary {corollary!r}; "
                        f"choose from {sorted(_CHAINS)}")
     plan = plan or SamplePlan()
-    f_hyp = _CHAINS[corollary].f_hyp
+    f_hyp, parent = _CHAINS[corollary][:2]
     dom = f.sampling_domain(box)
+    require_positive_arguments(MeanKind(parent.value[0]), dom, corollary)
     classify = (classify_multiplicativity if f_hyp.endswith("multiplicative")
                 else classify_additivity)
     unit = Interval(0.0, 1.0)

@@ -460,6 +460,21 @@ class TestBadInput:
         assert verify == search == (2, "", f"error: neg_square(1e-05) <= 0, but value "
                                            f"mean {theorem[1]} needs f > 0\n")
 
+    @pytest.mark.parametrize("argv,target", [
+        (["verify", "--theorem", "GA", "--fn", "exp", "--lo", "-5", "--hi", "-1"],
+         "theorem GA takes geometric"),
+        (["search", "--theorem", "HA", "--fn", "cosh", "--lo", "-3", "--hi", "3",
+          "--sense", "concave"], "theorem HA takes harmonic"),
+        (["verify", "--arg", "H", "--val", "A", "--fn", "cosh", "--lo", "-3", "--hi", "3"],
+         "class HtA[identity]-convex takes harmonic"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
+    def test_g_or_h_argument_mean_reaching_zero_named(self, capsys, argv, target):
+        # each once exited 0 or 1 with a witness off the means' domain
+        lo = argv[argv.index("--lo") + 1]
+        assert run(capsys, *argv) == (2, "", f"error: {target} means of its arguments, "
+                                             f"which need x > 0, but the box reaches "
+                                             f"x = {lo}\n")
+
     @pytest.mark.parametrize("theorem", ["AA", "GA", "HA"])
     def test_search_takes_nonpositive_f_under_value_mean_a(self, capsys, theorem):
         code, out, _ = run(capsys, "search", "--theorem", theorem, "--fn", "neg_square",

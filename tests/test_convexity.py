@@ -21,6 +21,10 @@ def spec(arg, val, sense="convex", h=None):
     return ConvexitySpec(arg, val, h or ID, sense)
 
 
+def _no_draw(*args):
+    raise AssertionError("samples drawn")
+
+
 class TestDefiningGap:
     def test_square_arithmetic_case(self):
         f = PointFunction("square", np.square, Interval(0.0, 10.0, closed_lo=True))
@@ -141,11 +145,26 @@ class TestVerifyClass:
         assert a == b
 
     def test_skip_accounting(self):
-        # geometric argument means need positive points; on a domain
-        # straddling zero only ~a quarter of sampled pairs are usable
+        # geometric argument means need positive points; a domain straddling
+        # zero is refused before any sample is drawn
         f = PointFunction("cube", lambda v: v**3 + 30.0, Interval(-2.0, 2.0))
         with pytest.raises(DomainError):
             verify_class(spec(G, A), f)
+
+    @pytest.mark.parametrize("arg", [G, H])
+    def test_g_or_h_argument_mean_refuses_a_box_reaching_zero(self, arg, monkeypatch):
+        # the H argument mean of -3 and 0.1875 is not defined, yet HtA cosh on
+        # [-3, 3] was once refuted there; an A argument mean takes the box
+        monkeypatch.setattr(SamplePlan, "pair_t_blocks", _no_draw)
+        box = Interval(-3.0, 3.0, closed_lo=True, closed_hi=True)
+        with pytest.raises(DomainError, match=r"which need x > 0, but the box reaches "
+                                              r"x = -3$"):
+            verify_class(spec(arg, A), FS["cosh"], box=box)
+        with pytest.raises(DomainError, match="reaches x = 0$"):
+            verify_class(spec(arg, A), FS["cosh"],
+                         box=Interval(0.0, 3.0, closed_lo=True, closed_hi=True))
+        monkeypatch.undo()
+        assert verify_class(spec(A, A), FS["cosh"], box=box).holds
 
 
 class TestExtendedClasses:

@@ -20,6 +20,11 @@ ID = identity_weight()
 FS = builtin_functions()
 BOX = Interval(0.1, 10.0, closed_lo=True, closed_hi=True)
 SMALL = SamplePlan(grid_axis=9, grid_t=5, n_random=200)
+NEGATIVE = Interval(-5.0, -1.0, closed_lo=True, closed_hi=True)
+
+
+def _no_draw(*args):
+    raise AssertionError("samples drawn")
 
 
 class TestPopoviciuSides:
@@ -251,6 +256,19 @@ class TestVerifyTheorem:
         assert verify_theorem(tid, ID, FS["square"], plan=SMALL, box=BOX).sense == \
             BASE_SENSE[tid]
 
+    @pytest.mark.parametrize("tid", [t for t in TheoremId if t.value[0] != "A"])
+    def test_g_or_h_argument_mean_refuses_a_box_reaching_zero(self, tid, monkeypatch):
+        # sqrt((-5)(-5)) = 5: theorem GA for exp on [-5, -1] was once refuted
+        # at x = y = z = -5, where every mean is -5 and the two sides agree
+        monkeypatch.setattr(SamplePlan, "triple_blocks", _no_draw)
+        kind = {"G": "geometric", "H": "harmonic"}[tid.value[0]]
+        with pytest.raises(DomainError, match=rf"^theorem {tid.value} takes {kind} means "
+                                              r"of its arguments, which need x > 0, "
+                                              r"but the box reaches x = -5$"):
+            verify_theorem(tid, ID, FS["exp"], plan=SMALL, box=NEGATIVE)
+        monkeypatch.undo()
+        assert verify_theorem(TheoremId.AA, ID, FS["exp"], plan=SMALL, box=NEGATIVE).holds
+
     def test_deterministic(self):
         a = verify_theorem(TheoremId.AG, ID, FS["cosh"], plan=SMALL, box=BOX)
         b = verify_theorem(TheoremId.AG, ID, FS["cosh"], plan=SMALL, box=BOX)
@@ -315,6 +333,18 @@ class TestChainedCheck:
     def test_unknown_corollary(self):
         with pytest.raises(KeyError):
             chained_check("cor99", ID, FS["square"], SMALL, box=BOX)
+
+    @pytest.mark.parametrize("corollary", [c for c, row in popoviciu._CHAINS.items()
+                                           if row.parent.value[0] != "A"])
+    def test_g_or_h_parent_refuses_a_box_reaching_zero(self, corollary, monkeypatch):
+        # parents GA, GG, HA and HG take G or H means of the arguments; the
+        # refusal comes before f and h are classified
+        for draw in ("pair_blocks", "triple_blocks"):
+            monkeypatch.setattr(SamplePlan, draw, _no_draw)
+        with pytest.raises(DomainError, match=rf"^{corollary} takes .* but the box "
+                                              r"reaches x = -5$"):
+            chained_check(corollary, ID, FS["exp"], SamplePlan(), box=NEGATIVE,
+                          enforce_hypotheses=False)
 
     def test_all_corollaries_resolvable(self):
         names = ["cor4.1", "cor4.2", "cor8.1", "cor8.2", "cor9.1", "cor9.2",

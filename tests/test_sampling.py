@@ -38,6 +38,7 @@ from meanconvex import (BASE_SENSE, ConvexitySpec, DomainError, EQUALITY_FAMILIE
                         weight_eval, weights)
 from meanconvex.catalog import _AUDIT_PLAN, builtin_functions
 from meanconvex.convexity import _gap_arrays
+from meanconvex.means import require_positive_arguments
 from meanconvex.popoviciu import (_CHAINS, _chain_links, _chain_sides, _hlawka_sides,
                                   _sides_arrays)
 from meanconvex.sampling import (MIN_USABLE_FRACTION, T_EPS, SampleBlocks, _compare,
@@ -532,6 +533,7 @@ TOL = 1e-9
 
 def flat_theorem(tid, h, f, sense, plan):
     dom = f.sampling_domain(_box(f))
+    require_positive_arguments(MeanKind(tid.value[0]), dom, f"theorem {tid.value}")
     xyz = xyz_stream(plan, dom)
     kernel = partial(_sides_arrays, tid, weight_eval(h, 1.5), weight_eval(h, 0.5), f)
     lhs, rhs, valid = kernel(*sorted_xyz_stream(plan, dom))
@@ -551,7 +553,9 @@ def block_theorem(tid, h, f, sense, plan):
 
 
 def flat_class(spec, f, plan):
-    xyt = xyt_stream(plan, f.sampling_domain(_box(f)))
+    dom = f.sampling_domain(_box(f))
+    require_positive_arguments(spec.arg_mean, dom, f"class {spec.label}")
+    xyt = xyt_stream(plan, dom)
     lhs, rhs, valid = _gap_arrays(spec, f, *xyt)
     rel, bad = flat_compare(lhs, rhs, valid, spec.sense == "convex", TOL,
                             f"{spec.label} on {f.name}")
@@ -601,8 +605,10 @@ CLASSIFY = {"additive": (classify_additivity, np.add, "sum"),
 
 
 def flat_chain(corollary, h, f, plan):
-    # chained_check classifies f and h before it samples the links
+    # chained_check refuses a G or H parent argument mean on a box reaching
+    # x <= 0, then classifies f and h before it samples the links
     dom = f.sampling_domain(_box(f))
+    require_positive_arguments(MeanKind(_CHAINS[corollary].parent.value[0]), dom, corollary)
     op, noun = (np.multiply, "product") if _CHAINS[corollary][0].endswith(
         "multiplicative") else (np.add, "sum")
     flat_classify(f.fn, dom, plan, op, noun)
@@ -632,7 +638,8 @@ def block_chain(corollary, h, f, plan):
 class TestReducerEqualsFlat:
     """Min margin, usable and skipped counts, witness indices, coordinates
     and sides of every verdict equal the flat kernel's bit for bit; so does
-    the usable-half DomainError message."""
+    the usable-half DomainError message. Both refuse a G or H argument mean
+    on the boxes that reach x <= 0 (the real-line functions on [-3, 3])."""
 
     def test_theorems(self, plan, h):
         refuted = 0

@@ -9,6 +9,7 @@ margin, after no more evaluations than the reference.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import re
@@ -21,6 +22,7 @@ from hypothesis.extra.numpy import arrays
 
 from meanconvex import cli, popoviciu
 from meanconvex.catalog import builtin_functions
+from meanconvex.errors import DomainError
 from meanconvex.intervals import Interval
 from meanconvex.popoviciu import TheoremId, search_theorem, theorem_margins
 from meanconvex.weights import (DEFAULT_TOL, identity_weight, power_weight,
@@ -36,8 +38,8 @@ SEEDS = range(1, 21)
 EVALUATIONS = re.compile(r"\((\d+) evaluations\)")
 
 
-def reference_search(tid, fn, sense, box, seed, budget, margin):
-    """Scan, then shrink pass after pass until the budget is gone.
+def reference_search(tid, fn, sense, box, seed, budget, margin, h=identity_weight()):
+    """Scan under weight h, then shrink pass after pass until the budget is gone.
 
     ``margin(x, y, z)`` is the one-point relative margin. Returns the witness,
     the evaluations used, and the count at the end of the first whole pass
@@ -54,8 +56,7 @@ def reference_search(tid, fn, sense, box, seed, budget, margin):
         n = min(8192, budget - used)
         x, y, z = rng.uniform(lo, hi, size=(3, n))
         used += n
-        margins = theorem_margins(TheoremId(tid), identity_weight(), f,
-                                  x, y, z, sense)
+        margins = theorem_margins(TheoremId(tid), h, f, x, y, z, sense)
         bad = margins < -DEFAULT_TOL
         if bad.any():
             idx = np.flatnonzero(bad)
@@ -87,12 +88,12 @@ def reference_search(tid, fn, sense, box, seed, budget, margin):
     return best, used, stalled
 
 
-def _search(tmp_path, tid, fn, sense, box, seed, budget, capsys):
+def _search(tmp_path, tid, fn, sense, box, seed, budget, capsys, *weight_argv):
     path = tmp_path / "search.json"
     box_argv = ["--lo", box[0], "--hi", box[1]] if box else []
     code = cli.main(["search", "--theorem", tid, "--fn", fn, "--sense", sense,
                      *box_argv, "--budget", str(budget), "--seed", str(seed),
-                     "--json", str(path)])
+                     *weight_argv, "--json", str(path)])
     out = capsys.readouterr().out
     assert code == 0
     printed = int(EVALUATIONS.search(out).group(1))
@@ -129,6 +130,37 @@ def test_shrink_matches_reference(label, tid, fn, sense, box, seed, tmp_path,
         assert doc["samples"] == (used if stalled is None else stalled)
         saved.append(used - doc["samples"])
     assert max(saved) > 0, "no budget reached the early stop"
+
+
+# weights besides identity that ``search --weight`` takes, with their argv and
+# two cases each that the scan refutes under that weight
+POWER2 = (power_weight(2.0), ["--weight", "power", "--weight-param", "2"])
+RECIPROCAL = (reciprocal_weight(), ["--weight", "reciprocal"])
+WEIGHTED_CASES = [
+    (*POWER2, "AG-square-concave", "AG", "square", "concave", None),
+    (*POWER2, "GH-cosh-concave", "GH", "cosh", "concave", ("1", "4")),
+    (*RECIPROCAL, "AA-square-concave", "AA", "square", "concave", None),
+    (*RECIPROCAL, "GH-cosh-convex", "GH", "cosh", "convex", ("1", "4")),
+]
+
+
+@pytest.mark.parametrize("h,weight_argv,label,tid,fn,sense,box", WEIGHTED_CASES,
+                         ids=[f"{c[0].name}-{c[2]}" for c in WEIGHTED_CASES])
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_shrink_matches_reference_under_weights(h, weight_argv, label, tid, fn, sense,
+                                                box, seed, tmp_path, capsys):
+    margin = functools.lru_cache(maxsize=None)(
+        _one_point_margin(tid, h, builtin_functions()[fn], sense))
+    for budget in BUDGETS:
+        best, used, stalled = reference_search(tid, fn, sense, box, seed, budget,
+                                               margin, h)
+        doc, printed = _search(tmp_path, tid, fn, sense, box, seed, budget, capsys,
+                               *weight_argv)
+        w = doc["witnesses"][0]
+        assert doc["config"]["weight"] == h.name
+        assert [w["x"], w["y"], w["z"]] == best
+        assert doc["min_margin"] == margin(*best)
+        assert printed == doc["samples"] == (used if stalled is None else stalled)
 
 
 @pytest.mark.parametrize("budget", [8193, 8200, 8256, 8300, 9000])
@@ -178,9 +210,10 @@ def test_weight_evaluated_twice_per_kernel_call(label, tid, fn, sense, box, tmp_
 
 
 # ---------------------------------------------------------------------------
-# A pass reads every trial's margin off a 4x4x4 lattice of the three steps
-# and the start on each axis; one theorem_margins call evaluates the lattices
-# of the passes to come while the walk repeats its last outcome.
+# Turn i of a pass tries coordinate i at the three steps, the coordinates
+# before i where the pass moved them and the ones after i at the pass start.
+# One theorem_margins call evaluates the turns of the passes to come while the
+# walk repeats its last turn outcomes, as (P, 3 turns, 3 steps) arrays.
 
 STEPS = (0.5, 0.8, 0.95)
 
@@ -189,6 +222,17 @@ def _one_point_margin(tid, h, f, sense):
     return lambda x, y, z: float(theorem_margins(
         TheoremId(tid), h, f, np.array([x]), np.array([y]), np.array([z]),
         sense)[0])
+
+
+def _turns(lo, start, at):
+    """The (3 turns, 3 steps, 3 coordinates) trial points of a pass from
+    start with turn outcomes at (3: the coordinate stays), and its end."""
+    best, rows = list(start), []
+    for i, k in enumerate(at):
+        rows.append([best[:i] + [lo + s * (best[i] - lo)] + best[i + 1:] for s in STEPS])
+        if k < 3:
+            best[i] = rows[-1][k][i]
+    return rows, best
 
 
 @pytest.mark.parametrize("fn", sorted(builtin_functions()))
@@ -213,70 +257,80 @@ def test_lattice_margins_equal_one_point_margins(fn):
 
 
 @pytest.mark.parametrize("fn", sorted(builtin_functions()))
-def test_batched_lattices_equal_one_point_margins(fn, monkeypatch):
-    # one call evaluates the lattices of several passes; the batch walks the
-    # reference only if no entry depends on the pass, or the place in the
-    # batch, it was computed at (three passes: an odd size leaves a partial
-    # SIMD vector)
+def test_batched_turns_equal_one_point_margins(fn, monkeypatch):
+    # one call evaluates the turns of several passes; the batch walks the
+    # reference only if every row holds the pass's own trial points and no
+    # margin depends on the pass, or the place in the batch, it was computed
+    # at (three passes: an odd size leaves a partial SIMD vector)
     monkeypatch.setattr(popoviciu, "_PASSES_PER_CALL", 3)
-    shapes = []
+    calls = []
     real = popoviciu.theorem_margins
 
     def recording(tid, h, f, x, y, z, sense):
-        shapes.append(np.broadcast_shapes(x.shape, y.shape, z.shape))
+        calls.append((x, y, z))
         return real(tid, h, f, x, y, z, sense)
 
     monkeypatch.setattr(popoviciu, "theorem_margins", recording)
     f = builtin_functions()[fn]
     lo, hi = f.sampling_domain(None).sampling_bounds()
-    start = [lo + (hi - lo) * w for w in (0.3, 0.6, 0.9)]
+    first, guess = [lo + (hi - lo) * w for w in (0.3, 0.6, 0.9)], (0, 1, 2)
+    starts, passes = [first], []
+    for _ in range(3):
+        rows, end = _turns(lo, starts[-1], guess)
+        passes.append(rows)
+        starts.append(end)
+    assert len({tuple(start) for start in starts}) == 4
+    passes = np.array(passes)
     finite = 0
     for tid, h, sense in itertools.product(
             TheoremId, (identity_weight(), power_weight(2.0), reciprocal_weight()),
             ("convex", "concave")):
-        values, lattices = popoviciu._coming_passes(tid, h, f, sense, lo, start, (0, 1, 2))
-        passes = list(zip(values.tolist(), lattices))
-        assert shapes.pop() == (3, 4, 4, 4)
-        assert len({tuple(v[3] for v in values) for values, _ in passes}) == 3
+        margins = popoviciu._coming_turns(tid, h, f, sense, lo, first, guess)
+        x, y, z = calls.pop()
+        assert margins.shape == x.shape == y.shape == z.shape == (3, 3, 3)
+        assert all(c.flags.c_contiguous for c in (x, y, z))
+        assert np.stack([x, y, z], axis=-1).tobytes() == passes.tobytes()
         margin = _one_point_margin(tid, h, f, sense)
-        for values, lattice in passes:
-            points = [margin(*p) for p in itertools.product(*values)]
-            assert lattice.tobytes() == np.array(points).tobytes(), (tid, h.name, sense)
-            finite += int(np.isfinite(lattice).sum())
+        points = [margin(*point) for point in passes.reshape(-1, 3).tolist()]
+        assert margins.tobytes() == np.array(points).tobytes(), (tid, h.name, sense)
+        finite += int(np.isfinite(margins).sum())
     assert finite > 0
 
 
 def reference_pass(bad, left):
-    """(at, trials) of one pass walked trial by trial, as the walk ran before
-    each lattice call decided its outcomes with array ops: bad is the pass's
-    4x4x4 accept lattice and left the trials the budget has left."""
-    at, trials = (3, 3, 3), 0
+    """(at, trials) of one pass walked trial by trial: bad is the pass's
+    (3 turns, 3 steps) accept array and left the trials the budget has left."""
+    at, trials = [3, 3, 3], 0
     for i in range(3):
         for k in range(3):
             if trials >= left:
                 break
-            trial = (*at[:i], k, *at[i + 1:])
             trials += 1
-            if bad[trial]:
-                at = trial
+            if bad[i, k]:
+                at[i] = k
                 break
-    return at, trials
+    return tuple(at), trials
 
 
-LATTICES = (5, 4, 4, 4)  # accept lattices of five passes, decided in one batch
+TURNS = (5, 3, 3)  # accept arrays of five passes, decided in one batch
 
 
 @settings(max_examples=200, deadline=None)
-@given(arrays(np.bool_, LATTICES))
-@example(np.zeros(LATTICES, dtype=bool))  # nothing accepts: three trials a coordinate
-def test_array_outcomes_walk_the_reference(bad):
+@given(arrays(np.bool_, TURNS))
+@example(np.zeros(TURNS, dtype=bool))  # nothing accepts: three trials a turn
+def test_turn_outcomes_walk_the_reference(bad):
     # every remaining budget a pass can meet, from none to all nine trials, so
-    # the budget also runs out inside coordinates 1 and 2
+    # the budget also runs out inside turns 1 and 2
     accepts = popoviciu._first_accepts(bad)
     assert accepts.shape == (len(bad), 3)
-    for lattice, k in zip(bad, accepts.tolist()):
+    for turns, k in zip(bad, accepts.tolist()):
         for left in range(10):
-            assert popoviciu._take_pass(k, left) == reference_pass(lattice, left)
+            at, trials = [], 0
+            for ki in k:
+                outcome, n = popoviciu._take_turn(ki, left - trials)
+                at.append(outcome)
+                trials += n
+            assert (tuple(at), trials) == reference_pass(turns, left)
 
 
 def _low_edge(fn, box):
@@ -285,27 +339,28 @@ def _low_edge(fn, box):
         float(box[0]), float(box[1]), closed_lo=True, closed_hi=True)).sampling_bounds()[0]
 
 
-def _reference_pass_starts(tid, fn, sense, box, seed, scan):
-    """The start of each pass of the reference shrink after a scan of `scan`
-    points, walked with one-point margins until a pass repeats itself."""
+def _reference_passes(tid, fn, sense, box, seed, scan):
+    """The turn rows of each pass of the reference shrink after a scan of
+    `scan` points, walked with one-point margins until a pass repeats itself,
+    and the witness it ends at."""
     margin = _one_point_margin(tid, identity_weight(), builtin_functions()[fn], sense)
     best, _, _ = reference_search(tid, fn, sense, box, seed, scan, margin)
-    lo, starts = _low_edge(fn, box), []
-    while not starts or best != starts[-1]:
-        starts.append(best)
+    lo, passes, start = _low_edge(fn, box), [], None
+    while best != start:
+        start, at = best, []
         for i in range(3):
-            for step in STEPS:
-                trial = best[:i] + [lo + step * (best[i] - lo)] + best[i + 1:]
-                if margin(*trial) < -DEFAULT_TOL:
-                    best = trial
-                    break
-    return starts
+            rows, _ = _turns(lo, best, [3] * 3)
+            accepts = [margin(*trial) < -DEFAULT_TOL for trial in rows[i]]
+            at.append(accepts.index(True) if any(accepts) else 3)
+            rows, best = _turns(lo, start, at + [3] * (2 - i))
+        passes.append(np.array(rows))
+    return passes, best
 
 
 @pytest.mark.parametrize("label,tid,fn,sense,box", CASES, ids=[c[0] for c in CASES])
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_each_pass_reads_its_own_lattice(label, tid, fn, sense, box, seed, tmp_path,
-                                         capsys, monkeypatch):
+def test_each_pass_finds_its_own_turns(label, tid, fn, sense, box, seed, tmp_path,
+                                       capsys, monkeypatch):
     calls = []
     real = popoviciu.theorem_margins
 
@@ -317,33 +372,28 @@ def test_each_pass_reads_its_own_lattice(label, tid, fn, sense, box, seed, tmp_p
     doc, _ = _search(tmp_path, tid, fn, sense, box, seed, 100_000, capsys)
     scan = [x.size for x, _, _ in calls if x.ndim == 1]
     assert scan[:-1] == [8192] * (len(scan) - 1)
-    lattices = calls[len(scan):]
+    shrink = calls[len(scan):]
     # a few calls serve the whole shrink (48 to 71 when each pass had its own)
-    assert 1 <= len(lattices) <= 12
-    # each call holds whole pass lattices, each axis the three steps and then
-    # the start's own coordinate
-    lo, read, firsts = _low_edge(fn, box), [], []
-    for x, y, z in lattices:
-        assert np.broadcast_shapes(x.shape, y.shape, z.shape)[1:] == (4, 4, 4)
-        for axes in zip(x[:, :, 0, 0], y[:, 0, :, 0], z[:, 0, 0, :]):
-            start = [float(a[3]) for a in axes]
-            assert [list(a) for a in axes] == [[lo + s * (c - lo) for s in STEPS] + [c]
-                                               for c in start]
-            read.append(np.array(start).tobytes())
+    assert 1 <= len(shrink) <= 12
+    # each call holds the turns of whole passes, at most 32 of them
+    read, firsts = [], []
+    for x, y, z in shrink:
+        assert x.shape == y.shape == z.shape and x.shape[1:] == (3, 3)
+        assert x.size <= popoviciu._PASSES_PER_CALL * 9 == 288
+        read += [rows.tobytes() for rows in np.stack([x, y, z], axis=-1)]
         firsts.append(read[-len(x)])
-    passes = [np.array(p).tobytes() for p in
-              _reference_pass_starts(tid, fn, sense, box, seed, sum(scan))]
-    # in order, every pass finds a lattice whose start is its own start bit
-    # for bit, and every call begins at a pass start
+    passes, witness = _reference_passes(tid, fn, sense, box, seed, sum(scan))
+    # in order, every pass finds its own turn rows bit for bit, and every call
+    # begins at a pass start: its first turn reads only the start
     at = 0
-    for start in passes:
-        while at < len(read) and read[at] != start:
+    for rows in passes:
+        while at < len(read) and read[at] != rows.tobytes():
             at += 1
-        assert at < len(read), "a pass has no lattice of its own start"
+        assert at < len(read), "a pass has no turn rows of its own"
         at += 1
-    assert set(firsts) <= set(passes)
+    assert {first[:9 * 8] for first in firsts} <= {rows[0].tobytes() for rows in passes}
     w = doc["witnesses"][0]
-    assert passes[-1] == np.array([w["x"], w["y"], w["z"]]).tobytes()
+    assert [w["x"], w["y"], w["z"]] == witness
 
 
 @pytest.mark.parametrize("label,tid,fn,sense,box", CASES, ids=[c[0] for c in CASES])
@@ -414,6 +464,20 @@ def test_search_theorem_refuses_a_budget_below_one(budget, monkeypatch):
     with pytest.raises(ValueError, match=f"budget must be at least 1, got {budget}"):
         search_theorem(TheoremId.AA, identity_weight(), builtin_functions()["square"],
                        "concave", 1, budget)
+    assert calls == []
+
+
+@pytest.mark.parametrize("tid", ["GA", "HA"])
+def test_search_theorem_refuses_a_g_or_h_argument_mean_reaching_zero(tid, monkeypatch):
+    # HA for cosh on [-3, 3] once reported an all-negative witness
+    calls = []
+    monkeypatch.setattr(popoviciu, "theorem_margins", lambda *args: calls.append(args))
+    monkeypatch.setattr(np.random, "default_rng", lambda *args: calls.append(args))
+    with pytest.raises(DomainError, match=rf"^theorem {tid} takes .* but the box "
+                                          r"reaches x = -3$"):
+        search_theorem(TheoremId(tid), identity_weight(), builtin_functions()["cosh"],
+                       "concave", 1, 100_000,
+                       box=Interval(-3.0, 3.0, closed_lo=True, closed_hi=True))
     assert calls == []
 
 
