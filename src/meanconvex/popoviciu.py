@@ -257,26 +257,30 @@ _STEPS = (0.5, 0.8, 0.95)  # a trial moves a coordinate to lo + step * (c - lo)
 
 
 def _coming_turns(tid, h, f, sense, lo, start, guess):
-    """The (P, 3, 3) margins of up to _PASSES_PER_CALL shrink passes, evaluated
-    in one call: the first pass from start, each later one from where the
-    pass before it leaves the witness if its turn outcomes are guess, ending
-    where a start would repeat. Turn i of a pass holds coordinate i at its
-    three steps, the coordinates before i where the guess moves them and
-    those after i at the pass start. The starts follow the walk's own float
-    recurrence, so a turn is the walk's bit for bit while the outcomes
-    before it are the guess's."""
-    starts = [start]
+    """The (pass, turn, step) margins of up to _PASSES_PER_CALL shrink passes,
+    evaluated in one call: the first pass from start, each later one from
+    where the pass before it leaves the witness if its turn outcomes are
+    guess, ending where a start would repeat. Turn i of a pass holds
+    coordinate i at its three steps, the coordinates before i where the
+    guess moves them and those after i at the pass start. The starts follow
+    the walk's own float recurrence, so a turn is the walk's bit for bit
+    while the outcomes before it are the guess's."""
+    moves, starts = [(i, _STEPS[k]) for i, k in enumerate(guess) if k < 3], [start]
     while len(starts) <= _PASSES_PER_CALL:
-        starts.append([c if k == 3 else lo + _STEPS[k] * (c - lo)
-                       for c, k in zip(starts[-1], guess)])
-        if starts[-1] == starts[-2]:
+        end = starts[-1][:]
+        for i, step in moves:
+            end[i] = lo + step * (end[i] - lo)
+        starts.append(end)
+        if end == starts[-2]:
             break
     c = np.array(starts)
-    steps, turn = lo + np.array(_STEPS) * (c[:-1, :, None] - lo), np.arange(3)[:, None]
-    return theorem_margins(tid, h, f, *(
-        np.where(turn == i, steps[:, i, None],
-                 np.where(turn < i, c[:-1, i, None, None], c[1:, i, None, None]))
-        for i in range(3)), sense)
+    steps = lo + np.array(_STEPS) * (c[:-1, :, None] - lo)  # pass, coordinate, step
+    rows = np.empty((3, len(starts) - 1, 3, 3))  # coordinate, pass, turn, step
+    for i in range(3):
+        rows[i, :, :i] = c[:-1, i, None, None]
+        rows[i, :, i] = steps[:, i]
+        rows[i, :, i + 1:] = c[1:, i, None, None]
+    return theorem_margins(tid, h, f, *rows, sense)
 
 
 def _first_accepts(bad):
@@ -336,23 +340,23 @@ def search_theorem(tid: TheoremId, h: WeightFunction, f: PointFunction,
     # each turn's outcome is the guess's; another outcome updates the guess,
     # and the next call rebuilds the pass from its start, past the turns
     # walked. The budget counts scan points and the trials the walk reaches.
-    start, guess, at, rows = list(best), (0, 0, 0), [], []
+    start, guess, at, p, firsts = list(best), (0, 0, 0), [], 0, []
     while used < budget:
-        if not rows:
+        if p >= len(firsts):
             margins = _coming_turns(tid, h, f, sense, lo, start, guess)
-            rows = list(zip(margins, _first_accepts(margins < -tol).tolist()))
+            p, firsts = 0, _first_accepts(margins < -tol).tolist()
         i = len(at)
-        k, n = _take_turn(rows[0][1][i], budget - used)
+        k, n = _take_turn(firsts[p][i], budget - used)
         used += n
         at.append(k)
         if k < 3:
-            best[i], margin = lo + _STEPS[k] * (best[i] - lo), rows[0][0][i, k]
+            best[i], margin = lo + _STEPS[k] * (best[i] - lo), margins[p, i, k]
         if k != guess[i]:
-            guess, rows = (*at, *guess[i + 1:]), []
+            guess, p = (*at, *guess[i + 1:]), len(firsts)
         if i == 2:
             if best == start:
                 break
-            start, at, rows = list(best), [], rows[1:]
+            start, at, p = list(best), [], p + 1
     lhs, rhs = popoviciu_sides(tid, h, f, *best)
     return PopoviciuReport(tid, h.name, f.name, sense, used, float(margin),
                            [Witness(best[0], best[1], None, lhs, rhs, z=best[2])])

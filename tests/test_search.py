@@ -213,7 +213,9 @@ def test_weight_evaluated_twice_per_kernel_call(label, tid, fn, sense, box, tmp_
 # Turn i of a pass tries coordinate i at the three steps, the coordinates
 # before i where the pass moved them and the ones after i at the pass start.
 # One theorem_margins call evaluates the turns of the passes to come while the
-# walk repeats its last turn outcomes, as (P, 3 turns, 3 steps) arrays.
+# walk repeats its last turn outcomes, as (P, 3 turns, 3 steps) arrays. The
+# batch walks the reference only if no margin depends on where in an array it
+# was computed: in a broadcast grid or in the batched turns alike.
 
 STEPS = (0.5, 0.8, 0.95)
 
