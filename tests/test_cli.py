@@ -460,14 +460,18 @@ class TestBadInput:
         assert verify == search == (2, "", f"error: neg_square(1e-05) <= 0, but value "
                                            f"mean {theorem[1]} needs f > 0\n")
 
-    @pytest.mark.parametrize("argv,target", [
+    # a G or H argument mean on a box reaching x <= 0, and the refused target
+    ARG_MEAN_BOXES = [
         (["verify", "--theorem", "GA", "--fn", "exp", "--lo", "-5", "--hi", "-1"],
          "theorem GA takes geometric"),
         (["search", "--theorem", "HA", "--fn", "cosh", "--lo", "-3", "--hi", "3",
           "--sense", "concave"], "theorem HA takes harmonic"),
         (["verify", "--arg", "H", "--val", "A", "--fn", "cosh", "--lo", "-3", "--hi", "3"],
          "class HtA[identity]-convex takes harmonic"),
-    ], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
+    ]
+
+    @pytest.mark.parametrize("argv,target", ARG_MEAN_BOXES,
+                             ids=[" ".join(argv) for argv, _ in ARG_MEAN_BOXES])
     def test_g_or_h_argument_mean_reaching_zero_named(self, capsys, argv, target):
         # each once exited 0 or 1 with a witness off the means' domain
         lo = argv[argv.index("--lo") + 1]
