@@ -20,8 +20,8 @@ from .convexity import (_POS, _REALS, FUNCTIONS, ConvexitySpec, PointFunction,
 from .errors import MeanConvexError
 from .intervals import Interval
 from .means import MeanKind
-from .popoviciu import (EQUALITY_FAMILIES, BASE_SENSE, TheoremId, _hlawka_sides,
-                        _witness, chained_check, equality_max_residual,
+from .popoviciu import (EQUALITY_FAMILIES, BASE_SENSE, TheoremId, _claim, _hlawka_sides,
+                        _theorem_chunks, _witness, chained_check, equality_max_residual,
                         verify_theorem)
 from .sampling import SamplePlan, _compare
 from .weights import (DEFAULT_TOL, _label, identity_weight, power_weight,
@@ -320,12 +320,17 @@ def _audit_hlawka(entry, plan, tol):
 
 
 def _audit_probe(entry, plan, tol):
+    """Both senses of a theorem from one evaluation of its sides, each
+    reduced to its min margin; no witness is read."""
     p = entry.payload
-    reports = [verify_theorem(p["tid"], p["h"], p["f"], sense, plan, tol, box=p.get("box"))
-               for sense in ("convex", "concave")]
-    detail = "; ".join(f"{r.sense}: min margin {r.min_margin:.3e}" for r in reports)
-    return ("measured", detail, None, min(r.triples_tested for r in reports),
-            max(r.skipped for r in reports))
+    tid, f = p["tid"], p["f"]
+    blocks, _, results = _theorem_chunks(tid, p["h"], f, plan, p.get("box"))
+    cmps = {sense: _compare(blocks, results, _claim(tid, sense),
+                            f"theorem {tid.value} on {f.name}")
+            for sense in ("convex", "concave")}
+    detail = "; ".join(f"{sense}: min margin {c.min_margin:.3e}" for sense, c in cmps.items())
+    return ("measured", detail, None, min(c.samples for c in cmps.values()),
+            max(c.skipped for c in cmps.values()))
 
 
 _DISPATCH = {

@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import inspect
 import json
 import math
 import os
@@ -43,8 +42,14 @@ from .weights import (DEFAULT_TOL, WEIGHT_BUILDERS, classify_additivity,
 # --------------------------------------------------------------------------
 # Byte-stable JSON rendering.
 
-def _render_json(value, indent=0) -> str:
-    pad, pad_in = " " * indent, " " * (indent + 2)
+_quote = json.encoder.encode_basestring_ascii  # json.dumps's own ASCII string encoder
+
+
+def _render_json(value, pad="\n") -> str:
+    """value as JSON text, each container item on its own line after pad
+    plus two spaces; non-finite floats render as null."""
+    if isinstance(value, str):
+        return _quote(value)
     if value is None:
         return "null"
     if isinstance(value, bool):
@@ -53,21 +58,18 @@ def _render_json(value, indent=0) -> str:
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         v = float(value)
-        return "null" if not math.isfinite(v) else format(v, ".17g")
-    if isinstance(value, str):
-        return json.dumps(value)
+        return format(v, ".17g") if math.isfinite(v) else "null"
+    inner = pad + "  "
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        items = ",\n".join(pad_in + _render_json(v, indent + 2) for v in value)
-        return "[\n" + items + "\n" + pad + "]"
+        items = [_render_json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
     if isinstance(value, dict):
         if not value:
             return "{}"
-        items = ",\n".join(
-            f"{pad_in}{json.dumps(str(k))}: {_render_json(v, indent + 2)}"
-            for k, v in value.items())
-        return "{\n" + items + "\n" + pad + "}"
+        items = [_quote(str(k)) + ": " + _render_json(v, inner) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
     raise TypeError(f"cannot render {type(value).__name__}")
 
 
@@ -193,14 +195,14 @@ def _build_box(args, f):
 def _build_weight(args):
     builder, param = WEIGHT_BUILDERS[args.weight], args.weight_param
     given = () if param is None else (param,)
-    try:
-        inspect.signature(builder).bind(*given)
+    try:  # a builder raises TypeError only for a wrong number of arguments
+        h = builder(*given)
     except TypeError:
         misuse = "needs" if param is None else "takes no"
         raise MeanConvexError(f"--weight {args.weight} {misuse} --weight-param") from None
     if given and not math.isfinite(param):
         raise MeanConvexError(f"--weight-param must be finite, got {param:g}")
-    return builder(*given)
+    return h
 
 
 def _build_fn(args):

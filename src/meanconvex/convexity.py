@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import DomainError, InapplicableSpecError
 from .intervals import Interval
-from .means import WEIGHTED_MEANS, MeanKind, require_positive_arguments
+from .means import (WEIGHTED_MEANS, MeanKind, require_positive_arguments,
+                    require_positive_point)
 from .sampling import SamplePlan, _compare
 from .weights import (DEFAULT_TOL, WeightFunction, constant_weight, power_weight,
                       reciprocal_weight, weight_eval)
@@ -140,9 +141,11 @@ def _gap_arrays(spec: ConvexitySpec, f: PointFunction, x, y, t):
 
 def defining_gap(spec: ConvexitySpec, f: PointFunction, x: float, y: float,
                  t: float) -> tuple[float, float]:
-    """Both sides of the defining inequality at one (x, y, t); no comparison."""
+    """Both sides of the defining inequality at one (x, y, t); no comparison.
+    Raises DomainError for a G or H argument mean at x or y <= 0."""
     if not (f.domain.contains(x) and f.domain.contains(y)):
         raise DomainError(f"({x}, {y}) not inside domain of {f.name}")
+    require_positive_point(spec.arg_mean, (x, y), f"class {spec.label}")
     if not 0.0 < t < 1.0:
         raise DomainError(f"t={t} outside (0, 1)")
     lhs, rhs, valid = _gap_arrays(spec, f, np.array([x]), np.array([y]), np.array([t]))

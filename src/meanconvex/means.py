@@ -57,10 +57,19 @@ def require_positive_arguments(kind: MeanKind, dom: Interval, what: str) -> None
     """Refuse, before any draw, a G or H argument mean on a box whose samples
     reach x <= 0: the mean is defined for positive arguments only, and its
     formula reads other values there (sqrt((-5)(-5)) = 5)."""
-    lo = dom.sampling_bounds()[0]
+    _refuse_nonpositive(kind, dom.sampling_bounds()[0], what, "the box reaches")
+
+
+def require_positive_point(kind: MeanKind, point, what: str) -> None:
+    """Refuse a G or H argument mean at a point with a coordinate x <= 0, as
+    require_positive_arguments refuses such a box."""
+    _refuse_nonpositive(kind, min(point), what, "the point has")
+
+
+def _refuse_nonpositive(kind: MeanKind, lo: float, what: str, where: str) -> None:
     if kind is not MeanKind.ARITHMETIC and lo <= 0.0:
         raise DomainError(f"{what} takes {kind.name.lower()} means of its arguments, "
-                          f"which need x > 0, but the box reaches x = {lo:g}")
+                          f"which need x > 0, but {where} x = {lo:g}")
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,8 @@ import numpy as np
 from .convexity import FUNCTIONS, PointFunction, Witness
 from .errors import DomainError, HypothesisMismatchError
 from .intervals import Interval
-from .means import CENTRAL_MEANS, CLASSIC_MEANS, MeanKind, require_positive_arguments
+from .means import (CENTRAL_MEANS, CLASSIC_MEANS, MeanKind, require_positive_arguments,
+                    require_positive_point)
 from .sampling import SamplePlan, _compare, _margin
 from .weights import (DEFAULT_TOL, WeightFunction, classify_additivity,
                       classify_multiplicativity, identity_weight, weight_eval)
@@ -112,9 +113,11 @@ def _sides_arrays(tid: TheoremId, h32: float, h12: float, f: PointFunction,
 
 def _sides_at(tid: TheoremId, h: WeightFunction, f: PointFunction,
               x: float, y: float, z: float):
-    """(lhs, rhs) of theorem tid at one triple, in its comparison domain."""
+    """(lhs, rhs) of theorem tid at one triple, in its comparison domain.
+    Raises DomainError for a G or H argument mean at a coordinate <= 0."""
     if not all(f.domain.contains(v) for v in (x, y, z)):
         raise DomainError(f"({x}, {y}, {z}) not inside domain of {f.name}")
+    require_positive_point(MeanKind(tid.value[0]), (x, y, z), f"theorem {tid.value}")
     lhs, rhs, valid = _sides_arrays(tid, weight_eval(h, 1.5), weight_eval(h, 0.5), f,
                                     *(np.array([float(v)]) for v in (x, y, z)))
     if not valid[0]:
@@ -158,6 +161,19 @@ class PopoviciuReport:
         return not self.witnesses
 
 
+def _theorem_chunks(tid: TheoremId, h: WeightFunction, f: PointFunction,
+                    plan: SamplePlan | None, box: Optional[Interval]):
+    """(blocks, kernel, chunk results) of theorem tid's sides over the plan's
+    triples: the kernel reads h(3/2) and h(1/2) once, and the results are
+    blocks.map's, for _compare to reduce under either claim. Raises
+    DomainError for a G or H argument mean on a box reaching x <= 0."""
+    plan, dom = plan or SamplePlan(), f.sampling_domain(box)
+    require_positive_arguments(MeanKind(tid.value[0]), dom, f"theorem {tid.value}")
+    blocks = plan.triple_blocks(dom)
+    kernel = partial(_sides_arrays, tid, weight_eval(h, 1.5), weight_eval(h, 0.5), f)
+    return blocks, kernel, blocks.map(kernel)
+
+
 def verify_theorem(tid: TheoremId, h: WeightFunction, f: PointFunction,
                    sense: str = None, plan: SamplePlan | None = None,
                    tol: float = DEFAULT_TOL,
@@ -171,12 +187,8 @@ def verify_theorem(tid: TheoremId, h: WeightFunction, f: PointFunction,
     kernel call (exp of the log-domain sides for product theorems).
     """
     claim, sense = _claim(tid, sense), sense or BASE_SENSE[tid]
-    plan, dom = plan or SamplePlan(), f.sampling_domain(box)
-    require_positive_arguments(MeanKind(tid.value[0]), dom, f"theorem {tid.value}")
-    blocks = plan.triple_blocks(dom)
-    kernel = partial(_sides_arrays, tid, weight_eval(h, 1.5), weight_eval(h, 0.5), f)
-    cmp = _compare(blocks, blocks.map(kernel), claim,
-                   f"theorem {tid.value} on {f.name}", tol, limit=8)
+    blocks, kernel, results = _theorem_chunks(tid, h, f, plan, box)
+    cmp = _compare(blocks, results, claim, f"theorem {tid.value} on {f.name}", tol, limit=8)
     witnesses = []
     if cmp.violations:
         index, points = zip(*((i, point) for i, point, _, _ in cmp.violations))

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from meanconvex import EQUALITY_FAMILIES, Interval, SamplePlan, catalog, cli
+from meanconvex import EQUALITY_FAMILIES, Interval, SamplePlan, catalog, cli, popoviciu
 from meanconvex.catalog import (AuditFinding, CatalogEntry, _positivity_violation,
                                 builtin_claims, builtin_functions,
                                 make_function, run_audit)
 from meanconvex.convexity import FUNCTIONS, verify_extended_class
 from meanconvex.means import MeanKind
+from meanconvex.popoviciu import verify_theorem
+from meanconvex.sampling import SampleBlocks
 
 PLAN = SamplePlan(grid_axis=9, grid_t=5, n_random=500)
 
@@ -267,3 +269,45 @@ class TestRunAudit:
             x, y, z = map(float, f.detail.removeprefix("violated at (").rstrip(")")
                           .split(", "))
             assert all(abs(v) <= 100.0 for v in (x, y, z))
+
+
+class TestDirectionProbes:
+    PROBES = [e for e in builtin_claims() if e.kind == "direction-probe"]
+    # the audit plan's triples are one chunk; the second plan's are two
+    PLANS = [catalog._AUDIT_PLAN, SamplePlan(grid_axis=21, n_random=6000)]
+
+    @pytest.mark.parametrize("plan", PLANS, ids=["audit-plan", "two-chunks"])
+    @pytest.mark.parametrize("entry", PROBES, ids=lambda e: e.key)
+    def test_probe_evaluates_its_sides_once(self, entry, plan, monkeypatch):
+        # both senses reduce one evaluation of the sides, and no witness is
+        # decoded: a probe row reports min margins only
+        p = entry.payload
+        reports = [verify_theorem(p["tid"], p["h"], p["f"], sense, plan, 1e-9,
+                                  box=p["box"]) for sense in ("convex", "concave")]
+        want = ("measured",
+                "; ".join(f"{r.sense}: min margin {r.min_margin:.3e}" for r in reports),
+                None, min(r.triples_tested for r in reports),
+                max(r.skipped for r in reports))
+        chunks = len(plan.triple_blocks(p["f"].sampling_domain(p["box"]))._chunks)
+        calls = []
+        sides = popoviciu._sides_arrays
+        monkeypatch.setattr(popoviciu, "_sides_arrays",
+                            lambda *args: calls.append(args[0]) or sides(*args))
+        monkeypatch.setattr(SampleBlocks, "point", _no_point)
+        assert catalog._audit_probe(entry, plan, 1e-9) == want
+        assert calls == [p["tid"]] * chunks
+        assert chunks == (1 if plan is catalog._AUDIT_PLAN else 2)
+
+    def test_probes_refute_a_sense(self):
+        # verify_theorem decodes witnesses for these probe senses, so the
+        # no-witness check above has something to catch
+        refuted = {(e.key, sense) for e in self.PROBES for sense in ("convex", "concave")
+                   if not verify_theorem(e.payload["tid"], e.payload["h"], e.payload["f"],
+                                         sense, catalog._AUDIT_PLAN,
+                                         box=e.payload["box"]).holds}
+        assert refuted
+        assert {key for key, _ in refuted} >= {"probe/GH-cosh"}
+
+
+def _no_point(*args):
+    raise AssertionError("a witness was decoded")

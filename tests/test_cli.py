@@ -1,11 +1,15 @@
 import csv
 import json
+import math
 import os
 import re
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meanconvex import cli, popoviciu
 from meanconvex.cli import main
@@ -18,6 +22,70 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def reference_render_json(value, indent=0) -> str:
+    """The recursive renderer the JSON reports were first written with; the
+    report bytes are pinned to it."""
+    pad, pad_in = " " * indent, " " * (indent + 2)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        v = float(value)
+        return "null" if not math.isfinite(v) else format(v, ".17g")
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = ",\n".join(pad_in + reference_render_json(v, indent + 2) for v in value)
+        return "[\n" + items + "\n" + pad + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = ",\n".join(
+            f"{pad_in}{json.dumps(str(k))}: {reference_render_json(v, indent + 2)}"
+            for k, v in value.items())
+        return "{\n" + items + "\n" + pad + "}"
+    raise TypeError(f"cannot render {type(value).__name__}")
+
+
+_EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.2250738585072e-308,
+                1e-5, 1e16, 0.1, 1.7976931348623157e308]
+_EDGE_TEXT = ['"', "\\", 'a "quoted" \\ path', "\x00\x01\x1f\x7f", "\b\f\n\r\t",
+              "\u00e9\u2028\u2029", "\U0001f600", "\ud800", ""]
+_FLOATS = st.one_of(st.floats(allow_subnormal=True), st.sampled_from(_EDGE_FLOATS))
+_TEXT = st.one_of(st.text(), st.sampled_from(_EDGE_TEXT))
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    _FLOATS, _FLOATS.map(np.float64), _TEXT)
+_PAYLOADS = st.recursive(_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(st.one_of(_TEXT, st.integers()), inner, max_size=4)), max_leaves=40)
+
+
+class TestRenderJson:
+    @settings(max_examples=300, deadline=None)
+    @given(_PAYLOADS)
+    def test_bytes_match_the_reference(self, payload):
+        got = cli._render_json(payload)
+        assert got == reference_render_json(payload)
+        assert got.isascii()
+
+    def test_audit_payload_matches_the_reference(self):
+        findings = cli.run_audit(cli._AUDIT_PLAN)
+        payload = {"findings": [vars(fd) for fd in findings], "config": (1, None, True)}
+        assert cli._render_json(payload) == reference_render_json(payload)
+
+    @pytest.mark.parametrize("value", [np.bool_(True), object(), {1, 2}, [b"bytes"]])
+    def test_unrenderable_value_refused(self, value):
+        with pytest.raises(TypeError, match="^cannot render "):
+            cli._render_json({"a": value})
 
 
 class TestVerifyCommand:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -54,6 +56,20 @@ class TestDefiningGap:
             defining_gap(spec(A, A), FS["square"], -1.0, 2.0, 0.5)
         with pytest.raises(DomainError):
             defining_gap(spec(A, A), FS["square"], 1.0, 2.0, 1.0)
+
+    @pytest.mark.parametrize("arg", [G, H])
+    def test_g_or_h_argument_mean_refuses_a_point_reaching_zero(self, arg):
+        # HtA on cosh at (-3, 0.1875, 0.5) once read (1.081, 5.543), although
+        # the harmonic mean of -3 and 0.1875 is not defined
+        label = spec(arg, A).label
+        for x, y, lo in [(-3.0, 0.1875, "-3"), (0.5, 0.0, "0"), (-1.0, -2.0, "-2")]:
+            with pytest.raises(DomainError, match=rf"^class {re.escape(label)} "
+                                                  rf"takes {arg.name.lower()} means of its "
+                                                  r"arguments, which need x > 0, but the "
+                                                  rf"point has x = {lo}$"):
+                defining_gap(spec(arg, A), FS["cosh"], x, y, 0.5)
+        assert defining_gap(spec(arg, A), FS["cosh"], 3.0, 0.1875, 0.5)
+        assert defining_gap(spec(A, A), FS["cosh"], -3.0, 0.1875, 0.5)
 
 
 # The defining inequality's sides, written out apart from the module under

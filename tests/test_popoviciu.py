@@ -55,6 +55,24 @@ class TestPopoviciuSides:
         with pytest.raises(DomainError):
             popoviciu_sides(TheoremId.GA, ID, FS["log"], 0.5, 2.0, 3.0)
 
+    @pytest.mark.parametrize("kind", ["G", "H"])
+    def test_g_or_h_argument_mean_refuses_a_point_reaching_zero(self, kind):
+        # sqrt((-5)(-5)) = 5: GA for exp at (-5, -5, -5) once read (445.24,
+        # 0.0202), although every mean of the triple is -5
+        word = {"G": "geometric", "H": "harmonic"}[kind]
+        for tid in (t for t in TheoremId if t.value[0] == kind):
+            for point, lo in [((-5.0, -5.0, -5.0), "-5"), ((1.0, 0.0, 2.0), "0"),
+                              ((2.0, 3.0, -0.5), "-0.5")]:
+                with pytest.raises(DomainError, match=rf"^theorem {tid.value} takes {word} "
+                                                      r"means of its arguments, which need "
+                                                      rf"x > 0, but the point has x = {lo}$"):
+                    popoviciu_sides(tid, ID, FS["exp"], *point)
+            with pytest.raises(DomainError, match="but the point has x = -1$"):
+                two_point_reduction(tid, ID, FS["cosh"], 2.0, -1.0)
+            assert popoviciu_sides(tid, ID, FS["exp"], 1.0, 2.0, 3.0)
+        assert popoviciu_sides(TheoremId.AA, ID, FS["exp"], -5.0, -5.0, -5.0) == \
+            (3 * math.exp(-5.0), 3 * math.exp(-5.0))
+
     @pytest.mark.parametrize("fn, point", [("log", (0.5, 3.0, 4.0)),
                                            ("arcsin", (0.2, 0.5, 1.0)),
                                            ("sqrt", (0.0, 1.0, 2.0))])
