@@ -11,11 +11,12 @@ never raises: every discrepancy becomes a finding.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
-from .convexity import (_POS, _REALS, FUNCTIONS, ConvexitySpec, PointFunction,
+from .convexity import (FUNCTIONS, PARAMETER_CLAIMS, ConvexitySpec, PointFunction,
                         verify_class, verify_extended_class)
 from .errors import MeanConvexError
 from .intervals import Interval
@@ -36,25 +37,20 @@ def builtin_functions() -> dict[str, PointFunction]:
 def make_function(name: str, p: Optional[float] = None,
                   a: Optional[float] = None, b: Optional[float] = None,
                   c: Optional[float] = None) -> PointFunction:
-    """Resolve a registry name, honoring the parametric builders.
-
-    power takes exponent p, affine takes slope a and intercept b, const
-    takes the constant c.
+    """Resolve a registry name, binding parameters onto a parametric row:
+    power takes exponent p, affine slope a and intercept b, const the
+    constant c. Unset ones keep the row's defaults; the name lists them all.
     """
-    if name == "power" and p is not None:
-        return PointFunction(f"power[{_label(p)}]", lambda v: v**p, _POS)
-    if name == "affine" and (a is not None or b is not None):
-        a0, b0 = a if a is not None else 2.0, b if b is not None else 3.0
-        return PointFunction(f"affine[{_label(a0)},{_label(b0)}]",
-                             lambda v: a0 * v + b0, _POS,
-                             positive_on_domain=(a0 >= 0 and b0 >= 0))
-    if name == "const" and c is not None:
-        return PointFunction(f"const[{_label(c)}]", lambda v: np.full_like(
-            np.asarray(v, dtype=float), c), _REALS,
-            positive_on_domain=c > 0)
     if name not in FUNCTIONS:
         raise KeyError(f"unknown function {name!r}; choose from {sorted(FUNCTIONS)}")
-    return PointFunction(name, *FUNCTIONS[name])
+    fn, domain, positive = FUNCTIONS[name]
+    given = {k: v for k, v in dict(p=p, a=a, b=b, c=c).items()
+             if v is not None and k in (getattr(fn, "__kwdefaults__", None) or ())}
+    if not given:
+        return PointFunction(name, fn, domain, positive)
+    params = {**fn.__kwdefaults__, **given}
+    return PointFunction(f"{name}[{','.join(map(_label, params.values()))}]",
+                         partial(fn, **params), domain, PARAMETER_CLAIMS[name](**params))
 
 
 @dataclass(frozen=True)

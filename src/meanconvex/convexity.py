@@ -62,12 +62,12 @@ _POS, _REALS = Interval(0.0, np.inf), Interval(-np.inf, np.inf)
 # The built-in functions, one row each: name -> (fn, domain, positive_on_domain).
 FUNCTIONS = {
     "identity": (lambda v: v, _POS, True),
-    "affine": (lambda v: 2.0 * v + 3.0, _POS, True),
+    "affine": (lambda v, *, a=2.0, b=3.0: a * v + b, _POS, True),
     "square": (np.square, _POS, True),
     "neg_square": (lambda v: -np.square(v), _POS, False),
     "sqrt": (np.sqrt, _POS, True),
-    "power": (lambda v: v**2.0, _POS, True),
-    "const": (lambda v: np.full_like(np.asarray(v, dtype=float), 2.0), _REALS, True),
+    "power": (lambda v, *, p=2.0: v**p, _POS, True),
+    "const": (lambda v, *, c=2.0: np.full_like(np.asarray(v, dtype=float), c), _REALS, True),
     "exp": (np.exp, _REALS, True),
     "exp_neg": (lambda v: np.exp(-v), _REALS, True),
     "log": (np.log, Interval(1.0, np.inf), True),
@@ -78,6 +78,13 @@ FUNCTIONS = {
     "reciprocal": (lambda v: 1.0 / v, _POS, True),
     "reciprocal_log": (lambda v: 1.0 / np.log(v), Interval(1.0, np.inf), True),
     "exp_reciprocal": (lambda v: np.exp(1.0 / v), _POS, True),
+}
+
+# The positivity claim of a parametric row at the keyword parameters of its fn.
+PARAMETER_CLAIMS = {
+    "affine": lambda a, b: a >= 0 and b >= 0 and (a > 0 or b > 0),
+    "const": lambda c: c > 0,
+    "power": lambda p: True,
 }
 
 

@@ -84,15 +84,15 @@ def _pair_side(tid: TheoremId, f: PointFunction, m1, m2, m3):
     return term(f(m1)) + term(f(m2)) + term(f(m3))
 
 
-def _point_side(tid: TheoremId, h32: float, h12: float, f: PointFunction, c, x, y, z):
-    """Right side: the central term at weight h32 plus the point terms at h12."""
-    return _VALUE_TERMS[tid.value[1]][1](h32, f(c)) + h12 * _pair_side(tid, f, x, y, z)
+def _point_side(tid: TheoremId, h32: float, h12: float, f: PointFunction, fc, x, y, z):
+    """Right side: the term of central value fc at weight h32, point terms at h12."""
+    return _VALUE_TERMS[tid.value[1]][1](h32, fc) + h12 * _pair_side(tid, f, x, y, z)
 
 
 def _theorem_sides(tid: TheoremId, f: PointFunction, m, x, y, z, h32: float, h12: float):
     """(lhs, rhs) of the theorem in its comparison domain, from its argument
     means m = (m1, m2, m3, c); product theorems give log-domain sides."""
-    return _pair_side(tid, f, *m[:3]), _point_side(tid, h32, h12, f, m[3], x, y, z)
+    return _pair_side(tid, f, *m[:3]), _point_side(tid, h32, h12, f, f(m[3]), x, y, z)
 
 
 def _sides_arrays(tid: TheoremId, h32: float, h12: float, f: PointFunction,
@@ -210,8 +210,6 @@ def _witness(violation, product: bool = False) -> Witness:
 # ---------------------------------------------------------------------------
 # Equality families: corollary identities exact for every admissible triple.
 
-_IDENTITY_H = (1.5, 0.5)  # h(3/2), h(1/2) of the identity weight
-
 # Family key "<f>-<theorem>" ("_" in f read as "-") -> (theorem, built-in f).
 EQUALITY_FAMILIES = {
     f"{name.replace('_', '-')}-{tid}": (TheoremId(tid), PointFunction(name, *FUNCTIONS[name]))
@@ -254,10 +252,8 @@ def equality_max_residual(family: str, plan: SamplePlan | None = None,
     if family not in EQUALITY_FAMILIES:
         raise KeyError(f"unknown equality family {family!r}")
     tid, f = EQUALITY_FAMILIES[family]
-    plan = plan or SamplePlan()
-    blocks = plan.triple_blocks(f.sampling_domain(box))
-    cmp = _compare(blocks, blocks.map(partial(_sides_arrays, tid, *_IDENTITY_H, f)),
-                   "==", f"family {family}")
+    blocks, _, results = _theorem_chunks(tid, identity_weight(), f, plan, box)
+    cmp = _compare(blocks, results, "==", f"family {family}")
     return -cmp.min_margin, cmp.samples
 
 
@@ -404,12 +400,18 @@ class ChainedReport:
 
 # Links that several corollaries share.
 _POINT_SUM = ("point sum collapsed to f(x+y+z)",
-              lambda f, m, x, y, z, h32, h12: h32 * f(m[3]) + h12 * f(x + y + z))
+              lambda tid, f, m, x, y, z, h32, h12: h32 * f(m[3]) + h12 * f(x + y + z))
 _POINT_PRODUCT = ("point product collapsed to f(xyz)",
-                  lambda f, m, x, y, z, h32, h12: h32 * np.log(f(m[3]))
+                  lambda tid, f, m, x, y, z, h32, h12: h32 * np.log(f(m[3]))
                   + h12 * np.log(f(x * y * z)))
 _SUMMED_PAIR_MEANS = ("f of the summed pair means <= sum",
                       lambda f, m, x, y, z: f(m[0] + m[1] + m[2]))
+
+
+def _split_thirds(tid, f, m, x, y, z, h32, h12):
+    """Theorem tid's right side, its central value split to f(x/3) + f(y/3) + f(z/3)."""
+    return _point_side(tid, h32, h12, f, _pair_side(TheoremId.AA, f, x / 3, y / 3, z / 3),
+                       x, y, z)
 
 
 def _half_harmonic(f, m, x, y, z):
@@ -424,18 +426,16 @@ _CHAIN_H_HYPOTHESIS = "superadditive"
 # multiplicative, of the class check on f; its parent theorem; its links. A
 # link is (name, formula), and every formula reads the parent's argument means
 # m = (m1, m2, m3, c) of _pair_and_central. A prefix lhs(f, m, x, y, z) ends at
-# the middle link's left side; a suffix rhs(f, m, x, y, z, h32, h12) starts
-# from its right side. The middle link is the parent theorem's two sides
-# unless the row gives its own sides(f, m, x, y, z, h32, h12) -> (lhs, rhs).
+# the middle link's left side; a suffix rhs(tid, f, m, x, y, z, h32, h12) of
+# parent tid starts from its right side. The middle link is the parent's two
+# sides unless the row gives its own sides(f, m, x, y, z, h32, h12) -> (lhs, rhs).
 # Product-form links compare logs.
 _Chain = namedtuple("_Chain", "f_hyp parent prefix suffix middle", defaults=(None,) * 3)
 _CHAINS = {
     "cor4.1": _Chain("subadditive", TheoremId.AA,
                      ("f(x+y+z) <= sum of midpoint values",
                       lambda f, m, x, y, z: f(x + y + z)),
-                     ("central term split to thirds",
-                      lambda f, m, x, y, z, h32, h12: h32 * (f(x / 3) + f(y / 3) + f(z / 3))
-                      + h12 * (f(x) + f(y) + f(z)))),
+                     ("central term split to thirds", _split_thirds)),
     "cor4.2": _Chain("superadditive", TheoremId.AA, suffix=_POINT_SUM),
     "cor8.1": _Chain("submultiplicative", TheoremId.AG,
                      ("f of the midpoint product <= product of midpoint values",
@@ -447,10 +447,7 @@ _CHAINS = {
                                                    * (f(y / 2) + f(z / 2))
                                                    * (f(x / 2) + f(y / 2))))),
     "cor9.2": _Chain("subadditive", TheoremId.AG, None,
-                     ("central value split to thirds",
-                      lambda f, m, x, y, z, h32, h12: h32 * np.log(f(x / 3) + f(y / 3)
-                                                                   + f(z / 3))
-                      + h12 * (np.log(f(x)) + np.log(f(y)) + np.log(f(z))))),
+                     ("central value split to thirds", _split_thirds)),
     "cor16.1": _Chain("superadditive", TheoremId.GA, suffix=_POINT_SUM),
     "cor16.2": _Chain("subadditive", TheoremId.GA, _SUMMED_PAIR_MEANS),
     "cor20.1": _Chain("supermultiplicative", TheoremId.GG, suffix=_POINT_PRODUCT),
@@ -458,18 +455,17 @@ _CHAINS = {
                       ("f(xyz) <= product of pair-mean values",
                        lambda f, m, x, y, z: np.log(f(x * y * z))),
                       ("central value split to cube roots",
-                       lambda f, m, x, y, z, h32, h12: h32 * (np.log(f(np.cbrt(x)))
-                                                              + np.log(f(np.cbrt(y)))
-                                                              + np.log(f(np.cbrt(z))))
-                       + h12 * (np.log(f(x)) + np.log(f(y)) + np.log(f(z))))),
+                       lambda tid, f, m, x, y, z, h32, h12: h32 * _pair_side(
+                           tid, f, np.cbrt(x), np.cbrt(y), np.cbrt(z))
+                       + h12 * _pair_side(tid, f, x, y, z))),
     "cor27.1": _Chain("superadditive", TheoremId.HA,
                       ("doubled half-harmonic values <= pair-mean values", _half_harmonic),
                       _POINT_SUM),
     "cor27.2": _Chain("subadditive", TheoremId.HA, _SUMMED_PAIR_MEANS,
                       ("tripled central value",
-                       lambda f, m, x, y, z, h32, h12: 3.0 * h32 * f(
-                           x * y * z / (x * y + y * z + x * z))
-                       + h12 * (f(x) + f(y) + f(z)))),
+                       lambda tid, f, m, x, y, z, h32, h12: _point_side(
+                           tid, 3.0 * h32, h12, f, f(x * y * z / (x * y + y * z + x * z)),
+                           x, y, z))),
     # as printed, the middle link compares theorem HA's left side, a sum, with
     # theorem HG's right side as a product
     "HG-chain": _Chain("superadditive", TheoremId.HG,
@@ -478,7 +474,7 @@ _CHAINS = {
                        middle=("pair-mean value sum <= theorem HG right side (as printed)",
                                lambda f, m, x, y, z, h32, h12: (
                                    _pair_side(TheoremId.HA, f, *m[:3]),
-                                   np.exp(_point_side(TheoremId.HG, h32, h12, f, m[3],
+                                   np.exp(_point_side(TheoremId.HG, h32, h12, f, f(m[3]),
                                                       x, y, z))))),
 }
 
@@ -501,7 +497,7 @@ def _chain_sides(corollary: str, h32: float, h12: float, f: PointFunction, x, y,
     if row.prefix:
         sides = [row.prefix[1](f, m, x, y, z), lhs] + sides
     if row.suffix:
-        sides += [rhs, row.suffix[1](f, m, x, y, z, h32, h12)]
+        sides += [rhs, row.suffix[1](row.parent, f, m, x, y, z, h32, h12)]
     return sides
 
 
@@ -561,8 +557,7 @@ def chained_check(corollary: str, h: WeightFunction, f: PointFunction,
 
 def hlawka_check(x: float, y: float, z: float) -> tuple[float, float, float]:
     """|x|+|y|+|z|+|x+y+z| versus |x+z|+|z+y|+|x+y|; margin = lhs - rhs >= 0."""
-    lhs = abs(x) + abs(y) + abs(z) + abs(x + y + z)
-    rhs = abs(x + z) + abs(z + y) + abs(x + y)
+    lhs, rhs = (float(side) for side in _hlawka_sides(x, y, z)[:2])
     return lhs, rhs, lhs - rhs
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meanconvex import EQUALITY_FAMILIES, Interval, SamplePlan, catalog, cli, popoviciu
 from meanconvex.catalog import (AuditFinding, CatalogEntry, _positivity_violation,
@@ -9,6 +11,7 @@ from meanconvex.convexity import FUNCTIONS, verify_extended_class
 from meanconvex.means import MeanKind
 from meanconvex.popoviciu import verify_theorem
 from meanconvex.sampling import SampleBlocks
+from meanconvex.weights import _label
 
 PLAN = SamplePlan(grid_axis=9, grid_t=5, n_random=500)
 
@@ -50,6 +53,16 @@ class TestBuiltinFunctions:
         assert log.domain.lo == 1.0
         assert log.positive_on_domain
 
+    @pytest.mark.parametrize("name,params", [
+        ("affine", dict(a=0.0, b=0.0)), ("affine", dict(a=1.0, b=0.0)),
+        ("affine", dict(a=0.0, b=1.0)), ("affine", dict(a=-1.0, b=0.5)),
+        ("const", dict(c=0.0)), ("const", dict(c=-1.0)), ("power", dict(p=-1.5))],
+        ids=lambda v: v if isinstance(v, str) else ",".join(map(str, v.values())))
+    def test_parametric_positivity_claim_matches_samples(self, name, params):
+        # affine[0,0] is f = 0, which is not positive anywhere
+        f = make_function(name, **params)
+        assert (_positivity_violation(f, None) is None) == f.positive_on_domain
+
 
 class TestMakeFunction:
     def test_power_parameter(self):
@@ -84,6 +97,58 @@ class TestMakeFunction:
     def test_unknown_name(self):
         with pytest.raises(KeyError):
             make_function("sinh")
+
+
+def _reference_parametric(name, p=None, a=None, b=None, c=None):
+    """(name, fn, positivity claim) of a parametric row as make_function
+    wrote each formula, default and claim out by hand, or None for the row
+    itself. The one change: affine[0,0] is f = 0 and claims no positivity."""
+    if name == "power" and p is not None:
+        return f"power[{_label(p)}]", lambda v: v**p, True
+    if name == "affine" and (a is not None or b is not None):
+        a0, b0 = a if a is not None else 2.0, b if b is not None else 3.0
+        return (f"affine[{_label(a0)},{_label(b0)}]", lambda v: a0 * v + b0,
+                a0 >= 0 and b0 >= 0 and (a0 > 0 or b0 > 0))
+    if name == "const" and c is not None:
+        return (f"const[{_label(c)}]",
+                lambda v: np.full_like(np.asarray(v, dtype=float), c), c > 0)
+    return None
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_PARAMETER = st.none() | _FINITE | st.sampled_from([0.0, -0.0, 1.0, 2.0, 3.0, 0.5])
+_POINTS = np.array([1e-300, 1e-5, 0.1, 0.5, 1.0, 2.0, 3.7, 10.0, 1e10, 1e300])
+
+
+class TestParametricRows:
+    """The power, affine and const rows take their parameters as keywords, and
+    make_function binds them onto the row: same names, claims and bits as the
+    formulas written out per name."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(name=st.sampled_from(["power", "affine", "const"]),
+           params=st.fixed_dictionaries({k: _PARAMETER for k in "pabc"}))
+    def test_matches_reference_bit_for_bit(self, name, params):
+        f, want = make_function(name, **params), _reference_parametric(name, **params)
+        if want is None:
+            assert (f.name, f.fn, f.domain, f.positive_on_domain) == (name, *FUNCTIONS[name])
+            return
+        assert (f.name, f.domain, f.positive_on_domain) == \
+            (want[0], FUNCTIONS[name][1], want[2])
+        points = np.concatenate([_POINTS, -_POINTS]) if name == "const" else _POINTS
+        for v in (points, points.reshape(2, -1, 1)):
+            with np.errstate(all="ignore"):
+                got, ref = np.asarray(f(v)), np.asarray(want[1](v))
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes(), (f.name, params)
+
+    @pytest.mark.parametrize("name", ["power", "affine", "const"])
+    def test_defaults_restate_the_row(self, name):
+        fn, _, claim = FUNCTIONS[name]
+        f = make_function(name, **fn.__kwdefaults__)
+        assert f.positive_on_domain == claim
+        with np.errstate(all="ignore"):
+            assert f(_POINTS).tobytes() == fn(_POINTS).tobytes()
 
 
 class TestFunctionTable:

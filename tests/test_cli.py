@@ -4,6 +4,8 @@ import math
 import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +69,26 @@ _LEAVES = st.one_of(
 _PAYLOADS = st.recursive(_LEAVES, lambda inner: st.one_of(
     st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
     st.dictionaries(st.one_of(_TEXT, st.integers()), inner, max_size=4)), max_leaves=40)
+
+
+# The modules that importing the command line may load besides numpy: the
+# package itself and the stdlib it needs. sympy and scipy stay out.
+_CLI_IMPORTS = {"__future__", "_csv", "_json", "argparse", "copy", "csv", "dataclasses",
+                "gettext"}
+
+
+def test_cli_import_loads_only_the_stdlib_it_needs():
+    code = ("import sys, numpy; before = set(sys.modules); import meanconvex.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                            capture_output=True, text=True).stdout.split()
+    assert "meanconvex.cli" in loaded
+    extra = [m for m in loaded if m.partition(".")[0] not in ("meanconvex", "json")
+             and m not in _CLI_IMPORTS]
+    assert extra == []
 
 
 class TestRenderJson:

@@ -261,6 +261,30 @@ class TestDiagonalRefute:
                 assert rec.inequality.endswith(f" = {rec.rhs:.6g}")
 
 
+class TestRefusals:
+    """Each refusal names its cause; none returns a value it could not compute."""
+
+    def test_spec_sense(self):
+        with pytest.raises(ValueError, match=r"^sense must be convex\|concave, got 'flat'$"):
+            ConvexitySpec(A, A, ID, "flat")
+
+    def test_gap_not_evaluable(self):
+        # the geometric value mean takes the log of f = -v^2 < 0
+        with pytest.raises(DomainError, match=r"^argument mean left the domain or a side "
+                                              r"is not evaluable$"):
+            defining_gap(spec(A, G), FS["neg_square"], 1.0, 2.0, 0.5)
+
+    def test_diagonal_point_outside_domain(self):
+        with pytest.raises(DomainError, match=r"^x=-1.0 outside domain of square$"):
+            diagonal_refute(spec(A, A, "concave", reciprocal_weight()), FS["square"],
+                            -1.0, 0.5)
+
+    def test_diagonal_needs_positive_f(self):
+        with pytest.raises(DomainError, match=r"^probe requires f\(x\) > 0$"):
+            diagonal_refute(spec(A, A, "concave", reciprocal_weight()), FS["neg_square"],
+                            1.0, 0.5)
+
+
 @settings(max_examples=80, deadline=None)
 @given(x=st.floats(min_value=0.1, max_value=10.0),
        y=st.floats(min_value=0.1, max_value=10.0),

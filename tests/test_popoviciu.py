@@ -403,6 +403,35 @@ class TestChainTable:
                     assert bitwise(rhs, np.atleast_1d(want[1])), (corollary, f.name)
 
 
+# The suffixes that replace the central term, as written out before they read
+# the parent theorem's point terms; the chain must equal them bit for bit.
+_REF_SUFFIX = {
+    "cor4.1": lambda f, x, y, z, h32, h12: h32 * (f(x / 3) + f(y / 3) + f(z / 3))
+    + h12 * (f(x) + f(y) + f(z)),
+    "cor9.2": lambda f, x, y, z, h32, h12: h32 * np.log(f(x / 3) + f(y / 3) + f(z / 3))
+    + h12 * (np.log(f(x)) + np.log(f(y)) + np.log(f(z))),
+    "cor20.2": lambda f, x, y, z, h32, h12: h32 * (np.log(f(np.cbrt(x))) + np.log(f(np.cbrt(y)))
+                                                   + np.log(f(np.cbrt(z))))
+    + h12 * (np.log(f(x)) + np.log(f(y)) + np.log(f(z))),
+    "cor27.2": lambda f, x, y, z, h32, h12: 3.0 * h32 * f(x * y * z / (x * y + y * z + x * z))
+    + h12 * (f(x) + f(y) + f(z)),
+}
+
+
+@pytest.mark.parametrize("corollary", sorted(_REF_SUFFIX))
+@pytest.mark.parametrize("h", [ID, power_weight(2.0), reciprocal_weight()],
+                         ids=lambda h: h.name)
+def test_suffix_equals_reference(corollary, h):
+    h32, h12 = weight_eval(h, 1.5), weight_eval(h, 0.5)
+    for f in FS.values():
+        blocks = _AUDIT_PLAN.triple_blocks(f.sampling_domain())
+        for xyz in (blocks.grid, blocks.tail):
+            with np.errstate(all="ignore"):
+                got = np.atleast_1d(popoviciu._chain_sides(corollary, h32, h12, f, *xyz)[-1])
+                want = np.atleast_1d(_REF_SUFFIX[corollary](f, *xyz, h32, h12))
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), f.name
+
+
 def test_first_grid_witness_is_sorted(monkeypatch):
     """A limit-1 claim on the symmetric stream keeps its first violation in
     sample order, which on the grid is a sorted triple x <= y <= z: so for
@@ -451,6 +480,27 @@ class TestUsableFraction:
         rel = theorem_margins(TheoremId.AG, ID, self.SHIFTED, x, y, z)
         assert np.isfinite(rel).sum() == 1
         assert np.isposinf(rel).sum() == rel.size - 1
+
+
+class TestRefusals:
+    """Each refusal names its cause; none returns a value it could not compute."""
+
+    def test_sides_not_evaluable(self):
+        # theorem AG takes the log of f = -v^2 < 0
+        with pytest.raises(DomainError, match=r"^triple \(1.0, 2.0, 3.0\) not evaluable "
+                                              r"for theorem AG on neg_square$"):
+            popoviciu_sides(TheoremId.AG, ID, FS["neg_square"], 1.0, 2.0, 3.0)
+
+    def test_unknown_equality_family(self):
+        with pytest.raises(KeyError, match=r"^\"unknown equality family 'parabola-AA'\"$"):
+            equality_max_residual("parabola-AA", SMALL)
+
+    def test_chain_h_hypothesis_mismatch(self):
+        # square is superadditive, as cor4.2 needs, but sqrt t is subadditive
+        with pytest.raises(HypothesisMismatchError,
+                           match=r"^cor4.2 requires h superadditive; sampled class is "
+                                 r"subadditive$"):
+            chained_check("cor4.2", power_weight(0.5), FS["square"], SMALL, box=BOX)
 
 
 class TestHlawka:
