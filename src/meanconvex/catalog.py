@@ -37,18 +37,20 @@ def builtin_functions() -> dict[str, PointFunction]:
 def make_function(name: str, p: Optional[float] = None,
                   a: Optional[float] = None, b: Optional[float] = None,
                   c: Optional[float] = None) -> PointFunction:
-    """Resolve a registry name, binding parameters onto a parametric row:
-    power takes exponent p, affine slope a and intercept b, const the
-    constant c. Unset ones keep the row's defaults; the name lists them all.
-    """
+    """Resolve a registry name, binding parameters onto a parametric row: power
+    takes exponent p, affine slope a and intercept b, const the constant c; a
+    parameter the row does not take raises KeyError, as an unknown name does.
+    Unset ones keep the row's defaults; the name lists them all."""
     if name not in FUNCTIONS:
         raise KeyError(f"unknown function {name!r}; choose from {sorted(FUNCTIONS)}")
     fn, domain, positive = FUNCTIONS[name]
-    given = {k: v for k, v in dict(p=p, a=a, b=b, c=c).items()
-             if v is not None and k in (getattr(fn, "__kwdefaults__", None) or ())}
+    takes = getattr(fn, "__kwdefaults__", None) or {}
+    given = {k: v for k, v in dict(p=p, a=a, b=b, c=c).items() if v is not None}
+    if not given.keys() <= takes.keys():
+        raise KeyError(f"function {name!r} takes parameters {list(takes)}, got {list(given)}")
     if not given:
         return PointFunction(name, fn, domain, positive)
-    params = {**fn.__kwdefaults__, **given}
+    params = {**takes, **given}
     return PointFunction(f"{name}[{','.join(map(_label, params.values()))}]",
                          partial(fn, **params), domain, PARAMETER_CLAIMS[name](**params))
 
@@ -224,16 +226,21 @@ def builtin_claims() -> list[CatalogEntry]:
 _AUDIT_PLAN = SamplePlan(grid_axis=13, grid_t=9, n_random=2000)
 
 
-def _positivity_violation(f: PointFunction, box) -> Optional[float]:
-    """Smallest sampled point where f <= 0, or None if f stays positive."""
+def _positivity_violation(f: PointFunction, box, value_mean: str) -> Optional[str]:
+    """"f(x) <= 0" at the first sampled x where f <= 0 under a G or H value mean (log
+    or reciprocal of f), else None; a +0.0 from an f that claims f > 0 is an underflow."""
+    if value_mean == "A":
+        return None
     dom = f.sampling_domain(box)
     xs = np.linspace(*dom.sampling_bounds(), 257)
     with np.errstate(all="ignore"):
         vals = np.asarray(f(xs), dtype=float)
     bad = np.isfinite(vals) & (vals <= 0.0)
-    if bad.any():
-        return float(xs[np.argmax(bad)])
-    return None
+    if not bad.any():
+        return None
+    i = np.argmax(bad)
+    underflow = f.positive_on_domain and vals[i] == 0.0 and not np.signbit(vals[i])
+    return f"{f.name}({xs[i]:.6g}) {'underflows to +0.0 in floats' if underflow else '<= 0'}"
 
 
 # Each _audit_* returns (outcome, detail, min_margin, samples, skipped).
@@ -256,12 +263,9 @@ def _sampled(w, min_margin, samples, skipped, equality=False):
 
 def _audit_class(entry, plan, tol):
     spec, f, box = entry.payload["spec"], entry.payload["f"], entry.payload.get("box")
-    if spec.val_mean is not MeanKind.ARITHMETIC:
-        x_bad = _positivity_violation(f, box)
-        if x_bad is not None:
-            return ("domain-violation",
-                    f"{f.name}({x_bad:.6g}) <= 0 but the value mean needs f > 0",
-                    None, 0, 0)
+    bad = _positivity_violation(f, box, spec.val_mean.value)
+    if bad is not None:
+        return "domain-violation", f"{bad} but the value mean needs f > 0", None, 0, 0
     verdict = verify_class(spec, f, plan, tol, box)
     return _sampled(verdict.witness, verdict.min_margin, verdict.samples_tested,
                     verdict.skipped)

@@ -218,12 +218,9 @@ def _build_fn(args):
 def _require_positive(f, box, value_mean: str) -> None:
     """Refuse, before any computation, f <= 0 on the box under a G or H
     value mean, which takes the log or the reciprocal of f."""
-    if value_mean == "A":
-        return
-    x_bad = _positivity_violation(f, box)
-    if x_bad is not None:
-        raise DomainError(f"{f.name}({x_bad:.6g}) <= 0, but value mean "
-                          f"{value_mean} needs f > 0")
+    bad = _positivity_violation(f, box, value_mean)
+    if bad is not None:
+        raise DomainError(f"{bad}, but value mean {value_mean} needs f > 0")
 
 
 # --------------------------------------------------------------------------

@@ -89,10 +89,14 @@ def _point_side(tid: TheoremId, h32: float, h12: float, f: PointFunction, fc, x,
     return _VALUE_TERMS[tid.value[1]][1](h32, fc) + h12 * _pair_side(tid, f, x, y, z)
 
 
-def _theorem_sides(tid: TheoremId, f: PointFunction, m, x, y, z, h32: float, h12: float):
-    """(lhs, rhs) of the theorem in its comparison domain, from its argument
-    means m = (m1, m2, m3, c); product theorems give log-domain sides."""
-    return _pair_side(tid, f, *m[:3]), _point_side(tid, h32, h12, f, f(m[3]), x, y, z)
+def _lhs(tid: TheoremId, f: PointFunction, m, x, y, z, h32: float, h12: float):
+    """Theorem tid's left side from its argument means m = (m1, m2, m3, c)."""
+    return _pair_side(tid, f, *m[:3])
+
+
+def _rhs(tid: TheoremId, f: PointFunction, m, x, y, z, h32: float, h12: float):
+    """Theorem tid's right side; product theorems give log-domain sides."""
+    return _point_side(tid, h32, h12, f, f(m[3]), x, y, z)
 
 
 def _sides_arrays(tid: TheoremId, h32: float, h12: float, f: PointFunction,
@@ -104,7 +108,8 @@ def _sides_arrays(tid: TheoremId, h32: float, h12: float, f: PointFunction,
     """
     with np.errstate(all="ignore"):
         means = _pair_and_central(tid, x, y, z)
-        lhs, rhs = _theorem_sides(tid, f, means, x, y, z, h32, h12)
+        lhs = _lhs(tid, f, means, x, y, z, h32, h12)
+        rhs = _rhs(tid, f, means, x, y, z, h32, h12)
         valid = np.isfinite(lhs) & np.isfinite(rhs)
         for arg in means:
             valid &= np.isfinite(arg) & f.domain.contains_array(arg)
@@ -398,14 +403,18 @@ class ChainedReport:
         return all(link.holds for link in self.links)
 
 
-# Links that several corollaries share.
+# Links that several corollaries share, and the sides they start from.
+_THEOREM = (None, _rhs)  # the parent theorem, from its left side
 _POINT_SUM = ("point sum collapsed to f(x+y+z)",
               lambda tid, f, m, x, y, z, h32, h12: h32 * f(m[3]) + h12 * f(x + y + z))
 _POINT_PRODUCT = ("point product collapsed to f(xyz)",
                   lambda tid, f, m, x, y, z, h32, h12: h32 * np.log(f(m[3]))
                   + h12 * np.log(f(x * y * z)))
-_SUMMED_PAIR_MEANS = ("f of the summed pair means <= sum",
-                      lambda f, m, x, y, z: f(m[0] + m[1] + m[2]))
+_SUMMED_PAIR_MEANS = ("f of the summed pair means <= sum", _lhs)
+
+
+def _f_of_summed_pair_means(tid, f, m, x, y, z, h32, h12):
+    return f(m[0] + m[1] + m[2])
 
 
 def _split_thirds(tid, f, m, x, y, z, h32, h12):
@@ -414,7 +423,7 @@ def _split_thirds(tid, f, m, x, y, z, h32, h12):
                        x, y, z)
 
 
-def _half_harmonic(f, m, x, y, z):
+def _half_harmonic(tid, f, m, x, y, z, h32, h12):
     """Twice the sum of f at the half-harmonic means xz/(x+z), yz/(y+z), xy/(x+y)."""
     return 2.0 * (f(x * z / (x + z)) + f(y * z / (y + z)) + f(x * y / (x + y)))
 
@@ -422,88 +431,78 @@ def _half_harmonic(f, m, x, y, z):
 # Every chained corollary requires h superadditive.
 _CHAIN_H_HYPOTHESIS = "superadditive"
 
-# A corollary's row: its f hypothesis, which also names the kind, additive or
-# multiplicative, of the class check on f; its parent theorem; its links. A
-# link is (name, formula), and every formula reads the parent's argument means
-# m = (m1, m2, m3, c) of _pair_and_central. A prefix lhs(f, m, x, y, z) ends at
-# the middle link's left side; a suffix rhs(tid, f, m, x, y, z, h32, h12) of
-# parent tid starts from its right side. The middle link is the parent's two
-# sides unless the row gives its own sides(f, m, x, y, z, h32, h12) -> (lhs, rhs).
-# Product-form links compare logs.
-_Chain = namedtuple("_Chain", "f_hyp parent prefix suffix middle", defaults=(None,) * 3)
+# A row is a corollary's printed chain s0 <= s1 <= ...: its f hypothesis, which also
+# names the kind (additive or multiplicative) of the class check on f; its parent
+# theorem tid; its first side s0; a (name, next side) pair per link. Every side is
+# side(tid, f, m, x, y, z, h32, h12), m being tid's argument means, as are _lhs and
+# _rhs, the sides of the link named None: theorem tid. Product-form sides are logs.
+_Chain = namedtuple("_Chain", "f_hyp parent first links")
 _CHAINS = {
-    "cor4.1": _Chain("subadditive", TheoremId.AA,
-                     ("f(x+y+z) <= sum of midpoint values",
-                      lambda f, m, x, y, z: f(x + y + z)),
-                     ("central term split to thirds", _split_thirds)),
-    "cor4.2": _Chain("superadditive", TheoremId.AA, suffix=_POINT_SUM),
-    "cor8.1": _Chain("submultiplicative", TheoremId.AG,
-                     ("f of the midpoint product <= product of midpoint values",
-                      lambda f, m, x, y, z: np.log(f((x + z) * (y + z) * (x + y) / 8.0)))),
-    "cor8.2": _Chain("supermultiplicative", TheoremId.AG, suffix=_POINT_PRODUCT),
-    "cor9.1": _Chain("superadditive", TheoremId.AG,
-                     ("half-point sums <= midpoint values",
-                      lambda f, m, x, y, z: np.log((f(x / 2) + f(z / 2))
-                                                   * (f(y / 2) + f(z / 2))
-                                                   * (f(x / 2) + f(y / 2))))),
-    "cor9.2": _Chain("subadditive", TheoremId.AG, None,
-                     ("central value split to thirds", _split_thirds)),
-    "cor16.1": _Chain("superadditive", TheoremId.GA, suffix=_POINT_SUM),
-    "cor16.2": _Chain("subadditive", TheoremId.GA, _SUMMED_PAIR_MEANS),
-    "cor20.1": _Chain("supermultiplicative", TheoremId.GG, suffix=_POINT_PRODUCT),
-    "cor20.2": _Chain("submultiplicative", TheoremId.GG,
-                      ("f(xyz) <= product of pair-mean values",
-                       lambda f, m, x, y, z: np.log(f(x * y * z))),
-                      ("central value split to cube roots",
-                       lambda tid, f, m, x, y, z, h32, h12: h32 * _pair_side(
-                           tid, f, np.cbrt(x), np.cbrt(y), np.cbrt(z))
-                       + h12 * _pair_side(tid, f, x, y, z))),
-    "cor27.1": _Chain("superadditive", TheoremId.HA,
-                      ("doubled half-harmonic values <= pair-mean values", _half_harmonic),
-                      _POINT_SUM),
-    "cor27.2": _Chain("subadditive", TheoremId.HA, _SUMMED_PAIR_MEANS,
-                      ("tripled central value",
-                       lambda tid, f, m, x, y, z, h32, h12: _point_side(
-                           tid, 3.0 * h32, h12, f, f(x * y * z / (x * y + y * z + x * z)),
-                           x, y, z))),
+    "cor4.1": _Chain(
+        "subadditive", TheoremId.AA, lambda tid, f, m, x, y, z, h32, h12: f(x + y + z),
+        (("f(x+y+z) <= sum of midpoint values", _lhs), _THEOREM,
+         ("central term split to thirds", _split_thirds))),
+    "cor4.2": _Chain("superadditive", TheoremId.AA, _lhs, (_THEOREM, _POINT_SUM)),
+    "cor8.1": _Chain(
+        "submultiplicative", TheoremId.AG,
+        lambda tid, f, m, x, y, z, h32, h12: np.log(f((x + z) * (y + z) * (x + y) / 8.0)),
+        (("f of the midpoint product <= product of midpoint values", _lhs), _THEOREM)),
+    "cor8.2": _Chain("supermultiplicative", TheoremId.AG, _lhs, (_THEOREM, _POINT_PRODUCT)),
+    "cor9.1": _Chain(
+        "superadditive", TheoremId.AG,
+        lambda tid, f, m, x, y, z, h32, h12: np.log(
+            (f(x / 2) + f(z / 2)) * (f(y / 2) + f(z / 2)) * (f(x / 2) + f(y / 2))),
+        (("half-point sums <= midpoint values", _lhs), _THEOREM)),
+    "cor9.2": _Chain(
+        "subadditive", TheoremId.AG, _lhs,
+        (_THEOREM, ("central value split to thirds", _split_thirds))),
+    "cor16.1": _Chain("superadditive", TheoremId.GA, _lhs, (_THEOREM, _POINT_SUM)),
+    "cor16.2": _Chain(
+        "subadditive", TheoremId.GA, _f_of_summed_pair_means, (_SUMMED_PAIR_MEANS, _THEOREM)),
+    "cor20.1": _Chain("supermultiplicative", TheoremId.GG, _lhs, (_THEOREM, _POINT_PRODUCT)),
+    "cor20.2": _Chain(
+        "submultiplicative", TheoremId.GG,
+        lambda tid, f, m, x, y, z, h32, h12: np.log(f(x * y * z)),
+        (("f(xyz) <= product of pair-mean values", _lhs), _THEOREM,
+         ("central value split to cube roots",
+          lambda tid, f, m, x, y, z, h32, h12: h32 * _pair_side(
+              tid, f, np.cbrt(x), np.cbrt(y), np.cbrt(z))
+          + h12 * _pair_side(tid, f, x, y, z)))),
+    "cor27.1": _Chain(
+        "superadditive", TheoremId.HA, _half_harmonic,
+        (("doubled half-harmonic values <= pair-mean values", _lhs), _THEOREM, _POINT_SUM)),
+    "cor27.2": _Chain(
+        "subadditive", TheoremId.HA, _f_of_summed_pair_means,
+        (_SUMMED_PAIR_MEANS, _THEOREM,
+         ("tripled central value", lambda tid, f, m, x, y, z, h32, h12: _point_side(
+             tid, 3.0 * h32, h12, f, f(x * y * z / (x * y + y * z + x * z)), x, y, z)))),
     # as printed, the middle link compares theorem HA's left side, a sum, with
-    # theorem HG's right side as a product
-    "HG-chain": _Chain("superadditive", TheoremId.HG,
-                       ("doubled half-harmonic values <= pair-mean value sum",
-                        _half_harmonic),
-                       middle=("pair-mean value sum <= theorem HG right side (as printed)",
-                               lambda f, m, x, y, z, h32, h12: (
-                                   _pair_side(TheoremId.HA, f, *m[:3]),
-                                   np.exp(_point_side(TheoremId.HG, h32, h12, f, f(m[3]),
-                                                      x, y, z))))),
+    # theorem HG's right side as a product; HA and HG share their argument means
+    "HG-chain": _Chain(
+        "superadditive", TheoremId.HG, _half_harmonic,
+        (("doubled half-harmonic values <= pair-mean value sum",
+          lambda tid, f, m, x, y, z, h32, h12: _lhs(TheoremId.HA, f, m, x, y, z, h32, h12)),
+         ("pair-mean value sum <= theorem HG right side (as printed)",
+          lambda tid, f, m, x, y, z, h32, h12: np.exp(_rhs(tid, f, m, x, y, z, h32, h12))))),
 }
 
 
 def _chain_links(corollary: str) -> list[str]:
     """The name of each link of a corollary, in link order."""
     row = _CHAINS[corollary]
-    middle = row.middle or (f"theorem {row.parent.value}",)
-    return [link[0] for link in (row.prefix, middle, row.suffix) if link]
+    return [name or f"theorem {row.parent.value}" for name, _ in row.links]
 
 
 def _chain_sides(corollary: str, h32: float, h12: float, f: PointFunction, x, y, z):
-    """lhs, rhs of each link of a corollary in link order, flattened to
-    [lhs, rhs, lhs, rhs, ...], in comparison domain."""
+    """(lhs, rhs, valid) of each link of a corollary in link order, in
+    comparison domain. Each side of the chain is evaluated once, and so is
+    its finiteness: a link is usable where both its sides are finite."""
     row = _CHAINS[corollary]
     m = _pair_and_central(row.parent, x, y, z)
-    middle = row.middle[1] if row.middle else partial(_theorem_sides, row.parent)
-    lhs, rhs = middle(f, m, x, y, z, h32, h12)
-    sides = [lhs, rhs]
-    if row.prefix:
-        sides = [row.prefix[1](f, m, x, y, z), lhs] + sides
-    if row.suffix:
-        sides += [rhs, row.suffix[1](row.parent, f, m, x, y, z, h32, h12)]
-    return sides
-
-
-def _finite_sides(lhs, rhs):
-    """(lhs, rhs, valid) of a chain link: usable where both sides are finite."""
-    return lhs, rhs, np.isfinite(lhs) & np.isfinite(rhs)
+    sides = [row.first(row.parent, f, m, x, y, z, h32, h12)]
+    sides += [side(row.parent, f, m, x, y, z, h32, h12) for _, side in row.links]
+    finite = [np.isfinite(side) for side in sides]
+    return [(lhs, rhs, a & b) for lhs, rhs, a, b in zip(sides, sides[1:], finite, finite[1:])]
 
 
 def chained_check(corollary: str, h: WeightFunction, f: PointFunction,
@@ -542,11 +541,10 @@ def chained_check(corollary: str, h: WeightFunction, f: PointFunction,
     h32, h12 = weight_eval(h, 1.5), weight_eval(h, 0.5)
     blocks = plan.triple_blocks(dom)
     with np.errstate(all="ignore"):
-        sides = blocks.map(partial(_chain_sides, corollary, h32, h12, f))
+        chunks = blocks.map(partial(_chain_sides, corollary, h32, h12, f))
     results = []
     for j, name in enumerate(_chain_links(corollary)):
-        link = [(offset, shape, _finite_sides(*s[2 * j:2 * j + 2]))
-                for offset, shape, s in sides]
+        link = [(offset, shape, links[j]) for offset, shape, links in chunks]
         cmp = _compare(blocks, link, "<=", f"link {name!r} of {corollary} on {f.name}", tol)
         results.append(LinkResult(name, cmp.min_margin, cmp.samples, cmp.skipped,
                                   _witness(cmp.violations[0]) if cmp.violations else None))
@@ -565,7 +563,7 @@ def _hlawka_sides(x, y, z):
     """(lhs, rhs, valid) of Hlawka's inequality lhs >= rhs, elementwise."""
     lhs = np.abs(x) + np.abs(y) + np.abs(z) + np.abs(x + y + z)
     rhs = np.abs(x + z) + np.abs(z + y) + np.abs(x + y)
-    return _finite_sides(lhs, rhs)
+    return lhs, rhs, np.isfinite(lhs) & np.isfinite(rhs)
 
 
 def hlawka_margins(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:

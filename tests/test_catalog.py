@@ -7,13 +7,14 @@ from meanconvex import EQUALITY_FAMILIES, Interval, SamplePlan, catalog, cli, po
 from meanconvex.catalog import (AuditFinding, CatalogEntry, _positivity_violation,
                                 builtin_claims, builtin_functions,
                                 make_function, run_audit)
-from meanconvex.convexity import FUNCTIONS, verify_extended_class
+from meanconvex.convexity import FUNCTIONS, PointFunction, verify_extended_class
 from meanconvex.means import MeanKind
 from meanconvex.popoviciu import verify_theorem
 from meanconvex.sampling import SampleBlocks
 from meanconvex.weights import _label
 
 PLAN = SamplePlan(grid_axis=9, grid_t=5, n_random=500)
+_BOX = Interval(0.1, 10.0, closed_lo=True, closed_hi=True)
 
 
 class TestBuiltinFunctions:
@@ -46,7 +47,21 @@ class TestBuiltinFunctions:
     @pytest.mark.parametrize("name", sorted(builtin_functions()))
     def test_positivity_claim_matches_samples(self, name):
         f = builtin_functions()[name]
-        assert (_positivity_violation(f, None) is None) == f.positive_on_domain
+        assert (_positivity_violation(f, None, "G") is None) == f.positive_on_domain
+
+    @pytest.mark.parametrize("f,value_mean,text", [
+        # 0.1**400 is positive but rounds to +0.0, and power claims f > 0
+        (make_function("power", p=400.0), "G", "power[400](0.1) underflows to +0.0 in floats"),
+        # a zero from a row that claims no positivity, and a claimed-positive -0.0
+        (make_function("const", c=0.0), "H", "const[0](0.1) <= 0"),
+        (PointFunction("neg_zero", lambda v: np.full_like(v, -0.0), Interval(0.0, 10.0)), "G",
+         "neg_zero(0.1) <= 0"),
+        (builtin_functions()["neg_square"], "H", "neg_square(0.1) <= 0"),
+        # an arithmetic value mean takes f as it is
+        (builtin_functions()["neg_square"], "A", None)],
+        ids=["underflow", "zero", "negative-zero", "negative", "value-mean-A"])
+    def test_positivity_violation_names_an_underflow(self, f, value_mean, text):
+        assert _positivity_violation(f, _BOX, value_mean) == text
 
     def test_stated_log_domain(self):
         log = builtin_functions()["log"]
@@ -61,7 +76,7 @@ class TestBuiltinFunctions:
     def test_parametric_positivity_claim_matches_samples(self, name, params):
         # affine[0,0] is f = 0, which is not positive anywhere
         f = make_function(name, **params)
-        assert (_positivity_violation(f, None) is None) == f.positive_on_domain
+        assert (_positivity_violation(f, None, "G") is None) == f.positive_on_domain
 
 
 class TestMakeFunction:
@@ -98,6 +113,21 @@ class TestMakeFunction:
         with pytest.raises(KeyError):
             make_function("sinh")
 
+    @pytest.mark.parametrize("name,params,message", [
+        ("square", dict(p=3.0), "'square' takes parameters [], got ['p']"),
+        ("power", dict(a=1.0), "'power' takes parameters ['p'], got ['a']"),
+        ("affine", dict(a=1.0, c=2.0), "'affine' takes parameters ['a', 'b'], got ['a', 'c']"),
+        ("const", dict(p=2.0, c=1.0), "'const' takes parameters ['c'], got ['p', 'c']")],
+        ids=["square-p", "power-a", "affine-c", "const-p"])
+    def test_refuses_a_parameter_the_row_does_not_take(self, monkeypatch, name, params,
+                                                       message):
+        # refused before anything is built, as an unknown name is
+        built = TestFunctionTable.patch_point_function(monkeypatch)
+        with pytest.raises(KeyError) as refused:
+            make_function(name, **params)
+        assert refused.value.args == (f"function {message}",)
+        assert built == []
+
 
 def _reference_parametric(name, p=None, a=None, b=None, c=None):
     """(name, fn, positivity claim) of a parametric row as make_function
@@ -118,6 +148,10 @@ def _reference_parametric(name, p=None, a=None, b=None, c=None):
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _PARAMETER = st.none() | _FINITE | st.sampled_from([0.0, -0.0, 1.0, 2.0, 3.0, 0.5])
 _POINTS = np.array([1e-300, 1e-5, 0.1, 0.5, 1.0, 2.0, 3.7, 10.0, 1e10, 1e300])
+# (name, params) of a parametric row, each of its own parameters drawn or unset
+_ROW_PARAMETERS = st.sampled_from(["power", "affine", "const"]).flatmap(
+    lambda name: st.tuples(st.just(name), st.fixed_dictionaries(
+        {k: _PARAMETER for k in FUNCTIONS[name][0].__kwdefaults__})))
 
 
 class TestParametricRows:
@@ -126,9 +160,9 @@ class TestParametricRows:
     formulas written out per name."""
 
     @settings(max_examples=150, deadline=None)
-    @given(name=st.sampled_from(["power", "affine", "const"]),
-           params=st.fixed_dictionaries({k: _PARAMETER for k in "pabc"}))
-    def test_matches_reference_bit_for_bit(self, name, params):
+    @given(row=_ROW_PARAMETERS)
+    def test_matches_reference_bit_for_bit(self, row):
+        name, params = row
         f, want = make_function(name, **params), _reference_parametric(name, **params)
         if want is None:
             assert (f.name, f.fn, f.domain, f.positive_on_domain) == (name, *FUNCTIONS[name])
@@ -240,7 +274,7 @@ class TestBuiltinClaims:
         for e in builtin_claims():
             if e.kind == "class":
                 f, box = e.payload["f"], e.payload["box"]
-                assert (_positivity_violation(f, box) is None) == f.positive_on_domain
+                assert (_positivity_violation(f, box, "G") is None) == f.positive_on_domain
 
     def test_every_chained_corollary_covered(self):
         chains = {e.payload["corollary"] for e in builtin_claims()

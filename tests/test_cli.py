@@ -540,6 +540,15 @@ class TestBadInput:
         assert re.match(r"error: \S+\(0\.1\) <= 0, but value mean [GH] needs f > 0$",
                         err)
 
+    @pytest.mark.parametrize("command", ["verify", "search"])
+    def test_underflow_named_as_underflow(self, capsys, command):
+        # 0.1**400 is a positive number that rounds to +0.0; power claims f > 0,
+        # so the refusal says the zero is an underflow, not a sign
+        argv = ["--theorem", "AG", "--fn", "power", "--p", "400", "--lo", "0.1", "--hi", "10"]
+        assert run(capsys, command, *argv) == (
+            2, "", "error: power[400](0.1) underflows to +0.0 in floats, but value mean G "
+                   "needs f > 0\n")
+
     @pytest.mark.parametrize("theorem", ["AG", "AH", "GG", "GH", "HG", "HH"])
     def test_search_refuses_nonpositive_f_as_verify_does(self, capsys, theorem):
         # a G or H value mean takes log f or 1/f; search once went on and

@@ -14,6 +14,8 @@ from meanconvex import (BASE_SENSE, EQUALITY_FAMILIES, DomainError,
                         verify_theorem)
 from meanconvex import catalog, popoviciu, reciprocal_weight, weight_eval
 from meanconvex.catalog import _AUDIT_PLAN, builtin_claims, builtin_functions, make_function
+from meanconvex.convexity import ConvexitySpec, verify_class
+from meanconvex.means import MeanKind
 from meanconvex.weights import DEFAULT_TOL
 
 ID = identity_weight()
@@ -377,7 +379,8 @@ class TestChainedCheck:
 
 class TestChainTable:
     """Each corollary's middle link is its parent theorem's pair of sides,
-    read from the same arrays the theorem verifier compares."""
+    read from the same arrays the theorem verifier compares; a link is
+    usable where both its sides are finite."""
 
     @pytest.mark.parametrize("h", [ID, power_weight(2.0), reciprocal_weight()],
                              ids=lambda h: h.name)
@@ -387,20 +390,23 @@ class TestChainTable:
         for f in FS.values():
             blocks = _AUDIT_PLAN.triple_blocks(f.sampling_domain())
             for corollary, row in popoviciu._CHAINS.items():
-                parent, prefix = row[1], row[2]
+                # the parent theorem's link is named None; HG-chain's middle
+                # link, its second, stands in for theorem HG as printed
+                names = [name for name, _ in row.links]
+                j = 1 if corollary == "HG-chain" else names.index(None)
                 for xyz in (blocks.grid, blocks.tail):
                     with np.errstate(all="ignore"):
-                        sides = popoviciu._chain_sides(corollary, h32, h12, f, *xyz)
+                        links = popoviciu._chain_sides(corollary, h32, h12, f, *xyz)
                         theorem = lambda tid: popoviciu._sides_arrays(tid, h32, h12, f, *xyz)
                         if corollary == "HG-chain":
                             want = theorem(TheoremId.HA)[0], np.exp(theorem(TheoremId.HG)[1])
                         else:
-                            want = theorem(parent)[:2]
-                    assert len(sides) == 2 * len(popoviciu._chain_links(corollary))
-                    j = 2 if prefix else 0
-                    lhs, rhs = (np.atleast_1d(s) for s in sides[j:j + 2])
+                            want = theorem(row.parent)[:2]
+                    assert len(links) == len(popoviciu._chain_links(corollary))
+                    lhs, rhs, valid = (np.atleast_1d(s) for s in links[j])
                     assert bitwise(lhs, want[0]), (corollary, f.name)
                     assert bitwise(rhs, np.atleast_1d(want[1])), (corollary, f.name)
+                    assert bitwise(valid, np.isfinite(lhs) & np.isfinite(rhs))
 
 
 # The suffixes that replace the central term, as written out before they read
@@ -427,9 +433,41 @@ def test_suffix_equals_reference(corollary, h):
         blocks = _AUDIT_PLAN.triple_blocks(f.sampling_domain())
         for xyz in (blocks.grid, blocks.tail):
             with np.errstate(all="ignore"):
-                got = np.atleast_1d(popoviciu._chain_sides(corollary, h32, h12, f, *xyz)[-1])
+                got = np.atleast_1d(popoviciu._chain_sides(corollary, h32, h12, f, *xyz)[-1][1])
                 want = np.atleast_1d(_REF_SUFFIX[corollary](f, *xyz, h32, h12))
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), f.name
+
+
+class TestBaseSenseFindings:
+    """Three base-sense cases on the default plan where the class holds, the
+    theorem is refuted, and g = psi_N(f) <= 0 on the box (psi_N is the
+    identity, log or reciprocal): ROADMAP item 14's counterexamples."""
+
+    PSI = {"A": lambda v: v, "G": np.log, "H": lambda v: 1.0 / v}
+    BOX_1_10 = Interval(1.0, 10.0, closed_lo=True, closed_hi=True)
+
+    @pytest.mark.parametrize("fname,tid,weight,box,class_min,theorem_min", [
+        ("reciprocal", "AG", 2.0, BOX_1_10, 0.0, -7.72e-2),
+        ("neg_square", "AA", 3.0, None, 3.0e-16, -0.2),
+        ("neg_square", "HH", 3.0, None, 1.0e-16, -0.2)],
+        ids=["reciprocal-AG-power2", "neg_square-AA-power3", "neg_square-HH-power3"])
+    def test_class_holds_theorem_refuted_g_nonpositive(self, fname, tid, weight, box,
+                                                       class_min, theorem_min):
+        f, tid, h = FS[fname], TheoremId(tid), power_weight(weight)
+        spec = ConvexitySpec(MeanKind(tid.value[0]), MeanKind(tid.value[1]), h,
+                             BASE_SENSE[tid])
+        verdict = verify_class(spec, f, SamplePlan(), box=box)
+        report = verify_theorem(tid, h, f, plan=SamplePlan(), box=box)
+        assert verdict.holds and verdict.min_margin == pytest.approx(class_min, abs=1e-17)
+        assert not report.holds
+        assert report.min_margin == pytest.approx(theorem_min, rel=2e-3)
+        if fname == "reciprocal":
+            w = report.witnesses[0]
+            assert (w.x, w.y, w.z) == (1.0, 1.0, 1.28125)
+        with np.errstate(all="ignore"):
+            g = self.PSI[tid.value[1]](f(np.linspace(*f.sampling_domain(box).sampling_bounds(),
+                                                     1001)))
+        assert g.max() <= 0.0
 
 
 def test_first_grid_witness_is_sorted(monkeypatch):

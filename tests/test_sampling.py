@@ -186,7 +186,9 @@ class TestFactoredEqualsFlat:
         for f in FS.values():
             dom = _domain(f)
             for corollary in _CHAINS:
-                kernel = partial(_chain_sides, corollary, h32, h12, f)
+                chain = partial(_chain_sides, corollary, h32, h12, f)
+                # each link's (lhs, rhs, valid), joined into one flat list
+                kernel = lambda *xyz: [side for link in chain(*xyz) for side in link]
                 with np.errstate(all="ignore"):
                     factored = _joined(plan.triple_blocks(dom), kernel)
                     flat = kernel(*sorted_xyz_stream(plan, dom))
@@ -206,11 +208,8 @@ def test_equality_families(plan):
 
 def _link_sides(out):
     """(lhs, rhs, valid) of each comparison a triple-stream kernel returns:
-    one for theorem sides, one per link for chain sides."""
-    if len(out) == 3 and np.asarray(out[2]).dtype == bool:
-        return [tuple(out)]
-    return [(lhs, rhs, np.isfinite(lhs) & np.isfinite(rhs))
-            for lhs, rhs in zip(out[0::2], out[1::2])]
+    one for theorem sides, one per link for chain sides (a list)."""
+    return out if isinstance(out, list) else [tuple(out)]
 
 
 class TestSymmetricKernels:
@@ -618,7 +617,7 @@ def flat_chain(corollary, h, f, plan):
         sides = _chain_sides(corollary, weight_eval(h, 1.5), weight_eval(h, 0.5), f,
                              *sorted_xyz_stream(plan, dom))
     links = []
-    for name, lhs, rhs in zip(_chain_links(corollary), sides[0::2], sides[1::2]):
+    for name, (lhs, rhs, _) in zip(_chain_links(corollary), sides):
         valid = np.isfinite(lhs) & np.isfinite(rhs)
         rel, bad = flat_compare(lhs, rhs, valid, tol=TOL,
                                 what=f"link {name!r} of {corollary} on {f.name}")
