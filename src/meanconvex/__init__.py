@@ -9,8 +9,7 @@ from .catalog import (AuditFinding, CatalogEntry, builtin_claims,
 from .errors import (DomainError, EvaluationError, HypothesisMismatchError,
                      InapplicableSpecError, MeanConvexError)
 from .intervals import Interval
-from .means import (ChainVerdict, MeanEvalContext, MeanKind, check_am_gm_hm,
-                    mean_classic, mean_eval)
+from .means import ChainVerdict, MeanKind, check_am_gm_hm, mean_classic, mean_eval
 from .popoviciu import (BASE_SENSE, EQUALITY_FAMILIES, ChainedReport,
                         LinkResult, PopoviciuReport, TheoremId, chained_check,
                         equality_max_residual, equality_residual, hlawka_check,

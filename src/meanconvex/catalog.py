@@ -18,7 +18,7 @@ import numpy as np
 
 from .convexity import (FUNCTIONS, PARAMETER_CLAIMS, ConvexitySpec, PointFunction,
                         verify_class, verify_extended_class)
-from .errors import MeanConvexError
+from .errors import MeanConvexError, lookup
 from .intervals import Interval
 from .means import MeanKind
 from .popoviciu import (EQUALITY_FAMILIES, BASE_SENSE, TheoremId, _claim, _hlawka_sides,
@@ -41,9 +41,7 @@ def make_function(name: str, p: Optional[float] = None,
     takes exponent p, affine slope a and intercept b, const the constant c; a
     parameter the row does not take raises KeyError, as an unknown name does.
     Unset ones keep the row's defaults; the name lists them all."""
-    if name not in FUNCTIONS:
-        raise KeyError(f"unknown function {name!r}; choose from {sorted(FUNCTIONS)}")
-    fn, domain, positive = FUNCTIONS[name]
+    fn, domain, positive = lookup(FUNCTIONS, name, "function")
     takes = getattr(fn, "__kwdefaults__", None) or {}
     given = {k: v for k, v in dict(p=p, a=a, b=b, c=c).items() if v is not None}
     if not given.keys() <= takes.keys():
@@ -161,13 +159,13 @@ def _theorem(fs, tid, fname, box, sense, reason, weight=None) -> CatalogEntry:
     key = tid.value + (f"-{weight}-weight" if weight else "") + "-" + fname.replace("_", "-")
     if not probe and sense != BASE_SENSE[tid]:
         key += "-flipped"
+    payload = {"tid": tid, "h": h, "f": fs[fname], "box": box}
     return CatalogEntry(
         ("probe/" if probe else "theorem/") + key,
         "direction-probe" if probe else "theorem",
         f"theorem {tid.value} for {fname}, weight {h.name}, sense {sense} ({reason})",
         "suspect" if probe else "refuted" if reason == _FALSE else "holds",
-        {"tid": tid, "h": h, "f": fs[fname],
-         "sense": BASE_SENSE[tid] if probe else sense, "box": box})
+        payload if probe else {**payload, "sense": sense})  # a probe measures both senses
 
 
 def builtin_claims() -> list[CatalogEntry]:
@@ -195,8 +193,7 @@ def builtin_claims() -> list[CatalogEntry]:
                  box, reason) for f, pair, sense, box, reason in _CLASSES],
         *[CatalogEntry(f"extended/{f.replace('_', '-')}-{tag.replace('_', '')}",
                        "extended-class", f"{f} is in class {tag} with s = 1/2 ({bound})",
-                       "holds", {"class_tag": tag, "arg_mean": MeanKind.ARITHMETIC,
-                                 "f": fs[f], "s": 0.5, "box": box})
+                       "holds", {"class_tag": tag, "f": fs[f], "box": box})
           for f, tag, box, bound in _EXTENDED],
         *[_theorem(fs, *row) for row in _THEOREMS],
         *[CatalogEntry(f"equality/{family}", "equality",
@@ -205,9 +202,11 @@ def builtin_claims() -> list[CatalogEntry]:
           for family in EQUALITY_FAMILIES],
         *[CatalogEntry(f"chain/{cor}-{f.replace('_', '-')}", "chain",
                        f"corollary {cor} for {f} ({reason})",
-                       "suspect" if cor == "HG-chain" else "holds",
-                       {"corollary": cor, "h": identity_weight(), "f": fs[f], "box": box})
-          for cor, f, box, reason in _CHAIN_CASES],
+                       "holds" if enforce else "suspect",
+                       {"corollary": cor, "h": identity_weight(), "f": fs[f], "box": box,
+                        "enforce_hypotheses": enforce})
+          for cor, f, box, reason in _CHAIN_CASES
+          for enforce in [cor != "HG-chain"]],  # HG-chain is only measured
         CatalogEntry("hlawka/random", "hlawka",
                      "|x|+|y|+|z|+|x+y+z| >= |x+z|+|z+y|+|x+y| on random triples",
                      "holds", {"box": _BOX_HLAWKA, "claim": ">="}),
@@ -243,7 +242,7 @@ def _positivity_violation(f: PointFunction, box, value_mean: str) -> Optional[st
     return f"{f.name}({xs[i]:.6g}) {'underflows to +0.0 in floats' if underflow else '<= 0'}"
 
 
-# Each _audit_* returns (outcome, detail, min_margin, samples, skipped).
+# _audit_*(plan, tol, **payload) -> (outcome, detail, min_margin, samples, skipped)
 
 def _sampled(w, min_margin, samples, skipped, equality=False):
     """The finding of a sampled claim: refuted at its first witness w, named
@@ -261,8 +260,7 @@ def _sampled(w, min_margin, samples, skipped, equality=False):
     return words[w is None], detail, margin, samples, skipped
 
 
-def _audit_class(entry, plan, tol):
-    spec, f, box = entry.payload["spec"], entry.payload["f"], entry.payload.get("box")
+def _audit_class(plan, tol, spec, f, box):
     bad = _positivity_violation(f, box, spec.val_mean.value)
     if bad is not None:
         return "domain-violation", f"{bad} but the value mean needs f > 0", None, 0, 0
@@ -271,36 +269,30 @@ def _audit_class(entry, plan, tol):
                     verdict.skipped)
 
 
-def _audit_extended(entry, plan, tol):
-    p = entry.payload
-    verdict = verify_extended_class(p["class_tag"], p["arg_mean"], p["f"],
-                                    plan, tol, s=p["s"], box=p.get("box"))
+def _audit_extended(plan, tol, class_tag, f, box):
+    verdict = verify_extended_class(class_tag, MeanKind.ARITHMETIC, f, plan, tol,
+                                    s=0.5, box=box)
     return _sampled(verdict.witness, verdict.min_margin, verdict.samples_tested,
                     verdict.skipped)
 
 
-def _audit_theorem(entry, plan, tol):
-    p = entry.payload
-    report = verify_theorem(p["tid"], p["h"], p["f"], p["sense"], plan, tol,
-                            box=p.get("box"))
+def _audit_theorem(plan, tol, tid, h, f, sense, box):
+    report = verify_theorem(tid, h, f, sense, plan, tol, box)
     return _sampled(next(iter(report.witnesses), None), report.min_margin,
                     report.triples_tested, report.skipped)
 
 
-def _audit_equality(entry, plan, tol):
-    resid, n = equality_max_residual(entry.payload["family"], plan)
+def _audit_equality(plan, tol, family):
+    resid, n = equality_max_residual(family, plan)
     # every sample of the triple stream counts, so the rest were skipped
     return ("equality" if resid <= tol else "not-equality",
             f"max relative residual {resid:.3e}", resid, n,
             plan.grid_axis ** 3 + plan.n_random - n)
 
 
-def _audit_chain(entry, plan, tol):
-    p = entry.payload
-    suspect = entry.expected == "suspect"
-    report = chained_check(p["corollary"], p["h"], p["f"], plan, tol,
-                           box=p.get("box"), enforce_hypotheses=not suspect)
-    if suspect:
+def _audit_chain(plan, tol, corollary, h, f, box, enforce_hypotheses):
+    report = chained_check(corollary, h, f, plan, tol, box, enforce_hypotheses)
+    if not enforce_hypotheses:
         outcome = "measured"
     else:
         outcome = "holds" if report.holds else "refuted"
@@ -311,20 +303,17 @@ def _audit_chain(entry, plan, tol):
             max(lk.skipped for lk in report.links))
 
 
-def _audit_hlawka(entry, plan, tol):
-    box, claim = entry.payload["box"], entry.payload["claim"]
+def _audit_hlawka(plan, tol, box, claim):
     blocks = plan.triple_blocks(box)
     cmp = _compare(blocks, blocks.map(_hlawka_sides), claim, "Hlawka's inequality", tol)
     return _sampled(_witness(cmp.violations[0]) if cmp.violations else None,
                     cmp.min_margin, cmp.samples, cmp.skipped, claim == "==")
 
 
-def _audit_probe(entry, plan, tol):
+def _audit_probe(plan, tol, tid, h, f, box):
     """Both senses of a theorem from one evaluation of its sides, each
     reduced to its min margin; no witness is read."""
-    p = entry.payload
-    tid, f = p["tid"], p["f"]
-    blocks, _, results = _theorem_chunks(tid, p["h"], f, plan, p.get("box"))
+    blocks, _, results = _theorem_chunks(tid, h, f, plan, box)
     cmps = {sense: _compare(blocks, results, _claim(tid, sense),
                             f"theorem {tid.value} on {f.name}")
             for sense in ("convex", "concave")}
@@ -351,7 +340,7 @@ def run_audit(plan: SamplePlan | None = None,
     findings = []
     for entry in builtin_claims():
         try:
-            outcome, *rest = _DISPATCH[entry.kind](entry, plan, tol)
+            outcome, *rest = _DISPATCH[entry.kind](plan, tol, **entry.payload)
         except MeanConvexError as exc:
             outcome, rest = "error", [f"{type(exc).__name__}: {exc}", None, 0, 0]
         findings.append(AuditFinding(entry.key, entry.kind, entry.expected, outcome,

@@ -105,6 +105,15 @@ def _witness_dict(w) -> dict:
     return {"x": w.x, "y": w.y, "z": w.z, "t": w.t, "lhs": w.lhs, "rhs": w.rhs}
 
 
+def _sides_text(theorem: str | None, lhs: float, rhs: float) -> str:
+    """lhs=..., rhs=... of a witness; a theorem with value mean G prints exp of the
+    log-domain sides its verdict compares, and a 0 or inf among them is named."""
+    text = f"lhs={lhs:.17g}, rhs={rhs:.17g}"
+    if theorem and theorem[1] == "G" and not (0.0 < lhs < math.inf and 0.0 < rhs < math.inf):
+        text += " (exp of the log-domain sides the verdict compares, which under- or overflow)"
+    return text
+
+
 def _write_report(args, target: str, f, h, sense: str, sizes: dict, report,
                   witnesses: list[dict], samples: int) -> None:
     """Write the --json report and --csv witness rows of a verify or search report."""
@@ -253,7 +262,7 @@ def _cmd_verify(args) -> int:
         t_part = "" if w["t"] is None else f", t={w['t']:.6g}"
         z_part = "" if w["z"] is None else f", z={w['z']:.6g}"
         print(f"  witness: x={w['x']:.6g}, y={w['y']:.6g}{z_part}{t_part}, "
-              f"lhs={w['lhs']:.17g}, rhs={w['rhs']:.17g}")
+              f"{_sides_text(args.theorem, w['lhs'], w['rhs'])}")
     print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)
     return 0 if verdict == "holds-on-samples" else 1
 
@@ -300,7 +309,7 @@ def _cmd_search(args) -> int:
                   report, [_witness_dict(w)], report.triples_tested)
     print(f"violation of theorem {tid.value} ({report.sense}) on {f.name}: "
           f"x={w.x:.17g}, y={w.y:.17g}, z={w.z:.17g}, "
-          f"lhs={w.lhs:.17g}, rhs={w.rhs:.17g} ({report.triples_tested} evaluations)")
+          f"{_sides_text(tid.value, w.lhs, w.rhs)} ({report.triples_tested} evaluations)")
     return 0
 
 

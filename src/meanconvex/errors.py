@@ -1,4 +1,4 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the lookup that names the choices."""
 
 
 class MeanConvexError(Exception):
@@ -19,3 +19,10 @@ class InapplicableSpecError(MeanConvexError):
 
 class HypothesisMismatchError(MeanConvexError):
     """A chained corollary's stated hypothesis fails on samples."""
+
+
+def lookup(table: dict, key: str, what: str):
+    """table[key]; an unknown key raises KeyError naming the choices."""
+    if key not in table:
+        raise KeyError(f"unknown {what} {key!r}; choose from {sorted(table)}")
+    return table[key]

@@ -72,17 +72,6 @@ def _refuse_nonpositive(kind: MeanKind, lo: float, what: str, where: str) -> Non
                           f"which need x > 0, but {where} x = {lo:g}")
 
 
-@dataclass(frozen=True)
-class MeanEvalContext:
-    kind: MeanKind
-    h: WeightFunction
-    t: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.t <= 1.0:
-            raise DomainError(f"t={self.t} outside [0, 1]")
-
-
 def _in_float_range(kind: MeanKind, a: float, b: float, formula, zero_ok=False) -> float:
     """formula() as a float. An inf, nan or 0 mean of positive floats shows that a
     product, a denominator or the mean itself left the float range: an error."""
@@ -96,18 +85,20 @@ def _in_float_range(kind: MeanKind, a: float, b: float, formula, zero_ok=False) 
     return float(value)
 
 
-def mean_eval(ctx: MeanEvalContext, a: float, b: float) -> float:
-    """Finite generalized mean of positive finite a, b, weights h(t), h(1-t)."""
+def mean_eval(kind: MeanKind, h: WeightFunction, t: float, a: float, b: float) -> float:
+    """Finite generalized mean of positive finite a, b, weights h(t), h(1-t), t in [0, 1]."""
+    if not 0.0 <= t <= 1.0:
+        raise DomainError(f"t={t} outside [0, 1]")
     if not (0 < a < math.inf and 0 < b < math.inf):  # NaN fails too
         raise DomainError("means are defined for positive finite arguments only")
-    ht = weight_eval(ctx.h, ctx.t)
-    h1t = weight_eval(ctx.h, 1.0 - ctx.t)
-    if ctx.kind is MeanKind.GEOMETRIC:
+    ht = weight_eval(h, t)
+    h1t = weight_eval(h, 1.0 - t)
+    if kind is MeanKind.GEOMETRIC:
         # log domain: products of many near-zero factors appear downstream, and
         # an underflow to 0 is the correctly rounded mean
-        return _in_float_range(ctx.kind, a, b, lambda: math.exp(
+        return _in_float_range(kind, a, b, lambda: math.exp(
             h1t * math.log(a) + ht * math.log(b)), zero_ok=True)
-    return _in_float_range(ctx.kind, a, b, lambda: WEIGHTED_MEANS[ctx.kind](h1t, ht, a, b))
+    return _in_float_range(kind, a, b, lambda: WEIGHTED_MEANS[kind](h1t, ht, a, b))
 
 
 def mean_classic(kind: MeanKind, a: float, b: float) -> float:
@@ -138,8 +129,7 @@ def check_am_gm_hm(h: WeightFunction, t: float, a: float, b: float,
     """
     if not 0.0 < t < 1.0:
         raise DomainError("chain check samples interior t only")
-    hm = mean_eval(MeanEvalContext(MeanKind.HARMONIC, h, t), a, b)
-    gm = mean_eval(MeanEvalContext(MeanKind.GEOMETRIC, h, t), a, b)
-    am = mean_eval(MeanEvalContext(MeanKind.ARITHMETIC, h, t), a, b)
+    hm, gm, am = (mean_eval(kind, h, t, a, b) for kind in
+                  (MeanKind.HARMONIC, MeanKind.GEOMETRIC, MeanKind.ARITHMETIC))
     rel = _margin(np.array([hm, gm]), np.array([gm, am]), np.True_)  # H <= G, G <= A
     return ChainVerdict(hm, gm, am, gm - hm, am - gm, bool(rel.min() >= -tol))

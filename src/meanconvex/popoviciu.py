@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .convexity import FUNCTIONS, PointFunction, Witness
-from .errors import DomainError, HypothesisMismatchError
+from .errors import DomainError, HypothesisMismatchError, lookup
 from .intervals import Interval
 from .means import (CENTRAL_MEANS, CLASSIC_MEANS, MeanKind, require_positive_arguments,
                     require_positive_point)
@@ -135,8 +135,9 @@ def popoviciu_sides(tid: TheoremId, h: WeightFunction, f: PointFunction,
                     x: float, y: float, z: float) -> tuple[float, float]:
     """Both printed sides at one triple; products are exp of log-domain sums."""
     lhs, rhs = _sides_at(tid, h, f, x, y, z)
-    if tid.value[1] == "G":
-        return float(np.exp(lhs)), float(np.exp(rhs))
+    if tid.value[1] == "G":  # an overflow reads inf, as an underflow reads 0
+        with np.errstate(over="ignore"):
+            return float(np.exp(lhs)), float(np.exp(rhs))
     return float(lhs), float(rhs)
 
 
@@ -207,8 +208,9 @@ def verify_theorem(tid: TheoremId, h: WeightFunction, f: PointFunction,
 def _witness(violation, product: bool = False) -> Witness:
     """The Witness of an (x, y, z) violation; product sides come back as exp."""
     i, (x, y, z), lhs, rhs = violation
-    if product:
-        lhs, rhs = float(np.exp(lhs)), float(np.exp(rhs))
+    if product:  # an overflow reads inf, as an underflow reads 0
+        with np.errstate(over="ignore"):
+            lhs, rhs = float(np.exp(lhs)), float(np.exp(rhs))
     return Witness(x, y, None, lhs, rhs, z=z, index=i)
 
 
@@ -228,10 +230,7 @@ def equality_residual(family: str, x: float, y: float, z: float) -> float:
     """|lhs - rhs| of the identity-weight corollary for one of the seven
     hand-verifiable equality families (log-domain residual for the product
     family)."""
-    if family not in EQUALITY_FAMILIES:
-        raise KeyError(f"unknown equality family {family!r}; "
-                       f"choose from {sorted(EQUALITY_FAMILIES)}")
-    tid, f = EQUALITY_FAMILIES[family]
+    tid, f = lookup(EQUALITY_FAMILIES, family, "equality family")
     lhs, rhs = _sides_at(tid, identity_weight(), f, x, y, z)
     return float(abs(lhs - rhs))
 
@@ -254,9 +253,7 @@ def equality_max_residual(family: str, plan: SamplePlan | None = None,
 
     Returns (max_residual, triples_tested).
     """
-    if family not in EQUALITY_FAMILIES:
-        raise KeyError(f"unknown equality family {family!r}")
-    tid, f = EQUALITY_FAMILIES[family]
+    tid, f = lookup(EQUALITY_FAMILIES, family, "equality family")
     blocks, _, results = _theorem_chunks(tid, identity_weight(), f, plan, box)
     cmp = _compare(blocks, results, "==", f"family {family}")
     return -cmp.min_margin, cmp.samples
@@ -515,11 +512,8 @@ def chained_check(corollary: str, h: WeightFunction, f: PointFunction,
     multiplicativity) classes of f and h contradict the corollary's stated
     hypotheses; pass enforce_hypotheses=False to run anyway (audit mode).
     """
-    if corollary not in _CHAINS:
-        raise KeyError(f"unknown chained corollary {corollary!r}; "
-                       f"choose from {sorted(_CHAINS)}")
+    f_hyp, parent = lookup(_CHAINS, corollary, "chained corollary")[:2]
     plan = plan or SamplePlan()
-    f_hyp, parent = _CHAINS[corollary][:2]
     dom = f.sampling_domain(box)
     require_positive_arguments(MeanKind(parent.value[0]), dom, corollary)
     classify = (classify_multiplicativity if f_hyp.endswith("multiplicative")

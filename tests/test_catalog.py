@@ -1,10 +1,12 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meanconvex import EQUALITY_FAMILIES, Interval, SamplePlan, catalog, cli, popoviciu
-from meanconvex.catalog import (AuditFinding, CatalogEntry, _positivity_violation,
+from meanconvex.catalog import (AuditFinding, _positivity_violation,
                                 builtin_claims, builtin_functions,
                                 make_function, run_audit)
 from meanconvex.convexity import FUNCTIONS, PointFunction, verify_extended_class
@@ -112,6 +114,12 @@ class TestMakeFunction:
     def test_unknown_name(self):
         with pytest.raises(KeyError):
             make_function("sinh")
+
+    def test_unknown_name_lists_the_choices(self):
+        with pytest.raises(KeyError) as refused:
+            make_function("sinh", p=2.0)
+        assert refused.value.args == (
+            f"unknown function 'sinh'; choose from {sorted(FUNCTIONS)}",)
 
     @pytest.mark.parametrize("name,params,message", [
         ("square", dict(p=3.0), "'square' takes parameters [], got ['p']"),
@@ -281,6 +289,22 @@ class TestBuiltinClaims:
                   if e.kind == "chain"}
         assert len(chains) == 13
 
+    def test_payload_is_its_runners_keywords(self):
+        # run_audit calls runner(plan, tol, **payload), so a missing or
+        # misspelled key is a TypeError, not a silent default
+        for e in builtin_claims():
+            params = inspect.signature(catalog._DISPATCH[e.kind]).parameters
+            assert list(params)[:2] == ["plan", "tol"]
+            assert sorted(e.payload) == sorted(list(params)[2:]), e.key
+            assert all(p.default is p.empty for p in params.values()), e.key
+
+    def test_only_hg_chain_is_measured(self):
+        chains = [e for e in builtin_claims() if e.kind == "chain"]
+        measured = {e.key for e in chains if not e.payload["enforce_hypotheses"]}
+        assert measured == {"chain/HG-chain-square"}
+        for e in chains:
+            assert e.expected == ("suspect" if e.key in measured else "holds")
+
 
 class TestRunAudit:
     @pytest.fixture(scope="class")
@@ -337,16 +361,28 @@ class TestRunAudit:
         skipped = {f.key: f.skipped for f in sampled}
         assert skipped["equality/exp-reciprocal-HG"] == 469
 
+    @pytest.mark.parametrize("kind", ["class", "extended-class", "theorem", "chain",
+                                      "hlawka", "direction-probe"])
+    @pytest.mark.parametrize("rename,error", [
+        ({"box": "bx"}, "unexpected keyword argument 'bx'"),
+        ({"box": None}, "missing 1 required positional argument: 'box'")],
+        ids=["misspelled", "missing"])
+    def test_box_key_fails_loudly(self, kind, rename, error):
+        # a row whose box key is misspelled or missing must not run on f's
+        # default domain
+        entry = next(e for e in builtin_claims() if e.kind == kind)
+        payload = {rename.get(k, k): v for k, v in entry.payload.items()}
+        payload.pop(None, None)
+        with pytest.raises(TypeError, match=error):
+            catalog._DISPATCH[kind](PLAN, 1e-9, **payload)
+
     def test_refuted_extended_row_names_its_witness(self):
         # neg_square is not s-convex; like a class row, the extended row
         # reports where, not only its min margin
         f = builtin_functions()["neg_square"]
-        entry = CatalogEntry("extended/neg-square-Ks2", "extended-class", "",
-                             "holds", {"class_tag": "K_s2",
-                                       "arg_mean": MeanKind.ARITHMETIC, "f": f,
-                                       "s": 0.5, "box": catalog._BOX_01_10})
         outcome, detail, margin, samples, skipped = catalog._DISPATCH[
-            "extended-class"](entry, catalog._AUDIT_PLAN, 1e-9)
+            "extended-class"](catalog._AUDIT_PLAN, 1e-9, class_tag="K_s2", f=f,
+                              box=catalog._BOX_01_10)
         verdict = verify_extended_class("K_s2", MeanKind.ARITHMETIC, f,
                                         catalog._AUDIT_PLAN, 1e-9, s=0.5,
                                         box=catalog._BOX_01_10)
@@ -393,7 +429,7 @@ class TestDirectionProbes:
         monkeypatch.setattr(popoviciu, "_sides_arrays",
                             lambda *args: calls.append(args[0]) or sides(*args))
         monkeypatch.setattr(SampleBlocks, "point", _no_point)
-        assert catalog._audit_probe(entry, plan, 1e-9) == want
+        assert catalog._audit_probe(plan, 1e-9, **p) == want
         assert calls == [p["tid"]] * chunks
         assert chunks == (1 if plan is catalog._AUDIT_PLAN else 2)
 

@@ -126,6 +126,38 @@ class TestVerifyCommand:
         assert "refuted" in out
         assert "witness" in out
 
+    @pytest.mark.parametrize("lo,hi,side", [("0.1", "1.5", "0"), ("10", "15", "inf")])
+    def test_product_sides_out_of_float_range_named(self, capsys, tmp_path, lo, hi, side):
+        # theorem AG compares log-domain sides (about -1,300 at x = 0.1 for
+        # v^200) and prints their exp, which leaves the float range; each
+        # witness line says so, and the JSON report keeps the printed values
+        path = tmp_path / "v.json"
+        code, out, _ = run(capsys, "verify", "--theorem", "AG", "--fn", "power",
+                           "--p", "200", "--lo", lo, "--hi", hi, "--json", str(path))
+        witnesses = out.splitlines()[1:]
+        assert code == 1 and len(witnesses) == 8
+        for line in witnesses:
+            assert line.endswith(f", lhs={side}, rhs={side} (exp of the log-domain sides "
+                                 "the verdict compares, which under- or overflow)")
+        if side == "0":
+            assert witnesses[0].startswith("  witness: x=0.1, y=0.1, z=0.14375, ")
+        text = path.read_text()
+        assert text.count('"lhs": 0,' if side == "0" else '"lhs": null,') == 8
+
+    @pytest.mark.parametrize("theorem,lhs,rhs,noted", [
+        ("AG", math.inf, 0.0, True), ("HG", 2.5, 0.0, True), ("GG", 1e-300, math.inf, True),
+        ("AG", 2.5, 1.5, False), ("AA", 0.0, math.inf, False), (None, 0.0, 0.0, False)])
+    def test_sides_text(self, theorem, lhs, rhs, noted):
+        # only a product theorem (value mean G) prints exp of its compared sides
+        note = " (exp of the log-domain sides the verdict compares, which under- or overflow)"
+        assert cli._sides_text(theorem, lhs, rhs) == \
+            f"lhs={lhs:.17g}, rhs={rhs:.17g}{note if noted else ''}"
+
+    def test_other_witness_lines_carry_no_note(self, capsys):
+        code, out, _ = run(capsys, "verify", "--theorem", "AA", "--fn", "square",
+                           "--sense", "concave", "--lo", "0.1", "--hi", "10", *FAST)
+        assert code == 1 and "witness" in out and "log-domain" not in out
+
     def test_class_target(self, capsys):
         code, out, _ = run(capsys, "verify", "--arg", "A", "--val", "G",
                            "--fn", "cosh", "--lo", "0.1", "--hi", "5", *FAST)
@@ -202,6 +234,19 @@ class TestSearchCommand:
         w = doc["witnesses"][0]
         assert w["lhs"] < w["rhs"]
 
+    @pytest.mark.parametrize("lo,hi,line", [
+        ("0.1", "1.5", "x=0.10000000000000001, y=0.10003025005756942, "
+                       "z=0.10000000000000001, lhs=0, rhs=0 (exp of the log-domain sides "
+                       "the verdict compares, which under- or overflow) (8436 evaluations)"),
+        ("10", "15", "x=10, y=10.002911283736003, z=10, lhs=inf, rhs=inf (exp of the "
+                     "log-domain sides the verdict compares, which under- or overflow) "
+                     "(8420 evaluations)")])
+    def test_product_sides_out_of_float_range_named(self, capsys, lo, hi, line):
+        code, out, _ = run(capsys, "search", "--theorem", "AG", "--fn", "power",
+                           "--p", "200", "--lo", lo, "--hi", hi, "--seed", "1")
+        assert (code, out) == (
+            0, f"violation of theorem AG (convex) on power[200]: {line}\n")
+
     def test_no_violation_exits_one(self, capsys):
         code, out, _ = run(capsys, "search", "--theorem", "AA",
                            "--fn", "square", "--lo", "0.1", "--hi", "10",
@@ -262,6 +307,16 @@ class TestClassifyCommand:
                            "--hi", "3", "--grid", "7", "--random", "200")
         assert code == 0
         assert out.startswith("square on [0, 3]: superadditive")
+
+    @pytest.mark.parametrize("argv,line", [
+        (["--fn", "exp", "--lo", "1", "--hi", "4"],
+         "exp on [1, 4]: submultiplicative (3173 samples; witness s=1, t=1)"),
+        (["--fn", "power", "--p", "2", "--lo", "0.5", "--hi", "4"],
+         "power[2] on [0.5, 4]: multiplicative (5174 samples)")], ids=["exp", "power"])
+    def test_multiplicative_mode(self, capsys, monkeypatch, argv, line):
+        monkeypatch.delenv("MEANCONVEX_SEED", raising=False)
+        code, out, _ = run(capsys, "classify", "--mode", "multiplicative", *argv)
+        assert (code, out) == (0, line + "\n")
 
     def test_analytic_power_table(self, capsys):
         code, out, _ = run(capsys, "classify", "--power-exponent", "2")

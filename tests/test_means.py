@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meanconvex import (DomainError, MeanEvalContext, MeanKind, check_am_gm_hm,
+from meanconvex import (DomainError, MeanKind, check_am_gm_hm,
                         EvaluationError, identity_weight, mean_classic, mean_eval,
                         power_weight, reciprocal_weight)
 
@@ -41,36 +41,36 @@ class TestClassicMeans:
 class TestWeightedMeans:
     def test_midpoint_matches_classic(self):
         for kind in MeanKind:
-            ctx = MeanEvalContext(kind, ID, 0.5)
-            assert mean_eval(ctx, 1.0, 4.0) == pytest.approx(
+            assert mean_eval(kind, ID, 0.5, 1.0, 4.0) == pytest.approx(
                 mean_classic(kind, 1.0, 4.0))
 
     def test_arithmetic_weight_placement(self):
         # h(1-t) multiplies the first argument, h(t) the second
-        assert mean_eval(MeanEvalContext(A, ID, 0.25), 1.0, 4.0) == 1.75
+        assert mean_eval(A, ID, 0.25, 1.0, 4.0) == 1.75
 
     def test_geometric_weight_placement(self):
-        got = mean_eval(MeanEvalContext(G, ID, 0.25), 1.0, 4.0)
+        got = mean_eval(G, ID, 0.25, 1.0, 4.0)
         assert got == pytest.approx(4.0**0.25)
 
     def test_harmonic_weight_placement(self):
         # ab / (h(t) a + h(1-t) b)
-        got = mean_eval(MeanEvalContext(H, ID, 0.25), 1.0, 4.0)
+        got = mean_eval(H, ID, 0.25, 1.0, 4.0)
         assert got == pytest.approx(4.0 / (0.25 * 1.0 + 0.75 * 4.0))
 
     def test_t_range_enforced(self):
-        with pytest.raises(DomainError):
-            MeanEvalContext(A, ID, 1.5)
+        # the t check comes first, before the arguments are read
+        with pytest.raises(DomainError, match=r"^t=1.5 outside \[0, 1\]$"):
+            mean_eval(A, ID, 1.5, 0.0, 1.0)
 
     def test_positive_arguments_only(self):
         with pytest.raises(DomainError):
-            mean_eval(MeanEvalContext(A, ID, 0.5), 0.0, 1.0)
+            mean_eval(A, ID, 0.5, 0.0, 1.0)
 
     @pytest.mark.parametrize("a", [math.nan, math.inf])
     def test_finite_arguments_only(self, a):
         for kind in MeanKind:
             with pytest.raises(DomainError):
-                mean_eval(MeanEvalContext(kind, ID, 0.5), a, 4.0)
+                mean_eval(kind, ID, 0.5, a, 4.0)
             with pytest.raises(DomainError):
                 mean_classic(kind, 4.0, a)
 
@@ -78,7 +78,7 @@ class TestWeightedMeans:
     def test_overflow_is_an_evaluation_error(self, kind, x, y):
         # h(t) = 1/t is 1e6 at t = 1e-6, so the weighted mean leaves the floats
         with pytest.raises(EvaluationError, match="overflows"):
-            mean_eval(MeanEvalContext(kind, power_weight(-1.0), 1e-6), x, y)
+            mean_eval(kind, power_weight(-1.0), 1e-6, x, y)
 
     @pytest.mark.parametrize("h,t,x,y", [
         # h(t) * x overflows in the denominator; the true H is about 1e-306
@@ -92,20 +92,20 @@ class TestWeightedMeans:
     ])
     def test_harmonic_out_of_float_range(self, h, t, x, y):
         with pytest.raises(EvaluationError, match="H-mean of .* underflows in floats"):
-            mean_eval(MeanEvalContext(H, h, t), x, y)
+            mean_eval(H, h, t, x, y)
 
     def test_geometric_underflow_is_kept(self):
         # 10^(-3e8) rounds to 0 correctly; the log-domain G does not raise
-        got = mean_eval(MeanEvalContext(G, power_weight(-1.0), 1e-6), 1e303, 1e-300)
+        got = mean_eval(G, power_weight(-1.0), 1e-6, 1e303, 1e-300)
         assert got == 0.0
 
     def test_endpoint_needs_defined_weight(self):
         # 1/t has a pole at t = 0, so the endpoint evaluation must refuse
         with pytest.raises(DomainError):
-            mean_eval(MeanEvalContext(A, reciprocal_weight(), 0.0), 1.0, 2.0)
+            mean_eval(A, reciprocal_weight(), 0.0, 1.0, 2.0)
 
     def test_endpoint_fine_for_identity(self):
-        assert mean_eval(MeanEvalContext(A, ID, 0.0), 3.0, 7.0) == 3.0
+        assert mean_eval(A, ID, 0.0, 3.0, 7.0) == 3.0
 
 
 class TestMeanChain:
@@ -147,12 +147,12 @@ def test_identity_chain_property(t, a, b):
 def test_equal_arguments_fixed_point(t, a):
     """Each identity-weight mean of (a, a) returns a to rounding."""
     for kind in MeanKind:
-        got = mean_eval(MeanEvalContext(kind, ID, t), a, a)
+        got = mean_eval(kind, ID, t, a, a)
         assert got == pytest.approx(a, rel=1e-12)
 
 
 def test_harmonic_is_reciprocal_of_arithmetic():
     a, b, t = 2.0, 5.0, 0.3
-    hm = mean_eval(MeanEvalContext(H, ID, t), a, b)
-    am_recip = mean_eval(MeanEvalContext(A, ID, t), 1.0 / a, 1.0 / b)
+    hm = mean_eval(H, ID, t, a, b)
+    am_recip = mean_eval(A, ID, t, 1.0 / a, 1.0 / b)
     assert hm == pytest.approx(1.0 / am_recip, rel=1e-14)

@@ -487,7 +487,7 @@ def test_first_grid_witness_is_sorted(monkeypatch):
     seen = []
     monkeypatch.setattr(catalog, "_witness", lambda v: seen.append(v) or popoviciu._witness(v))
     for entry in hlawka:  # at tol 0 both rows are refuted on float rounding
-        assert catalog._audit_hlawka(entry, plan, 0.0)[0] in ("refuted", "not-equality")
+        assert catalog._audit_hlawka(plan, 0.0, **entry.payload)[0] in ("refuted", "not-equality")
     n_grid = plan.grid_axis ** 3
     assert len(seen) == len(hlawka) and all(v[0] < n_grid for v in seen)
     witnesses += [popoviciu._witness(v) for v in seen]
@@ -530,8 +530,22 @@ class TestRefusals:
             popoviciu_sides(TheoremId.AG, ID, FS["neg_square"], 1.0, 2.0, 3.0)
 
     def test_unknown_equality_family(self):
-        with pytest.raises(KeyError, match=r"^\"unknown equality family 'parabola-AA'\"$"):
+        with pytest.raises(KeyError) as refused:
             equality_max_residual("parabola-AA", SMALL)
+        assert refused.value.args == ("unknown equality family 'parabola-AA'; "
+                                      f"choose from {sorted(EQUALITY_FAMILIES)}",)
+
+    @pytest.mark.parametrize("call,what,choices", [
+        (lambda: equality_residual("parabola-AA", 1.0, 2.0, 3.0),
+         "equality family 'parabola-AA'", sorted(EQUALITY_FAMILIES)),
+        (lambda: chained_check("cor99.1", ID, FS["square"], SMALL, box=BOX),
+         "chained corollary 'cor99.1'", sorted(popoviciu._CHAINS)),
+    ], ids=["equality_residual", "chained_check"])
+    def test_unknown_name_lists_the_choices(self, call, what, choices):
+        # one lookup refuses every unknown table key, naming the choices
+        with pytest.raises(KeyError) as refused:
+            call()
+        assert refused.value.args == (f"unknown {what}; choose from {choices}",)
 
     def test_chain_h_hypothesis_mismatch(self):
         # square is superadditive, as cor4.2 needs, but sqrt t is subadditive
