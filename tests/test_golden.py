@@ -3,7 +3,9 @@
 Each case runs ``meanconvex.cli.main`` at a fixed ``--seed`` and compares the
 bytes of its JSON report with the file of the same name under
 ``tests/golden/``. Chain witnesses appear in no CLI report, so the reprs of
-``chained_check`` for all 13 corollaries are frozen in ``chains.txt``.
+``chained_check`` for all 13 corollaries are frozen in ``chains.txt``, and
+``classify`` writes no report, so the exit code, stdout and stderr of its
+command lines are frozen in ``classify.txt``.
 
 The files were made with numpy 2.4.6 and Python 3.11 on x86-64 Linux. Another
 numpy build may move the last digits of a transcendental function, and that
@@ -14,6 +16,8 @@ own whose CHANGES.md entry names the fields that moved. A refactor never does.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import os
 import sys
 
@@ -22,6 +26,7 @@ import pytest
 from meanconvex import Interval, SamplePlan, chained_check, identity_weight
 from meanconvex.catalog import builtin_claims, builtin_functions
 from meanconvex.cli import main
+from meanconvex.convexity import FUNCTIONS
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 SEED = "42"
@@ -109,6 +114,29 @@ def chain_lines() -> list[str]:
     return lines
 
 
+# classify runs every built-in function in both modes on these boxes and plans
+CLASSIFY_BOXES = [[], ["--lo", "0.1", "--hi", "10"], ["--lo", "1", "--hi", "4"],
+                  ["--lo=-3", "--hi", "3"]]
+CLASSIFY_PLANS = [[], ["--grid", "7", "--random", "200"]]
+
+
+def classify_lines() -> list[str]:
+    """One line per classify command line: its argv, exit code, stdout and stderr."""
+    lines = []
+    for name in sorted(FUNCTIONS):
+        for mode in ("additive", "multiplicative"):
+            for box in CLASSIFY_BOXES:
+                for sizes in CLASSIFY_PLANS:
+                    argv = ["classify", "--fn", name, "--mode", mode, *box, *sizes,
+                            "--seed", SEED]
+                    out, err = io.StringIO(), io.StringIO()
+                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                        code = main(argv)
+                    lines.append(f"{' '.join(argv)} -> {code} {out.getvalue()!r} "
+                                 f"{err.getvalue()!r}")
+    return lines
+
+
 def _report_bytes(argv: list[str], path: str) -> bytes:
     main([*argv, "--json", path])
     with open(path, "rb") as fh:
@@ -131,6 +159,10 @@ def test_chain_reprs_match_golden():
     assert chain_lines() == _golden("chains.txt", "r").splitlines()
 
 
+def test_classify_lines_match_golden():
+    assert classify_lines() == _golden("classify.txt", "r").splitlines()
+
+
 if __name__ == "__main__":
     os.makedirs(GOLDEN, exist_ok=True)
     with open(os.devnull, "w") as sink:
@@ -142,3 +174,5 @@ if __name__ == "__main__":
             sys.stdout = stdout
     with open(os.path.join(GOLDEN, "chains.txt"), "w") as fh:
         fh.write("\n".join(chain_lines()) + "\n")
+    with open(os.path.join(GOLDEN, "classify.txt"), "w") as fh:
+        fh.write("\n".join(classify_lines()) + "\n")
