@@ -257,11 +257,11 @@ def _compare(blocks: SampleBlocks, results, claim: str, what: str,
     results are (offset, shape, (lhs, rhs, valid[, applicable])) per chunk,
     grid first, as blocks.map gives them; a sample outside the optional
     applicable mask is not counted at all. Each chunk's margins are reduced
-    on the chunk's shape; with tol, up to `limit` samples violating the claim
-    by more than tol are kept, in sample order, with their coordinates in
-    blocks and their lhs and rhs (for "==", `limit` with lhs above rhs and
-    `limit` below). Raises DomainError, naming the claim `what`, when fewer
-    than MIN_USABLE_FRACTION of the counted samples are usable or the stream is empty.
+    on the chunk's shape; with tol, the first `limit` samples whose margin is
+    below -tol are kept, in sample order, with their coordinates in blocks
+    and their lhs and rhs. Raises DomainError, naming the claim `what`, when
+    fewer than MIN_USABLE_FRACTION of the counted samples are usable or the
+    stream is empty.
 
     On a symmetric stream's rows a sorted triple counts as every grid sample
     of its orbit, and the tail's row j is sample n^3 + j. Violators are
@@ -271,7 +271,7 @@ def _compare(blocks: SampleBlocks, results, claim: str, what: str,
     """
     usable = total = 0
     lowest = np.inf
-    found = ([], []) if claim == "==" else ([],)  # violating rows by side, as (orbit, lhs, rhs)
+    found = []  # the first violating rows, as (orbit, lhs, rhs)
     for offset, shape, (lhs, rhs, valid, *applicable) in results:
         rel = _broadcast(_margin(lhs, rhs, valid, claim), shape)
         if blocks.symmetric:  # offset counts rows: the sorted triples, then the tail
@@ -287,19 +287,16 @@ def _compare(blocks: SampleBlocks, results, claim: str, what: str,
         usable += int(count(_broadcast(valid, shape)))
         block_min = float(rel.min())
         lowest = min(lowest, block_min)
-        if tol is None or block_min >= -tol or all(len(kept) >= limit for kept in found):
+        room = limit - len(found)
+        if tol is None or block_min >= -tol or room <= 0:
             continue
-        bad = rel < -tol
+        bad = rel < -tol  # argmax finds one violation without listing them all
+        index = np.flatnonzero(bad)[:room] if room > 1 else [bad.argmax()]
         lhs, rhs = _broadcast(lhs, shape), _broadcast(rhs, shape)
-        masks = (bad & (lhs > rhs), bad & (lhs < rhs)) if claim == "==" else (bad,)
-        for kept, mask in zip(found, masks):
-            room = limit - len(kept)
-            if room > 0:  # argmax finds one violation without listing them all
-                index = np.flatnonzero(mask)[:room] if room > 1 else [mask.argmax()]
-                kept += [(orbit(i), float(lhs.flat[i]), float(rhs.flat[i]))
-                         for i in index if mask.flat[i]]
+        found += [(orbit(i), float(lhs.flat[i]), float(rhs.flat[i]))
+                  for i in index if bad.flat[i]]
     if not results or usable < MIN_USABLE_FRACTION * total:
         raise DomainError(f"only {usable}/{total} samples usable for {what}")
-    found = [sorted((j, *sides) for js, *sides in kept for j in js)[:limit] for kept in found]
-    return Comparison(usable, total - usable, lowest, [
-        (i, blocks.point(i), lhs, rhs) for i, lhs, rhs in sorted(sum(found, []))])
+    found = sorted((j, *sides) for js, *sides in found for j in js)[:limit]
+    return Comparison(usable, total - usable, lowest,
+                      [(i, blocks.point(i), lhs, rhs) for i, lhs, rhs in found])

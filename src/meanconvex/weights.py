@@ -111,7 +111,9 @@ def _classify(g, domain: Interval, plan: SamplePlan, tol: float, op,
     """Compare g(op(s, t)) against op(g(s), g(t)) over the plan's (s, t)
     blocks: g(s) and g(t) on the grid axes, g(op(s, t)) on the open mesh.
     Only pairs with op(s, t) in the sampling bounds count, and at least half
-    of them must be usable."""
+    of them must be usable. The sides are evaluated once and reduced twice:
+    as the claim g(op(s, t)) <= op(g(s), g(t)), whose first violator is
+    witness_gt, and as its reverse, whose first violator is witness_lt."""
     lo, hi = domain.sampling_bounds()
 
     def sides(s, t):
@@ -124,16 +126,15 @@ def _classify(g, domain: Interval, plan: SamplePlan, tol: float, op,
 
     blocks = plan.pair_blocks(domain)
     with np.errstate(all="ignore"):
-        cmp = _compare(blocks, blocks.map(sides), "==",
-                       f"pair {noun}s on [{lo:g}, {hi:g}]", tol)
-    if not cmp.samples + cmp.skipped:
+        results = blocks.map(sides)
+    what = f"pair {noun}s on [{lo:g}, {hi:g}]"
+    above, below = (_compare(blocks, results, claim, what, tol) for claim in ("<=", ">="))
+    if not above.samples + above.skipped:
         raise DomainError(f"no sampled pair has {noun} in domain")
-    # "==" keeps the first violation on each side
-    gt = next((point for _, point, whole, parts in cmp.violations if whole > parts), None)
-    lt = next((point for _, point, whole, parts in cmp.violations if whole < parts), None)
+    gt, lt = (cmp.violations[0][1] if cmp.violations else None for cmp in (above, below))
     tag = ("mixed" if gt and lt else "superadditive" if gt else
            "subadditive" if lt else "additive")
-    return AdditivityClass(tag, gt, lt, samples_tested=cmp.samples)
+    return AdditivityClass(tag, gt, lt, samples_tested=above.samples)
 
 
 def classify_additivity(g, domain: Interval, plan: SamplePlan | None = None,

@@ -28,6 +28,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from meanconvex import (BASE_SENSE, ConvexitySpec, DomainError, EQUALITY_FAMILIES,
                         Interval, MeanKind, PointFunction, SamplePlan, TheoremId,
@@ -700,6 +702,69 @@ class TestClassifyEqualsFlat:
             assert _outcome(lambda: block_classify(classify, h, UNIT, plan)) == want
 
 
+def two_sided_classify(g, dom, plan, op, noun):
+    """The one-pass reduction classifications used before each direction was
+    a one-sided claim, kept as a reference: the (s, t) chunks reduced once
+    under "==", keeping the first violating pair with g(op(s, t)) above
+    op(g(s), g(t)) (witness_gt) and the first with it below (witness_lt)."""
+    lo, hi = dom.sampling_bounds()
+
+    def sides(s, t):
+        at = op(s, t)
+        applicable = (at >= lo) & (at <= hi)
+        whole = np.asarray(g(at), dtype=float)
+        parts = op(np.asarray(g(s), dtype=float), np.asarray(g(t), dtype=float))
+        return whole, parts, applicable & np.isfinite(whole) & np.isfinite(parts), applicable
+
+    blocks = plan.pair_blocks(dom)
+    usable = total = 0
+    first = {True: None, False: None}  # by whether the whole is above the parts
+    with np.errstate(all="ignore"):
+        for offset, shape, (whole, parts, valid, applicable) in blocks.map(sides):
+            bad = np.broadcast_to(_margin(whole, parts, valid, "=="), shape) < -TOL
+            whole, parts = np.broadcast_to(whole, shape), np.broadcast_to(parts, shape)
+            total += int(np.count_nonzero(np.broadcast_to(applicable, shape)))
+            usable += int(np.count_nonzero(np.broadcast_to(valid, shape)))
+            for above, mask in ((True, bad & (whole > parts)), (False, bad & (whole < parts))):
+                if first[above] is None and mask.any():
+                    first[above] = offset + int(mask.argmax())
+    if usable < MIN_USABLE_FRACTION * total:
+        raise DomainError(f"only {usable}/{total} samples usable for pair {noun}s on "
+                          f"[{lo:g}, {hi:g}]")
+    if not total:
+        raise DomainError(f"no sampled pair has {noun} in domain")
+    gt, lt = (None if i is None else blocks.point(i) for i in (first[True], first[False]))
+    tag = ("mixed" if gt and lt else "superadditive" if gt else
+           "subadditive" if lt else "additive")
+    return tag, gt, lt, usable
+
+
+# grid sizes whose pair grids (n^2 samples in slices of n; 64^2 is _CHUNK) and
+# tail sizes fall on either side of a chunk edge
+_EDGE_GRIDS = [0, 1, 7, 63, 64, 65, 91]
+_EDGE_TAILS = [0, 1, sampling._CHUNK - 1, sampling._CHUNK, sampling._CHUNK + 1]
+_CLASSIFY_BOXES = [None, (0.1, 10.0), (1.0, 4.0), (-3.0, 3.0), (0.5, 2.0), (1e-3, 0.9)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(sorted(FS)), mode=st.sampled_from(sorted(CLASSIFY)),
+       box=st.sampled_from(_CLASSIFY_BOXES), grid=st.sampled_from(_EDGE_GRIDS),
+       tail=st.one_of(st.sampled_from(_EDGE_TAILS), st.integers(0, 3 * sampling._CHUNK)),
+       seed=st.integers(0, 2**16))
+def test_classify_equals_the_two_sided_reduction(name, mode, box, grid, tail, seed):
+    """Tag, both witnesses and samples_tested of a classification, read as two
+    one-sided claims, equal the one-pass two-sided reduction's bit for bit."""
+    assume(grid + tail > 0)
+    f, (classify, op, noun) = FS[name], CLASSIFY[mode]
+    try:
+        dom = f.sampling_domain(box and Interval(*box, closed_lo=True, closed_hi=True))
+    except ValueError:  # the box misses f's domain
+        dom = f.sampling_domain()
+    plan = SamplePlan(grid_axis=grid, n_random=tail, seed=seed)
+    assert _outcome(lambda: block_classify(classify, f.fn, dom, plan)) == \
+        _outcome(lambda: two_sided_classify(f.fn, dom, plan, op, noun))
+
+
 class TestClassifyUsableHalf:
     """Only applicable pairs, with s∘t inside the box, count toward the
     usable-half rule; a pair whose s∘t leaves the box is not skipped."""
@@ -847,12 +912,13 @@ class TestCompareDecodes:
         assert any(i >= n_grid for i in kept) == (plan.n_random > 0)
 
     @pytest.mark.parametrize("stream", list(STREAMS))
-    def test_equality_keeps_the_first_of_each_side(self, plan, stream):
-        cmp, flat, rel = self._run(plan, stream, "==", limit=1)
-        above = np.flatnonzero(rel < -TOL)[0]  # lhs above rhs
-        below = np.flatnonzero(rel > TOL)[0]
-        assert [i for i, *_ in cmp.violations] == sorted([above, below])
-        assert {lhs > rhs for _, _, lhs, rhs in cmp.violations} == {True, False}
+    @pytest.mark.parametrize("limit", [1, 2, 5])
+    def test_equality_keeps_the_first_violators_of_either_side(self, plan, stream, limit):
+        cmp, flat, rel = self._run(plan, stream, "==", limit)
+        first = np.flatnonzero(np.abs(rel) > TOL)[:limit]
+        # each with its side: lhs above rhs where the margin of lhs <= rhs is negative
+        assert [(i, lhs > rhs) for i, _, lhs, rhs in cmp.violations] == \
+            [(i, bool(rel[i] < 0)) for i in first.tolist()]
 
 
 def _row_sample(n, r):
@@ -936,8 +1002,8 @@ class TestChunkEdges:
     def test_kept_witnesses_are_the_first_over_all_chunks(self, claim, limit):
         """A later chunk's violator with a smaller sample index displaces the
         large orbit members of an earlier chunk: the kept witnesses are the
-        first `limit` of the flat reference on each side, whichever chunk their
-        rows are in."""
+        first `limit` violators of the flat reference, whichever chunk their
+        rows are in; under "==" they are the first of either side."""
         plan, _, reference, _ = self.CASES["xyz"]
         blocks, flat = plan.triple_blocks(self.DOM), reference(plan, self.DOM)
         assert [offset for offset, _, _ in blocks.map(lambda *c: c)][:2] == [0, sampling._CHUNK]
@@ -957,10 +1023,11 @@ class TestChunkEdges:
 
         cmp = _compare(blocks, blocks.map(kernel), claim, "chunks", TOL, limit=limit)
         sign = kernel(*flat)[0]
-        sides = [sign > 0, sign < 0] if claim == "==" else [sign > 0]
-        want = sorted(i for side in sides for i in np.flatnonzero(side)[:limit].tolist())
-        assert len(want) == min(limit, 6 + 3 + 1 + 1) + (claim == "==") * min(limit, 6 + 6 + 3 + 1)
-        assert 17_420 in want or limit < 4
+        bad = sign != 0 if claim == "==" else sign > 0
+        want = np.flatnonzero(bad)[:limit].tolist()
+        # 11 samples above, 16 below; (20, 20, 20) is the 4th above and the 15th of both
+        assert len(want) == min(limit, 11 + (claim == "==") * 16)
+        assert (17_420 in want) == (limit >= (15 if claim == "==" else 4))
         assert cmp.violations == [(i, tuple(float(c[i]) for c in flat), sign[i], 0.0)
                                   for i in want]
 
