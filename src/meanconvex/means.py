@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError, EvaluationError
 from .intervals import Interval
-from .sampling import _margin
+from .sampling import _margin, require_tol
 from .weights import DEFAULT_TOL, WeightFunction, weight_eval
 
 
@@ -129,6 +129,7 @@ def check_am_gm_hm(h: WeightFunction, t: float, a: float, b: float,
     """
     if not 0.0 < t < 1.0:
         raise DomainError("chain check samples interior t only")
+    require_tol(tol)
     hm, gm, am = (mean_eval(kind, h, t, a, b) for kind in
                   (MeanKind.HARMONIC, MeanKind.GEOMETRIC, MeanKind.ARITHMETIC))
     rel = _margin(np.array([hm, gm]), np.array([gm, am]), np.True_)  # H <= G, G <= A

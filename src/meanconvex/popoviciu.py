@@ -29,7 +29,7 @@ from .errors import DomainError, HypothesisMismatchError, lookup
 from .intervals import Interval
 from .means import (CENTRAL_MEANS, CLASSIC_MEANS, MeanKind, require_positive_arguments,
                     require_positive_point)
-from .sampling import SamplePlan, _compare, _margin
+from .sampling import SamplePlan, _compare, _margin, require_tol
 from .weights import (DEFAULT_TOL, WeightFunction, classify_additivity,
                       classify_multiplicativity, identity_weight, weight_eval)
 
@@ -319,6 +319,7 @@ def search_theorem(tid: TheoremId, h: WeightFunction, f: PointFunction,
     min_margin is the witness's, else the least scanned."""
     if budget < 1:
         raise ValueError(f"search budget must be at least 1, got {budget}")
+    require_tol(tol)
     sense, dom = sense or BASE_SENSE[tid], f.sampling_domain(box)
     require_positive_arguments(MeanKind(tid.value[0]), dom, f"theorem {tid.value}")
     lo, hi = dom.sampling_bounds()

@@ -215,6 +215,13 @@ def _orbit(n: int, s: int) -> list[int]:
                    for a, b, c in permutations(_simplex(n)[0][:, s].tolist())})
 
 
+def require_tol(tol: float) -> None:
+    """Refuse a tolerance that is not a finite number >= 0: a negative one
+    counts samples that hold as violations, and NaN hides every violation."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
+
+
 def _margin(lhs, rhs, valid, claim: str = "<="):
     """Relative margin of the claim lhs <= rhs, lhs >= rhs or lhs == rhs.
 
@@ -261,7 +268,7 @@ def _compare(blocks: SampleBlocks, results, claim: str, what: str,
     below -tol are kept, in sample order, with their coordinates in blocks
     and their lhs and rhs. Raises DomainError, naming the claim `what`, when
     fewer than MIN_USABLE_FRACTION of the counted samples are usable or the
-    stream is empty.
+    stream is empty, and ValueError for a tol that require_tol refuses.
 
     On a symmetric stream's rows a sorted triple counts as every grid sample
     of its orbit, and the tail's row j is sample n^3 + j. Violators are
@@ -269,6 +276,8 @@ def _compare(blocks: SampleBlocks, results, claim: str, what: str,
     orbits of the first `limit` violating rows of all chunks, cut to `limit`
     once at the end, are the first `limit` violators, with their rows' sides.
     """
+    if tol is not None:
+        require_tol(tol)
     usable = total = 0
     lowest = np.inf
     found = []  # the first violating rows, as (orbit, lhs, rhs)

@@ -10,13 +10,13 @@ from meanconvex import (BASE_SENSE, EQUALITY_FAMILIES, DomainError,
                         SamplePlan, TheoremId, chained_check,
                         equality_max_residual, equality_residual, hlawka_check,
                         hlawka_margins, identity_weight, popoviciu_sides,
-                        power_weight, theorem_margins, two_point_reduction,
-                        verify_theorem)
+                        power_weight, run_audit, search_theorem, theorem_margins,
+                        two_point_reduction, verify_theorem)
 from meanconvex import catalog, popoviciu, reciprocal_weight, weight_eval
 from meanconvex.catalog import _AUDIT_PLAN, builtin_claims, builtin_functions, make_function
 from meanconvex.convexity import ConvexitySpec, verify_class
-from meanconvex.means import MeanKind
-from meanconvex.weights import DEFAULT_TOL
+from meanconvex.means import MeanKind, check_am_gm_hm
+from meanconvex.weights import DEFAULT_TOL, classify_additivity
 
 ID = identity_weight()
 FS = builtin_functions()
@@ -553,6 +553,43 @@ class TestRefusals:
                            match=r"^cor4.2 requires h superadditive; sampled class is "
                                  r"subadditive$"):
             chained_check("cor4.2", power_weight(0.5), FS["square"], SMALL, box=BOX)
+
+
+class TestTolRefused:
+    """The library refuses a tolerance that is negative or NaN, as the CLI's
+    --tol does. A negative one read holding samples as violations: theorem
+    AA, convex, for square on [0.1, 10] was refuted at x = y = z = 0.1, where
+    lhs 0.030000000000000006 is below rhs 0.03000000000000001. NaN hid every
+    violation: AA concave held there, with min margin -0.2425."""
+
+    CALLS = {
+        "verify_theorem": lambda tol: verify_theorem(TheoremId.AA, ID, FS["square"],
+                                                     plan=SMALL, tol=tol, box=BOX),
+        "verify_class": lambda tol: verify_class(
+            ConvexitySpec(MeanKind.ARITHMETIC, MeanKind.ARITHMETIC, ID, "convex"),
+            FS["square"], SMALL, tol, BOX),
+        "chained_check": lambda tol: chained_check("cor4.2", ID, FS["square"], SMALL, tol, BOX),
+        "classify_additivity": lambda tol: classify_additivity(FS["square"].fn, BOX, SMALL, tol),
+        "search_theorem": lambda tol: search_theorem(TheoremId.AA, ID, FS["square"], "concave",
+                                                     budget=1000, tol=tol, box=BOX),
+        "check_am_gm_hm": lambda tol: check_am_gm_hm(ID, 0.25, 1.0, 4.0, tol),
+        "run_audit": lambda tol: run_audit(SMALL, tol),
+    }
+
+    @pytest.mark.parametrize("tol", [-1.0, math.nan], ids=["negative", "nan"])
+    @pytest.mark.parametrize("name", list(CALLS))
+    def test_refused(self, name, tol):
+        with pytest.raises(ValueError, match=rf"^tol must be a finite number >= 0, got {tol!r}$"):
+            self.CALLS[name](tol)
+
+    @pytest.mark.parametrize("name", list(CALLS))
+    def test_zero_accepted(self, name):
+        self.CALLS[name](0.0)
+
+    def test_search_refuses_before_the_scan(self, monkeypatch):
+        monkeypatch.setattr(popoviciu, "theorem_margins", _no_draw)
+        with pytest.raises(ValueError, match="^tol must be"):
+            self.CALLS["search_theorem"](math.nan)
 
 
 class TestHlawka:
