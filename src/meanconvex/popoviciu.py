@@ -131,14 +131,17 @@ def _sides_at(tid: TheoremId, h: WeightFunction, f: PointFunction,
     return lhs[0], rhs[0]
 
 
+def _printed(lhs, rhs, product: bool) -> tuple[float, float]:
+    """Sides as printed: exp of a product theorem's log-domain sides, where an
+    overflow reads inf, as an underflow reads 0."""
+    with np.errstate(over="ignore"):
+        return tuple(float(np.exp(v) if product else v) for v in (lhs, rhs))
+
+
 def popoviciu_sides(tid: TheoremId, h: WeightFunction, f: PointFunction,
                     x: float, y: float, z: float) -> tuple[float, float]:
     """Both printed sides at one triple; products are exp of log-domain sums."""
-    lhs, rhs = _sides_at(tid, h, f, x, y, z)
-    if tid.value[1] == "G":  # an overflow reads inf, as an underflow reads 0
-        with np.errstate(over="ignore"):
-            return float(np.exp(lhs)), float(np.exp(rhs))
-    return float(lhs), float(rhs)
+    return _printed(*_sides_at(tid, h, f, x, y, z), tid.value[1] == "G")
 
 
 def two_point_reduction(tid: TheoremId, h: WeightFunction, f: PointFunction,
@@ -208,10 +211,7 @@ def verify_theorem(tid: TheoremId, h: WeightFunction, f: PointFunction,
 def _witness(violation, product: bool = False) -> Witness:
     """The Witness of an (x, y, z) violation; product sides come back as exp."""
     i, (x, y, z), lhs, rhs = violation
-    if product:  # an overflow reads inf, as an underflow reads 0
-        with np.errstate(over="ignore"):
-            lhs, rhs = float(np.exp(lhs)), float(np.exp(rhs))
-    return Witness(x, y, None, lhs, rhs, z=z, index=i)
+    return Witness(x, y, None, *_printed(lhs, rhs, product), z=z, index=i)
 
 
 # ---------------------------------------------------------------------------
