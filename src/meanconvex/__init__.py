@@ -10,10 +10,9 @@ from .errors import (DomainError, EvaluationError, HypothesisMismatchError,
                      InapplicableSpecError, MeanConvexError)
 from .intervals import Interval
 from .means import ChainVerdict, MeanKind, check_am_gm_hm, mean_classic, mean_eval
-from .popoviciu import (BASE_SENSE, EQUALITY_FAMILIES, ChainedReport,
-                        LinkResult, PopoviciuReport, TheoremId, chained_check,
-                        equality_max_residual, equality_residual, hlawka_check,
-                        hlawka_margins, popoviciu_sides, search_theorem,
+from .popoviciu import (BASE_SENSE, EQUALITY_FAMILIES, ChainedReport, TheoremId,
+                        chained_check, equality_max_residual, equality_residual,
+                        hlawka_check, hlawka_margins, popoviciu_sides, search_theorem,
                         theorem_margins, two_point_reduction, verify_theorem)
 from .sampling import SamplePlan
 from .weights import (AdditivityClass, WeightFunction, classify_additivity,

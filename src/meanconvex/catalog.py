@@ -21,10 +21,9 @@ from .convexity import (FUNCTIONS, PARAMETER_CLAIMS, ConvexitySpec, PointFunctio
 from .errors import MeanConvexError, lookup
 from .intervals import Interval
 from .means import MeanKind
-from .popoviciu import (EQUALITY_FAMILIES, BASE_SENSE, TheoremId, _claim, _hlawka_sides,
-                        _theorem_chunks, _witness, chained_check, equality_max_residual,
-                        verify_theorem)
-from .sampling import SamplePlan, _compare
+from .popoviciu import (EQUALITY_FAMILIES, BASE_SENSE, TheoremId, _claim, _equality,
+                        _hlawka_sides, _theorem_chunks, chained_check, verify_theorem)
+from .sampling import SamplePlan, Verdict, _compare
 from .weights import (DEFAULT_TOL, _label, identity_weight, power_weight,
                       reciprocal_weight)
 
@@ -244,11 +243,12 @@ def _positivity_violation(f: PointFunction, box, value_mean: str) -> Optional[st
 
 # _audit_*(plan, tol, **payload) -> (outcome, detail, min_margin, samples, skipped)
 
-def _sampled(w, min_margin, samples, skipped, equality=False):
-    """The finding of a sampled claim: refuted at its first witness w, named
+def _sampled(verdict: Verdict, equality=False):
+    """The finding of a sampled claim: refuted at its first witness, named
     (x, y, z) for a triple and x=, y=, t= for a class, else holding; an equality
     claim reads not-equality or equality, and its margin is -min_margin."""
-    margin = -min_margin if equality else min_margin
+    margin = -verdict.min_margin if equality else verdict.min_margin
+    w = next(iter(verdict.witnesses), None)
     if w is None:
         measure = "max relative residual" if equality else "min relative margin"
         detail = f"{measure} {margin:.3e}"
@@ -257,37 +257,30 @@ def _sampled(w, min_margin, samples, skipped, equality=False):
     else:
         detail = f"violated at ({w.x:.6g}, {w.y:.6g}, {w.z:.6g})"
     words = ("not-equality", "equality") if equality else ("refuted", "holds")
-    return words[w is None], detail, margin, samples, skipped
+    return words[verdict.holds], detail, margin, verdict.samples, verdict.skipped
 
 
 def _audit_class(plan, tol, spec, f, box):
     bad = _positivity_violation(f, box, spec.val_mean.value)
     if bad is not None:
         return "domain-violation", f"{bad} but the value mean needs f > 0", None, 0, 0
-    verdict = verify_class(spec, f, plan, tol, box)
-    return _sampled(verdict.witness, verdict.min_margin, verdict.samples_tested,
-                    verdict.skipped)
+    return _sampled(verify_class(spec, f, plan, tol, box))
 
 
 def _audit_extended(plan, tol, class_tag, f, box):
-    verdict = verify_extended_class(class_tag, MeanKind.ARITHMETIC, f, plan, tol,
-                                    s=0.5, box=box)
-    return _sampled(verdict.witness, verdict.min_margin, verdict.samples_tested,
-                    verdict.skipped)
+    return _sampled(verify_extended_class(class_tag, MeanKind.ARITHMETIC, f, plan, tol,
+                                          s=0.5, box=box))
 
 
 def _audit_theorem(plan, tol, tid, h, f, sense, box):
-    report = verify_theorem(tid, h, f, sense, plan, tol, box)
-    return _sampled(next(iter(report.witnesses), None), report.min_margin,
-                    report.triples_tested, report.skipped)
+    return _sampled(verify_theorem(tid, h, f, sense, plan, tol, box))
 
 
 def _audit_equality(plan, tol, family):
-    resid, n = equality_max_residual(family, plan)
-    # every sample of the triple stream counts, so the rest were skipped
+    verdict = _equality(family, plan)
+    resid = -verdict.min_margin
     return ("equality" if resid <= tol else "not-equality",
-            f"max relative residual {resid:.3e}", resid, n,
-            plan.grid_axis ** 3 + plan.n_random - n)
+            f"max relative residual {resid:.3e}", resid, verdict.samples, verdict.skipped)
 
 
 def _audit_chain(plan, tol, corollary, h, f, box, enforce_hypotheses):
@@ -297,7 +290,7 @@ def _audit_chain(plan, tol, corollary, h, f, box, enforce_hypotheses):
     else:
         outcome = "holds" if report.holds else "refuted"
     return (outcome,
-            "; ".join(f"{lk.name}: {lk.min_margin:.3e}" for lk in report.links),
+            "; ".join(f"{lk.target}: {lk.min_margin:.3e}" for lk in report.links),
             min(lk.min_margin for lk in report.links),
             min(lk.samples for lk in report.links),
             max(lk.skipped for lk in report.links))
@@ -305,9 +298,8 @@ def _audit_chain(plan, tol, corollary, h, f, box, enforce_hypotheses):
 
 def _audit_hlawka(plan, tol, box, claim):
     blocks = plan.triple_blocks(box)
-    cmp = _compare(blocks, blocks.map(_hlawka_sides), claim, "Hlawka's inequality", tol)
-    return _sampled(_witness(cmp.violations[0]) if cmp.violations else None,
-                    cmp.min_margin, cmp.samples, cmp.skipped, claim == "==")
+    return _sampled(_compare(blocks, blocks.map(_hlawka_sides), claim, "Hlawka's inequality",
+                             tol), claim == "==")
 
 
 def _audit_probe(plan, tol, tid, h, f, box):

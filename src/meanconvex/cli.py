@@ -33,7 +33,7 @@ from .convexity import DEFAULT_BOX, FUNCTIONS, ConvexitySpec, verify_class
 from .errors import DomainError, MeanConvexError
 from .intervals import Interval
 from .means import MeanKind, check_am_gm_hm, mean_classic
-from .popoviciu import TheoremId, search_theorem, verify_theorem
+from .popoviciu import BASE_SENSE, TheoremId, search_theorem, verify_theorem
 from .sampling import SamplePlan
 from .weights import (DEFAULT_TOL, WEIGHT_BUILDERS, classify_additivity,
                       classify_multiplicativity, power_weight_class)
@@ -114,19 +114,19 @@ def _sides_text(theorem: str | None, lhs: float, rhs: float) -> str:
     return text
 
 
-def _write_report(args, target: str, f, h, sense: str, sizes: dict, report,
-                  witnesses: list[dict], samples: int) -> None:
+def _write_report(args, f, h, sense: str, sizes: dict, report) -> None:
     """Write the --json report and --csv witness rows of a verify or search report."""
+    witnesses = [_witness_dict(w) for w in report.witnesses]
     payload = {
         "schema_version": 1,
-        "config": {"command": args.command, "target": target, "fn": f.name,
+        "config": {"command": args.command, "target": report.target, "fn": f.name,
                    "weight": h.name, "sense": sense, "lo": args.lo, "hi": args.hi,
                    **sizes, "seed": _resolve_seed(args), "tol": args.tol},
         "verdict": report.status,
         "min_margin": report.min_margin,
         "witnesses": witnesses,
         "skipped": report.skipped,
-        "samples": samples,
+        "samples": report.samples,
     }
     if args.json:
         _write_json(args.json, payload)
@@ -241,30 +241,25 @@ def _cmd_verify(args) -> int:
     t0 = time.perf_counter()
     if args.theorem:
         tid = TheoremId(args.theorem)
-        report = verify_theorem(tid, h, f, args.sense, plan, args.tol, box)
-        target, samples = f"theorem {tid.value}", report.triples_tested
-        sense, found = report.sense, report.witnesses
+        sense = args.sense or BASE_SENSE[tid]
+        report = verify_theorem(tid, h, f, sense, plan, args.tol, box)
     else:
-        spec = ConvexitySpec(MeanKind(args.arg), MeanKind(args.val), h,
-                             args.sense or "convex")
+        sense = args.sense or "convex"
+        spec = ConvexitySpec(MeanKind(args.arg), MeanKind(args.val), h, sense)
         report = verify_class(spec, f, plan, args.tol, box)
-        target, samples = f"class {spec.label}", report.samples_tested
-        sense, found = spec.sense, [report.witness] if report.witness else []
     elapsed = time.perf_counter() - t0
-    verdict, min_margin = report.status, report.min_margin
-    witnesses = [_witness_dict(w) for w in found]
-    _write_report(args, target, f, h, sense,
-                  {"grid": args.grid, "grid_t": args.grid_t, "random": args.random},
-                  report, witnesses, samples)
-    print(f"{target} [{h.name}] on {f.name}: {verdict} "
-          f"(min margin {min_margin:.3e}, {samples} samples, {report.skipped} skipped)")
-    for w in witnesses:
-        t_part = "" if w["t"] is None else f", t={w['t']:.6g}"
-        z_part = "" if w["z"] is None else f", z={w['z']:.6g}"
-        print(f"  witness: x={w['x']:.6g}, y={w['y']:.6g}{z_part}{t_part}, "
-              f"{_sides_text(args.theorem, w['lhs'], w['rhs'])}")
+    _write_report(args, f, h, sense,
+                  {"grid": args.grid, "grid_t": args.grid_t, "random": args.random}, report)
+    print(f"{report.target} [{h.name}] on {f.name}: {report.status} "
+          f"(min margin {report.min_margin:.3e}, {report.samples} samples, "
+          f"{report.skipped} skipped)")
+    for w in report.witnesses:
+        t_part = "" if w.t is None else f", t={w.t:.6g}"
+        z_part = "" if w.z is None else f", z={w.z:.6g}"
+        print(f"  witness: x={w.x:.6g}, y={w.y:.6g}{z_part}{t_part}, "
+              f"{_sides_text(args.theorem, w.lhs, w.rhs)}")
     print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)
-    return 0 if verdict == "holds-on-samples" else 1
+    return 0 if report.holds else 1
 
 
 def _cmd_audit(args) -> int:
@@ -297,19 +292,19 @@ def _cmd_search(args) -> int:
     box, _ = _build_box(args, f)
     _require_positive(f, box, args.theorem[1])
     tid, seed = TheoremId(args.theorem), _resolve_seed(args)
+    sense = args.sense or BASE_SENSE[tid]
     if args.budget < 1:
         raise MeanConvexError(f"--budget must be at least 1, got {args.budget}")
-    report = search_theorem(tid, h, f, args.sense, seed, args.budget, args.tol, box)
+    report = search_theorem(tid, h, f, sense, seed, args.budget, args.tol, box)
     if report.holds:
-        print(f"no violation found for theorem {tid.value} ({report.sense}) on "
-              f"{f.name} within {report.triples_tested} evaluations")
+        print(f"no violation found for theorem {tid.value} ({sense}) on "
+              f"{f.name} within {report.samples} evaluations")
         return 1
     w = report.witnesses[0]
-    _write_report(args, f"theorem {tid.value}", f, h, report.sense, {"budget": args.budget},
-                  report, [_witness_dict(w)], report.triples_tested)
-    print(f"violation of theorem {tid.value} ({report.sense}) on {f.name}: "
+    _write_report(args, f, h, sense, {"budget": args.budget}, report)
+    print(f"violation of theorem {tid.value} ({sense}) on {f.name}: "
           f"x={w.x:.17g}, y={w.y:.17g}, z={w.z:.17g}, "
-          f"{_sides_text(tid.value, w.lhs, w.rhs)} ({report.triples_tested} evaluations)")
+          f"{_sides_text(tid.value, w.lhs, w.rhs)} ({report.samples} evaluations)")
     return 0
 
 

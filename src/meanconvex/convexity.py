@@ -21,7 +21,7 @@ from .errors import DomainError, InapplicableSpecError
 from .intervals import Interval
 from .means import (WEIGHTED_MEANS, MeanKind, require_positive_arguments,
                     require_positive_point)
-from .sampling import SamplePlan, _compare
+from .sampling import SamplePlan, Verdict, Witness, _compare  # re-exported
 from .weights import (DEFAULT_TOL, WeightFunction, constant_weight, power_weight,
                       reciprocal_weight, weight_eval)
 
@@ -106,30 +106,6 @@ class ConvexitySpec:
         return f"{self.arg_mean.value}t{self.val_mean.value}[{self.h.name}]-{self.sense}"
 
 
-@dataclass(frozen=True)
-class Witness:
-    x: float
-    y: float
-    t: Optional[float]
-    lhs: float
-    rhs: float
-    z: Optional[float] = None
-    index: int = 0
-
-
-@dataclass(frozen=True)
-class Verdict:
-    status: str  # holds-on-samples | refuted
-    samples_tested: int
-    min_margin: float  # relative margin: (claimed rhs - lhs) / scale
-    witness: Optional[Witness] = None
-    skipped: int = 0
-
-    @property
-    def holds(self) -> bool:
-        return self.status == "holds-on-samples"
-
-
 def _gap_arrays(spec: ConvexitySpec, f: PointFunction, x, y, t):
     """Vectorized (lhs, rhs, valid-mask) of the defining inequality."""
     with np.errstate(all="ignore"):
@@ -176,13 +152,9 @@ def verify_class(spec: ConvexitySpec, f: PointFunction,
     require_positive_arguments(spec.arg_mean, dom, f"class {spec.label}")
     blocks = plan.pair_t_blocks(dom)
     weight_eval(spec.h, 0.5)
-    cmp = _compare(blocks, blocks.map(partial(_gap_arrays, spec, f)),
-                   "<=" if spec.sense == "convex" else ">=",
-                   f"{spec.label} on {f.name}", tol)
-    w = next((Witness(*point, lhs, rhs, index=i)
-              for i, point, lhs, rhs in cmp.violations), None)
-    return Verdict("refuted" if w else "holds-on-samples", cmp.samples,
-                   cmp.min_margin, w, cmp.skipped)
+    return _compare(blocks, blocks.map(partial(_gap_arrays, spec, f)),
+                    "<=" if spec.sense == "convex" else ">=", f"{spec.label} on {f.name}",
+                    tol, target=f"class {spec.label}", f_name=f.name, sense=spec.sense)
 
 
 _EXTENDED_WEIGHTS = {"Q": reciprocal_weight(), "P": constant_weight()}

@@ -18,18 +18,18 @@ from __future__ import annotations
 
 import enum
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Optional
 
 import numpy as np
 
-from .convexity import FUNCTIONS, PointFunction, Witness
+from .convexity import FUNCTIONS, PointFunction
 from .errors import DomainError, HypothesisMismatchError, lookup
 from .intervals import Interval
 from .means import (CENTRAL_MEANS, CLASSIC_MEANS, MeanKind, require_positive_arguments,
                     require_positive_point)
-from .sampling import SamplePlan, _compare, _margin, require_tol
+from .sampling import SamplePlan, Verdict, Witness, _compare, _margin, require_tol
 from .weights import (DEFAULT_TOL, WeightFunction, classify_additivity,
                       classify_multiplicativity, identity_weight, weight_eval)
 
@@ -150,26 +150,6 @@ def two_point_reduction(tid: TheoremId, h: WeightFunction, f: PointFunction,
     return popoviciu_sides(tid, h, f, x, y, y)
 
 
-@dataclass(frozen=True)
-class PopoviciuReport:
-    theorem: TheoremId
-    h_name: str
-    f_name: str
-    sense: str
-    triples_tested: int
-    min_margin: float  # relative margin in the comparison domain
-    witnesses: list[Witness] = field(default_factory=list)
-    skipped: int = 0
-
-    @property
-    def status(self) -> str:
-        return "refuted" if self.witnesses else "holds-on-samples"
-
-    @property
-    def holds(self) -> bool:
-        return not self.witnesses
-
-
 def _theorem_chunks(tid: TheoremId, h: WeightFunction, f: PointFunction,
                     plan: SamplePlan | None, box: Optional[Interval]):
     """(blocks, kernel, chunk results) of theorem tid's sides over the plan's
@@ -186,7 +166,7 @@ def _theorem_chunks(tid: TheoremId, h: WeightFunction, f: PointFunction,
 def verify_theorem(tid: TheoremId, h: WeightFunction, f: PointFunction,
                    sense: str = None, plan: SamplePlan | None = None,
                    tol: float = DEFAULT_TOL,
-                   box: Optional[Interval] = None) -> PopoviciuReport:
+                   box: Optional[Interval] = None) -> Verdict:
     """Sample triples from f's domain and test the theorem's printed direction.
 
     sense defaults to the theorem's base sense. The hypotheses on f and h are
@@ -197,21 +177,15 @@ def verify_theorem(tid: TheoremId, h: WeightFunction, f: PointFunction,
     """
     claim, sense = _claim(tid, sense), sense or BASE_SENSE[tid]
     blocks, kernel, results = _theorem_chunks(tid, h, f, plan, box)
-    cmp = _compare(blocks, results, claim, f"theorem {tid.value} on {f.name}", tol, limit=8)
-    witnesses = []
-    if cmp.violations:
-        index, points = zip(*((i, point) for i, point, _, _ in cmp.violations))
-        lhs, rhs, _ = kernel(*(np.array(c) for c in zip(*points)))
-        witnesses = [_witness(v, tid.value[1] == "G")
-                     for v in zip(index, points, lhs.tolist(), rhs.tolist())]
-    return PopoviciuReport(tid, h.name, f.name, sense, cmp.samples, cmp.min_margin,
-                           witnesses, skipped=cmp.skipped)
-
-
-def _witness(violation, product: bool = False) -> Witness:
-    """The Witness of an (x, y, z) violation; product sides come back as exp."""
-    i, (x, y, z), lhs, rhs = violation
-    return Witness(x, y, None, *_printed(lhs, rhs, product), z=z, index=i)
+    verdict = _compare(blocks, results, claim, f"theorem {tid.value} on {f.name}", tol,
+                       limit=8, target=f"theorem {tid.value}", f_name=f.name, sense=sense)
+    found = verdict.witnesses
+    if not found:
+        return verdict
+    lhs, rhs, _ = kernel(*(np.array(c) for c in zip(*((w.x, w.y, w.z) for w in found))))
+    sides = [_printed(a, b, tid.value[1] == "G") for a, b in zip(lhs.tolist(), rhs.tolist())]
+    return replace(verdict, witnesses=[replace(w, lhs=a, rhs=b)
+                                       for w, (a, b) in zip(found, sides)])
 
 
 # ---------------------------------------------------------------------------
@@ -247,16 +221,23 @@ def theorem_margins(tid: TheoremId, h: WeightFunction, f: PointFunction,
     return _margin(lhs, rhs, valid, _claim(tid, sense))
 
 
+def _equality(family: str, plan: SamplePlan | None = None,
+              box: Optional[Interval] = None) -> Verdict:
+    """An equality family's claim lhs == rhs reduced over sampled triples,
+    without a tol: its min margin is minus the max relative residual."""
+    tid, f = lookup(EQUALITY_FAMILIES, family, "equality family")
+    blocks, _, results = _theorem_chunks(tid, identity_weight(), f, plan, box)
+    return _compare(blocks, results, "==", f"family {family}")
+
+
 def equality_max_residual(family: str, plan: SamplePlan | None = None,
                           box: Optional[Interval] = None) -> tuple[float, int]:
     """Max relative |lhs - rhs| of an equality family over sampled triples.
 
     Returns (max_residual, triples_tested).
     """
-    tid, f = lookup(EQUALITY_FAMILIES, family, "equality family")
-    blocks, _, results = _theorem_chunks(tid, identity_weight(), f, plan, box)
-    cmp = _compare(blocks, results, "==", f"family {family}")
-    return -cmp.min_margin, cmp.samples
+    verdict = _equality(family, plan, box)
+    return -verdict.min_margin, verdict.samples
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +289,7 @@ def _take_turn(k, left):
 
 def search_theorem(tid: TheoremId, h: WeightFunction, f: PointFunction,
                    sense: str = None, seed: int = 42, budget: int = 100_000,
-                   tol: float = DEFAULT_TOL, box: Optional[Interval] = None) -> PopoviciuReport:
+                   tol: float = DEFAULT_TOL, box: Optional[Interval] = None) -> Verdict:
     """Scan seeded uniform triples for a violation of the printed direction
     (sense defaults to the base sense), then shrink the violating triple of
     least max |coordinate| in the first such batch toward the domain's low
@@ -338,8 +319,9 @@ def search_theorem(tid: TheoremId, h: WeightFunction, f: PointFunction,
             norms = np.maximum(np.maximum(np.abs(x), np.abs(y)), np.abs(z))
             i = int(np.where(bad, norms, np.inf).argmin())
             best, margin = [float(x[i]), float(y[i]), float(z[i])], margins[i]
+    target = f"theorem {tid.value}"
     if best is None:
-        return PopoviciuReport(tid, h.name, f.name, sense, used, low)
+        return Verdict(target, used, 0, low, [], f.name, sense)
     # coordinate-descent shrink: pull coordinates toward the domain's low
     # edge while the violation persists. A pass depends only on best, so a
     # pass that leaves best unchanged would repeat itself: stop there. Turn i
@@ -369,32 +351,19 @@ def search_theorem(tid: TheoremId, h: WeightFunction, f: PointFunction,
                 break
             start, at, p = list(best), [], p + 1
     lhs, rhs = popoviciu_sides(tid, h, f, *best)
-    return PopoviciuReport(tid, h.name, f.name, sense, used, float(margin),
-                           [Witness(best[0], best[1], None, lhs, rhs, z=best[2])])
+    return Verdict(target, used, 0, float(margin),
+                   [Witness(best[0], best[1], None, lhs, rhs, z=best[2])], f.name, sense)
 
 
 # ---------------------------------------------------------------------------
 # Chained corollaries.
 
 @dataclass(frozen=True)
-class LinkResult:
-    name: str
-    min_margin: float  # relative
-    samples: int
-    skipped: int
-    witness: Optional[Witness] = None
-
-    @property
-    def holds(self) -> bool:
-        return self.witness is None
-
-
-@dataclass(frozen=True)
 class ChainedReport:
     corollary: str
     f_class: str
     h_class: str
-    links: list[LinkResult]
+    links: list[Verdict]  # each link's target is its name
 
     @property
     def holds(self) -> bool:
@@ -537,13 +506,10 @@ def chained_check(corollary: str, h: WeightFunction, f: PointFunction,
     blocks = plan.triple_blocks(dom)
     with np.errstate(all="ignore"):
         chunks = blocks.map(partial(_chain_sides, corollary, h32, h12, f))
-    results = []
-    for j, name in enumerate(_chain_links(corollary)):
-        link = [(offset, shape, links[j]) for offset, shape, links in chunks]
-        cmp = _compare(blocks, link, "<=", f"link {name!r} of {corollary} on {f.name}", tol)
-        results.append(LinkResult(name, cmp.min_margin, cmp.samples, cmp.skipped,
-                                  _witness(cmp.violations[0]) if cmp.violations else None))
-    return ChainedReport(corollary, f_class.tag, h_class.tag, results)
+    links = [_compare(blocks, [(offset, shape, sides[j]) for offset, shape, sides in chunks],
+                      "<=", f"link {name!r} of {corollary} on {f.name}", tol, target=name)
+             for j, name in enumerate(_chain_links(corollary))]
+    return ChainedReport(corollary, f_class.tag, h_class.tag, links)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,8 @@ Every verdict in the package, additivity classes and Hlawka included,
 compares its sides through _compare: _margin turns each chunk into relative
 margins (it is the one margin formula), each chunk is reduced on its own
 shape, and the reductions are combined in sample order, so no full-plan
-array is built; _compare alone decodes the index of each violation it keeps.
+array is built; _compare alone decodes the index of each violation it keeps,
+and it returns the one result record of every sampled check, a Verdict.
 """
 
 from __future__ import annotations
@@ -243,13 +244,44 @@ def _margin(lhs, rhs, valid, claim: str = "<="):
 
 
 @dataclass(frozen=True)
-class Comparison:
-    """A claim reduced over all sample blocks."""
+class Witness:
+    """One violating sample: its coordinates, the sides there and its sample index."""
 
+    x: float
+    y: float
+    t: Optional[float]
+    lhs: float
+    rhs: float
+    z: Optional[float] = None
+    index: int = 0
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """A claim reduced over a sample stream, for every sampled check: usable
+    and skipped samples, the least relative margin (negative means
+    violated) and the first violations kept, in sample order. The claim
+    holds on the samples when no violation is kept. f_name and sense label
+    the verdicts of classes and theorems."""
+
+    target: str
     samples: int  # usable samples
     skipped: int
     min_margin: float
-    violations: list[tuple[int, tuple, float, float]]  # (index, point, lhs, rhs), in order
+    witnesses: list[Witness]
+    f_name: Optional[str] = None
+    sense: Optional[str] = None
+
+    @property
+    def status(self) -> str:
+        return "refuted" if self.witnesses else "holds-on-samples"
+
+    @property
+    def holds(self) -> bool:
+        return not self.witnesses
+
+    # bench/tracing.py reads these two names until ROADMAP item 9 moves it to samples
+    samples_tested = triples_tested = property(lambda self: self.samples)
 
 
 def _broadcast(a: np.ndarray, shape) -> np.ndarray:
@@ -258,17 +290,20 @@ def _broadcast(a: np.ndarray, shape) -> np.ndarray:
 
 
 def _compare(blocks: SampleBlocks, results, claim: str, what: str,
-             tol: Optional[float] = None, limit: int = 1) -> Comparison:
+             tol: Optional[float] = None, limit: int = 1, target: Optional[str] = None,
+             f_name: Optional[str] = None, sense: Optional[str] = None) -> Verdict:
     """Compare lhs and rhs of a claim over the blocks of a sample stream.
 
     results are (offset, shape, (lhs, rhs, valid[, applicable])) per chunk,
     grid first, as blocks.map gives them; a sample outside the optional
     applicable mask is not counted at all. Each chunk's margins are reduced
     on the chunk's shape; with tol, the first `limit` samples whose margin is
-    below -tol are kept, in sample order, with their coordinates in blocks
-    and their lhs and rhs. Raises DomainError, naming the claim `what`, when
-    fewer than MIN_USABLE_FRACTION of the counted samples are usable or the
-    stream is empty, and ValueError for a tol that require_tol refuses.
+    below -tol are kept, in sample order, as Witnesses of their coordinates
+    in blocks, named (x, y, z), (x, y, t) or (x, y) for the (s, t) stream, and
+    their lhs and rhs. The Verdict's target is `target`, else `what`. Raises
+    DomainError, naming the claim `what`, when fewer than MIN_USABLE_FRACTION
+    of the counted samples are usable or the stream is empty, and ValueError
+    for a tol that require_tol refuses.
 
     On a symmetric stream's rows a sorted triple counts as every grid sample
     of its orbit, and the tail's row j is sample n^3 + j. Violators are
@@ -307,5 +342,8 @@ def _compare(blocks: SampleBlocks, results, claim: str, what: str,
     if not results or usable < MIN_USABLE_FRACTION * total:
         raise DomainError(f"only {usable}/{total} samples usable for {what}")
     found = sorted((j, *sides) for js, *sides in found for j in js)[:limit]
-    return Comparison(usable, total - usable, lowest,
-                      [(i, blocks.point(i), lhs, rhs) for i, lhs, rhs in found])
+    # only the symmetric stream has three spatial axes; a third axis is else t
+    names = ("x", "y", "z") if blocks.symmetric else ("x", "y", "t")[:len(blocks.grid)]
+    witnesses = [Witness(**{"t": None, **dict(zip(names, blocks.point(i)))},
+                         lhs=lhs, rhs=rhs, index=i) for i, lhs, rhs in found]
+    return Verdict(target or what, usable, total - usable, lowest, witnesses, f_name, sense)

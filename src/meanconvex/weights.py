@@ -131,7 +131,8 @@ def _classify(g, domain: Interval, plan: SamplePlan, tol: float, op,
     above, below = (_compare(blocks, results, claim, what, tol) for claim in ("<=", ">="))
     if not above.samples + above.skipped:
         raise DomainError(f"no sampled pair has {noun} in domain")
-    gt, lt = (cmp.violations[0][1] if cmp.violations else None for cmp in (above, below))
+    gt, lt = ((v.witnesses[0].x, v.witnesses[0].y) if v.witnesses else None
+              for v in (above, below))
     tag = ("mixed" if gt and lt else "superadditive" if gt else
            "subadditive" if lt else "additive")
     return AdditivityClass(tag, gt, lt, samples_tested=above.samples)

@@ -386,7 +386,7 @@ class TestRunAudit:
         verdict = verify_extended_class("K_s2", MeanKind.ARITHMETIC, f,
                                         catalog._AUDIT_PLAN, 1e-9, s=0.5,
                                         box=catalog._BOX_01_10)
-        w = verdict.witness
+        w = verdict.witnesses[0]
         assert outcome == "refuted" and margin == verdict.min_margin < 0
         assert detail == f"violated at x={w.x:.6g}, y={w.y:.6g}, t={w.t:.6g}"
         assert detail == "violated at x=0.1, y=0.1, t=1e-06"
@@ -421,7 +421,7 @@ class TestDirectionProbes:
                                   box=p["box"]) for sense in ("convex", "concave")]
         want = ("measured",
                 "; ".join(f"{r.sense}: min margin {r.min_margin:.3e}" for r in reports),
-                None, min(r.triples_tested for r in reports),
+                None, min(r.samples for r in reports),
                 max(r.skipped for r in reports))
         chunks = len(plan.triple_blocks(p["f"].sampling_domain(p["box"]))._chunks)
         calls = []

@@ -136,11 +136,10 @@ class TestVerifyClass:
     def test_square_arithmetic_concave_refuted(self):
         v = verify_class(spec(A, A, "concave"), FS["square"], box=BOX)
         assert not v.holds
-        assert v.witness is not None
+        (w,) = v.witnesses
         # the witness replays: lhs < rhs violates the concave claim
-        lhs, rhs = defining_gap(spec(A, A, "concave"), FS["square"],
-                                v.witness.x, v.witness.y, v.witness.t)
-        assert (lhs, rhs) == (v.witness.lhs, v.witness.rhs)
+        lhs, rhs = defining_gap(spec(A, A, "concave"), FS["square"], w.x, w.y, w.t)
+        assert (lhs, rhs) == (w.lhs, w.rhs)
         assert lhs < rhs
 
     def test_cosh_AG_convex(self):
@@ -152,7 +151,7 @@ class TestVerifyClass:
         v = verify_class(spec(A, A, "concave"), FS["square"],
                          plan=SamplePlan(grid_axis=9, grid_t=5, n_random=100),
                          box=BOX)
-        assert v.witness.index >= 0
+        assert v.witnesses[0].index >= 0
         assert not v.holds
 
     def test_deterministic(self):

@@ -255,7 +255,7 @@ class TestVerifyTheorem:
         n = SMALL.grid_axis
         assert calls == [(TheoremId.AA, (n * (n + 1) * (n + 2) // 6 + SMALL.n_random,)),
                          (TheoremId.AA, (8,))]
-        assert rep.triples_tested + rep.skipped == n**3 + SMALL.n_random
+        assert rep.samples + rep.skipped == n**3 + SMALL.n_random
 
     @pytest.mark.parametrize("sense", ["convx", "monotone", ""])
     def test_bad_sense_rejected(self, sense):
@@ -482,15 +482,16 @@ def test_first_grid_witness_is_sorted(monkeypatch):
                 rep = chained_check(corollary, ID, f, plan, enforce_hypotheses=False)
             except DomainError:
                 continue
-            witnesses += [link.witness for link in rep.links if link.witness]
+            witnesses += [w for link in rep.links for w in link.witnesses]
     hlawka = [entry for entry in builtin_claims() if entry.kind == "hlawka"]
-    seen = []
-    monkeypatch.setattr(catalog, "_witness", lambda v: seen.append(v) or popoviciu._witness(v))
+    seen, sampled = [], catalog._sampled
+    monkeypatch.setattr(catalog, "_sampled",
+                        lambda v, *args: seen.extend(v.witnesses) or sampled(v, *args))
     for entry in hlawka:  # at tol 0 both rows are refuted on float rounding
         assert catalog._audit_hlawka(plan, 0.0, **entry.payload)[0] in ("refuted", "not-equality")
     n_grid = plan.grid_axis ** 3
-    assert len(seen) == len(hlawka) and all(v[0] < n_grid for v in seen)
-    witnesses += [popoviciu._witness(v) for v in seen]
+    assert len(seen) == len(hlawka) and all(w.index < n_grid for w in seen)
+    witnesses += seen
     grid = [w for w in witnesses if w.index < n_grid]
     assert len(grid) > len(hlawka)
     for w in grid:

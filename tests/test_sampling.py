@@ -115,6 +115,16 @@ def sorted_position(n):
     return np.searchsorted(np.unique(flat), flat)
 
 
+def decoded(verdict, names):
+    """(index, point, lhs, rhs) of each witness a verdict keeps, point being
+    its coordinates named in names; a coordinate the stream lacks is None."""
+    rows = []
+    for w in verdict.witnesses:
+        assert all(getattr(w, name) is None for name in "zt" if name not in names)
+        rows.append((w.index, tuple(getattr(w, name) for name in names), w.lhs, w.rhs))
+    return rows
+
+
 def _joined(blocks, kernel):
     """Each output of kernel on the blocks, broadcast to its block's shape,
     raveled and joined in sample order. A symmetric stream's rows are split
@@ -303,10 +313,10 @@ class TestWitnessCoordinates:
                 for sense in ("convex", "concave"):
                     spec = ConvexitySpec(arg, val, h, sense)
                     verdict = verify_class(spec, FS["cosh"], self.PLAN, box=self.WIDE)
-                    if verdict.witness:
+                    if verdict.witnesses:
                         flat = xyt_stream(self.PLAN, FS["cosh"].sampling_domain(self.WIDE))
-                        self._check(verdict.witness, flat, "xyt")
-                        origins.add(verdict.witness.index < self.PLAN.grid_axis**2
+                        self._check(verdict.witnesses[0], flat, "xyt")
+                        origins.add(verdict.witnesses[0].index < self.PLAN.grid_axis**2
                                     * self.PLAN.grid_t)
         assert origins == {True}  # the first violation is a grid point
 
@@ -316,7 +326,7 @@ class TestWitnessCoordinates:
                              identity_weight(), "concave")
         verdict = verify_class(spec, FS["square"], plan, box=self.WIDE)
         flat = xyt_stream(plan, FS["square"].sampling_domain(self.WIDE))
-        self._check(verdict.witness, flat, "xyt")
+        self._check(verdict.witnesses[0], flat, "xyt")
         rep = verify_theorem(TheoremId.AA, identity_weight(), FS["square"],
                              "concave", plan, box=self.WIDE)
         assert rep.witnesses
@@ -332,8 +342,8 @@ class TestWitnessCoordinates:
                                     box=self.WIDE, enforce_hypotheses=False)
                 flat = xyz_stream(self.PLAN, f.sampling_domain(self.WIDE))
                 for link in rep.links:
-                    if link.witness:
-                        self._check(link.witness, flat, "xyz")
+                    if link.witnesses:
+                        self._check(link.witnesses[0], flat, "xyz")
                         seen += 1
         assert seen > 0
 
@@ -467,8 +477,8 @@ def test_symmetric_rows_count_every_sample_in_order(grid_axis, n_random):
     usable = np.minimum(np.minimum(*flat[:2]), flat[2]) < hi
     n_all = grid_axis ** 3 + n_random
     assert (cmp.samples, cmp.skipped) == (usable.sum(), n_all - usable.sum())
-    assert [i for i, *_ in cmp.violations] == np.flatnonzero(usable).tolist()
-    for i, point, _, _ in cmp.violations:
+    assert [w.index for w in cmp.witnesses] == np.flatnonzero(usable).tolist()
+    for i, point, _, _ in decoded(cmp, "xyz"):
         assert point == tuple(float(c[i]) for c in flat)
 
 
@@ -482,7 +492,7 @@ def test_tail_violation_kept_after_few_grid_violators():
     cmp = _compare(blocks, blocks.map(kernel), ">=", "sum", TOL, limit=3)
     _, want = flat_compare(*kernel(*sorted_xyz_stream(plan, dom)), forward=False, tol=TOL)
     assert want[0] < 8 <= want[2]  # the one grid violator is (0, 0, 0)
-    assert [i for i, *_ in cmp.violations] == want[:3].tolist()
+    assert [w.index for w in cmp.witnesses] == want[:3].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +559,7 @@ def flat_theorem(tid, h, f, sense, plan):
 
 def block_theorem(tid, h, f, sense, plan):
     rep = verify_theorem(tid, h, f, sense, plan, TOL, _box(f))
-    return rep.min_margin, rep.triples_tested, rep.skipped, [
+    return rep.min_margin, rep.samples, rep.skipped, [
         (w.index, w.x, w.y, w.z, w.lhs, w.rhs) for w in rep.witnesses]
 
 
@@ -566,9 +576,8 @@ def flat_class(spec, f, plan):
 
 def block_class(spec, f, plan):
     v = verify_class(spec, f, plan, TOL, _box(f))
-    w = v.witness
-    return v.min_margin, v.samples_tested, v.skipped, [
-        (w.index, w.x, w.y, w.t, w.lhs, w.rhs)] if w else []
+    return v.min_margin, v.samples, v.skipped, [
+        (w.index, w.x, w.y, w.t, w.lhs, w.rhs) for w in v.witnesses]
 
 
 def flat_classify(g, dom, plan, op, noun):
@@ -631,7 +640,7 @@ def flat_chain(corollary, h, f, plan):
 def block_chain(corollary, h, f, plan):
     rep = chained_check(corollary, h, f, plan, TOL, _box(f), enforce_hypotheses=False)
     return [(link.min_margin, link.samples, link.skipped,
-             [(w.index, w.x, w.y, w.z, w.lhs, w.rhs)] if (w := link.witness) else [])
+             [(w.index, w.x, w.y, w.z, w.lhs, w.rhs) for w in link.witnesses])
             for link in rep.links]
 
 
@@ -878,20 +887,21 @@ class TestCompareDecodes:
 
     DOM = Interval(0.5, 2.0)
     # blocks, the reference coordinates, the coordinates the sides are read at,
-    # and the sides
+    # the sides, and the witness coordinates the samples are named by
     STREAMS = {"xyz": (SamplePlan.triple_blocks, xyz_stream, sorted_xyz_stream,
-                       lambda x, y, z: (2.0 * x * y * z, x + y + z)),
+                       lambda x, y, z: (2.0 * x * y * z, x + y + z), "xyz"),
                "xyt": (SamplePlan.pair_t_blocks, xyt_stream, xyt_stream,
-                       lambda a, b, t: (a, b)),
-               "st": (SamplePlan.pair_blocks, st_stream, st_stream, lambda a, b: (a, b))}
+                       lambda a, b, t: (a, b), "xyt"),
+               "st": (SamplePlan.pair_blocks, st_stream, st_stream, lambda a, b: (a, b),
+                      "xy")}
 
     def _run(self, plan, stream, claim, limit):
-        blocks_of, reference, read_at, sides = self.STREAMS[stream]
+        blocks_of, reference, read_at, sides, names = self.STREAMS[stream]
         blocks, flat = blocks_of(plan, self.DOM), reference(plan, self.DOM)
         kernel = lambda *c: (*sides(*c), np.isfinite(c[0]))
         cmp = _compare(blocks, blocks.map(kernel), claim, "lhs against rhs", TOL, limit)
         want_lhs, want_rhs = sides(*read_at(plan, self.DOM))
-        for i, point, lhs, rhs in cmp.violations:
+        for i, point, lhs, rhs in decoded(cmp, names):
             assert point == tuple(float(c[i]) for c in flat)
             assert (lhs, rhs) == (float(want_lhs[i]), float(want_rhs[i]))
             assert all(type(v) is float for v in (*point, lhs, rhs))
@@ -905,7 +915,7 @@ class TestCompareDecodes:
         # rel is the margin of lhs <= rhs; ">=" flips it and "==" takes |rel|
         bad = rel < -TOL if claim == "<=" else rel > TOL if claim == ">=" else \
             np.abs(rel) > TOL
-        kept = [i for i, *_ in cmp.violations]
+        kept = [w.index for w in cmp.witnesses]
         assert kept == np.flatnonzero(bad).tolist()
         n_grid = flat[0].size - plan.n_random  # witnesses from the grid and the tail
         assert any(i < n_grid for i in kept) == (n_grid > 0)
@@ -917,7 +927,7 @@ class TestCompareDecodes:
         cmp, flat, rel = self._run(plan, stream, "==", limit)
         first = np.flatnonzero(np.abs(rel) > TOL)[:limit]
         # each with its side: lhs above rhs where the margin of lhs <= rhs is negative
-        assert [(i, lhs > rhs) for i, _, lhs, rhs in cmp.violations] == \
+        assert [(w.index, w.lhs > w.rhs) for w in cmp.witnesses] == \
             [(i, bool(rel[i] < 0)) for i in first.tolist()]
 
 
@@ -988,8 +998,9 @@ class TestChunkEdges:
         cmp = _compare(blocks, blocks.map(kernel), "<=", "edges", TOL, limit=10**6)
         want = np.flatnonzero(kernel(*at)[0])
         assert set(edges) <= set(want.tolist())
-        assert cmp.violations == [(i, tuple(float(c[i]) for c in flat), 1.0, 0.0)
-                                  for i in want.tolist()]
+        names = {"st": "xy"}.get(case, case[:3])  # the stream's witness coordinates
+        assert decoded(cmp, names) == [(i, tuple(float(c[i]) for c in flat), 1.0, 0.0)
+                                       for i in want.tolist()]
 
     # grid index triples of the 29-point axis: (0, 27, 28) and (0, 28, 28) are
     # rows of the first chunk whose orbits reach past sample 22,000; (20, 20, 20)
@@ -1028,8 +1039,8 @@ class TestChunkEdges:
         # 11 samples above, 16 below; (20, 20, 20) is the 4th above and the 15th of both
         assert len(want) == min(limit, 11 + (claim == "==") * 16)
         assert (17_420 in want) == (limit >= (15 if claim == "==" else 4))
-        assert cmp.violations == [(i, tuple(float(c[i]) for c in flat), sign[i], 0.0)
-                                  for i in want]
+        assert decoded(cmp, "xyz") == [(i, tuple(float(c[i]) for c in flat), sign[i], 0.0)
+                                       for i in want]
 
 
 class TestChunkContract:
@@ -1098,13 +1109,13 @@ def test_only_compare_decodes_a_sample(monkeypatch):
                               "concave", plan, box=wide).witnesses) == 8
     spec = ConvexitySpec(MeanKind.ARITHMETIC, MeanKind.ARITHMETIC, identity_weight(),
                          "concave")
-    assert verify_class(spec, FS["square"], plan, box=wide).witness
+    assert verify_class(spec, FS["square"], plan, box=wide).witnesses
     assert verify_extended_class("K_s2", MeanKind.ARITHMETIC, FS["neg_square"], plan,
-                                 box=wide).witness
+                                 box=wide).witnesses
     links = [link for corollary in _CHAINS for link in chained_check(
         corollary, identity_weight(), FS["exp"], plan, box=wide,
         enforce_hypotheses=False).links]
-    assert any(link.witness for link in links)
+    assert any(link.witnesses for link in links)
     assert classify_multiplicativity(np.cosh, wide, plan).tag == "mixed"
     assert classify_additivity(np.cosh, wide, plan).witness
     for family in EQUALITY_FAMILIES:

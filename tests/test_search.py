@@ -454,7 +454,7 @@ def test_search_theorem_returns_the_golden_witness(name):
     (w,) = report.witnesses
     assert (w.x, w.y, w.z, w.t, w.lhs, w.rhs) == tuple(doc["witnesses"][0].values())
     assert report.min_margin == doc["min_margin"]
-    assert report.triples_tested == doc["samples"]
+    assert report.samples == doc["samples"]
     assert (report.status, report.skipped) == (doc["verdict"], doc["skipped"])
 
 
@@ -487,7 +487,7 @@ def test_search_theorem_without_a_violation_holds():
     f, budget = builtin_functions()["square"], 5000
     report = search_theorem(TheoremId.AA, identity_weight(), f, "convex", 42, budget)
     assert report.holds and report.witnesses == []
-    assert (report.sense, report.triples_tested, report.skipped) == ("convex", budget, 0)
+    assert (report.sense, report.samples, report.skipped) == ("convex", budget, 0)
     # the lowest margin of the one scan batch the budget allows
     lo, hi = f.sampling_domain(None).sampling_bounds()
     x, y, z = np.random.default_rng(42).uniform(lo, hi, size=(3, budget))
