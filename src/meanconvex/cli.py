@@ -421,6 +421,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "verify" and args.arg and not args.val:
         parser.error("--val is required with --arg")
+    if args.command == "verify" and args.theorem and args.val:
+        parser.error("--val goes only with --arg")
     try:
         tol = getattr(args, "tol", 0.0)
         if not (math.isfinite(tol) and tol >= 0.0):

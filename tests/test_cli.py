@@ -158,6 +158,17 @@ class TestVerifyCommand:
                            "--sense", "concave", "--lo", "0.1", "--hi", "10", *FAST)
         assert code == 1 and "witness" in out and "log-domain" not in out
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--theorem", "AA", "--val", "H"], "--val goes only with --arg"),
+        (["--arg", "A"], "--val is required with --arg")], ids=["theorem", "arg"])
+    def test_val_goes_only_with_arg(self, capsys, argv, message):
+        # verify --theorem once checked the theorem and said nothing of --val
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *argv, "--fn", "square", "--lo", "0.1", "--hi", "10", *FAST])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.endswith(f"error: {message}\n")
+
     def test_class_target(self, capsys):
         code, out, _ = run(capsys, "verify", "--arg", "A", "--val", "G",
                            "--fn", "cosh", "--lo", "0.1", "--hi", "5", *FAST)
