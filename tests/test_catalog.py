@@ -10,6 +10,7 @@ from meanconvex.catalog import (AuditFinding, _positivity_violation,
                                 builtin_claims, builtin_functions,
                                 make_function, run_audit)
 from meanconvex.convexity import FUNCTIONS, PointFunction, verify_extended_class
+from meanconvex.errors import MeanConvexError
 from meanconvex.means import MeanKind
 from meanconvex.popoviciu import verify_theorem
 from meanconvex.sampling import SampleBlocks
@@ -391,6 +392,26 @@ class TestRunAudit:
         assert detail == f"violated at x={w.x:.6g}, y={w.y:.6g}, t={w.t:.6g}"
         assert detail == "violated at x=0.1, y=0.1, t=1e-06"
         assert samples + skipped == 13**2 * 9 + 2000
+
+    def test_a_runner_that_raises_is_a_disagreement(self, monkeypatch):
+        # the audit never raises: the error becomes a finding, and an error
+        # agrees with no expected outcome
+        def raising(plan, tol, **payload):
+            raise MeanConvexError("boom")
+
+        monkeypatch.setitem(catalog._DISPATCH, "hlawka", raising)
+        got = [(f.outcome, f.agree, f.detail, f.min_margin, f.samples, f.skipped)
+               for f in run_audit(PLAN) if f.kind == "hlawka"]
+        assert got == [("error", False, "MeanConvexError: boom", None, 0, 0)] * 2
+
+    @pytest.mark.parametrize("family", sorted(EQUALITY_FAMILIES))
+    def test_equality_at_a_tol_equal_to_its_residual(self, family):
+        # a residual equal to tol is within it, and one float below it is not
+        resid = popoviciu.equality_max_residual(family, PLAN)[0]
+        assert resid > 0.0
+        assert catalog._audit_equality(PLAN, resid, family)[0] == "equality"
+        assert catalog._audit_equality(PLAN, np.nextafter(resid, 0.0), family)[0] == \
+            "not-equality"
 
     def test_hlawka_rows_honour_tol(self, findings):
         # at the default tol both rows pass; at tol 0 the float rounding of

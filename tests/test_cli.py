@@ -480,6 +480,8 @@ class TestBadInput:
         # a class checks h > 0 at t = 1/2 as a theorem does
         ["verify", "--arg", "A", "--val", "A", "--fn", "square", "--weight", "constant",
          "--weight-param", "-1"],
+        ["verify", "--arg", "A", "--val", "A", "--fn", "square", "--weight", "constant",
+         "--weight-param", "0"],
         ["means", "--weight", "power", "--x", "1", "--y", "4"],
         ["search", "--theorem", "AA", "--fn", "square", "--sense", "concave",
          "--budget", "0"],

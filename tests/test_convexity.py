@@ -154,6 +154,12 @@ class TestVerifyClass:
         assert v.witnesses[0].index >= 0
         assert not v.holds
 
+    def test_zero_weight_refused(self):
+        # h = 0 is not positive on (0, 1): the class is refused, not refuted
+        with pytest.raises(DomainError, match=r"^weight constant:0 nonpositive at "
+                                              r"interior point t=0\.5$"):
+            verify_class(spec(A, A, h=constant_weight(0.0)), FS["square"], box=BOX)
+
     def test_deterministic(self):
         a = verify_class(spec(A, A), FS["square"], box=BOX)
         b = verify_class(spec(A, A), FS["square"], box=BOX)

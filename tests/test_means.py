@@ -120,6 +120,17 @@ class TestMeanChain:
         v = check_am_gm_hm(power_weight(2.0), 0.5, 1.0, 4.0)
         assert not v.holds
 
+    def test_margin_equal_to_tol_holds(self):
+        # the t^2 chain fails by a relative margin m < 0: within tol -m, not
+        # within the next float below it
+        args = (power_weight(2.0), 0.5, 1.0, 4.0)
+        v = check_am_gm_hm(*args)
+        m = min(v.margin_hg / max(1.0, abs(v.h_mean), abs(v.g_mean)),
+                v.margin_ga / max(1.0, abs(v.g_mean), abs(v.a_mean)))
+        assert m < 0.0
+        assert check_am_gm_hm(*args, tol=-m).holds
+        assert not check_am_gm_hm(*args, tol=math.nextafter(-m, 0.0)).holds
+
     def test_interior_t_only(self):
         with pytest.raises(DomainError):
             check_am_gm_hm(ID, 0.0, 1.0, 2.0)

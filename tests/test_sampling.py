@@ -495,6 +495,15 @@ def test_tail_violation_kept_after_few_grid_violators():
     assert [w.index for w in cmp.witnesses] == want[:3].tolist()
 
 
+def test_a_margin_of_minus_tol_holds():
+    """At tol 0 a margin of exactly 0 is no violation, even in a chunk that
+    holds one: of the margins -1, 0 and 0 only the -1 is kept."""
+    blocks = SamplePlan(grid_axis=0, n_random=3).pair_blocks(Interval(0.5, 2.0))
+    kernel = lambda s, t: (np.array([1.0, 0.0, 0.0]), np.zeros(3), np.ones(3, bool))
+    v = _compare(blocks, blocks.map(kernel), "<=", "three margins", 0.0, limit=3)
+    assert (v.min_margin, [w.index for w in v.witnesses], v.samples) == (-1.0, [0], 3)
+
+
 # ---------------------------------------------------------------------------
 # The block reducer against the flat kernel.
 
