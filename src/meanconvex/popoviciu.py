@@ -184,7 +184,7 @@ def verify_theorem(tid: TheoremId, h: WeightFunction, f: PointFunction,
         return verdict
     lhs, rhs, _ = kernel(*(np.array(c) for c in zip(*((w.x, w.y, w.z) for w in found))))
     sides = [_printed(a, b, tid.value[1] == "G") for a, b in zip(lhs.tolist(), rhs.tolist())]
-    return replace(verdict, witnesses=[replace(w, lhs=a, rhs=b)
+    return replace(verdict, witnesses=[Witness(w.x, w.y, None, a, b, w.z, w.index)
                                        for w, (a, b) in zip(found, sides)])
 
 

@@ -342,8 +342,9 @@ def _compare(blocks: SampleBlocks, results, claim: str, what: str,
     if not results or usable < MIN_USABLE_FRACTION * total:
         raise DomainError(f"only {usable}/{total} samples usable for {what}")
     found = sorted((j, *sides) for js, *sides in found for j in js)[:limit]
-    # only the symmetric stream has three spatial axes; a third axis is else t
-    names = ("x", "y", "z") if blocks.symmetric else ("x", "y", "t")[:len(blocks.grid)]
-    witnesses = [Witness(**{"t": None, **dict(zip(names, blocks.point(i)))},
-                         lhs=lhs, rhs=rhs, index=i) for i, lhs, rhs in found]
+    witnesses = []
+    for i, lhs, rhs in found:
+        x, y, c = (*blocks.point(i), None)[:3]  # c: z on the symmetric stream, else t
+        z, t = (c, None) if blocks.symmetric else (None, c)
+        witnesses.append(Witness(x, y, t, lhs, rhs, z, i))
     return Verdict(target or what, usable, total - usable, lowest, witnesses, f_name, sense)
